@@ -26,18 +26,20 @@ int main() {
     AptScheduler sched(ac);
     const ModelSpec model = ModelSpec::Opt13B();
     CostModel cm(model, ClusterSpec::ForModel(model));
-    SimulatorConfig sc;
-    sc.block_size = block_size;
-    Simulator sim(cm, sc);
-    auto result = sim.Run(*trace, &sched, slo);
+    CostModelBackend::Options opts;
+    opts.block_size = block_size;
+    auto backend = CostModelBackend::Create(cm, opts);
+    if (!backend.ok()) return 1;
+    auto result = ServingLoop(backend->get(), ServingLoopConfig{})
+                      .Run(*trace, &sched, slo);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
     }
-    std::printf("%12d %12d %12.1f %14d %12.1f\n", block_size,
-                result->pool_blocks, 100 * result->report.slo_attainment,
-                result->peak_blocks,
-                100.0 * result->peak_blocks / result->pool_blocks);
+    const int32_t pool_blocks = (*backend)->pool_blocks();
+    std::printf("%12d %12d %12.1f %14d %12.1f\n", block_size, pool_blocks,
+                100 * result->report.slo_attainment, result->peak_blocks,
+                100.0 * result->peak_blocks / pool_blocks);
     std::fflush(stdout);
   }
   std::printf("\nExpected shape: attainment is stable across moderate block "

@@ -4,7 +4,6 @@
 // proportional to cache bytes. The crossover depends on context length and
 // preemption frequency.
 #include "bench/bench_util.h"
-#include "sim/simulator.h"
 
 using namespace aptserve;
 using namespace aptserve::bench;
@@ -32,10 +31,11 @@ Row RunMode(const DatasetProfile& profile, double rate, const SloSpec& slo,
   AptScheduler sched(ac);
   const ModelSpec model = ModelSpec::Opt13B();
   CostModel cm(model, ClusterSpec::ForModel(model));
-  SimulatorConfig sc;
-  sc.preemption_mode = mode;
-  Simulator sim(cm, sc);
-  auto result = sim.Run(*trace, &sched, slo);
+  auto backend = CostModelBackend::Create(cm, {});
+  if (!backend.ok()) std::abort();
+  ServingLoopConfig loop;
+  loop.preemption_mode = mode;
+  auto result = ServingLoop(backend->get(), loop).Run(*trace, &sched, slo);
   if (!result.ok()) std::abort();
   return Row{result->report, result->swap_ins, result->prefill_iterations};
 }

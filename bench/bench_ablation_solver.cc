@@ -72,8 +72,10 @@ void FallbackSweep() {
     auto trace = BuildTrace(tc);
     if (!trace.ok()) return;
     CostModel cm(spec.model, ClusterSpec::ForModel(spec.model));
-    Simulator sim(cm, SimulatorConfig{});
-    auto result = sim.Run(*trace, &sched, spec.slo);
+    auto backend = CostModelBackend::Create(cm, {});
+    if (!backend.ok()) return;
+    auto result = ServingLoop(backend->get(), ServingLoopConfig{})
+                      .Run(*trace, &sched, spec.slo);
     if (!result.ok()) return;
     const SloReport& rep = result->report;
     std::printf("%12s %10.1f %12.2f %12.2f\n", p.name,

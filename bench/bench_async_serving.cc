@@ -84,12 +84,12 @@ SchedulerFactory Fcfs() {
 }
 
 MultiInstanceRunner MakeRunner(int32_t max_batch_size = INT32_MAX) {
-  DispatchConfig dispatch;
-  dispatch.n_instances = kInstances;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
+  RouterConfig rc;
+  rc.n_instances = kInstances;
+  rc.policy = RoutePolicy::kRoundRobin;
   ServingLoopConfig loop;
   loop.max_batch_size = max_batch_size;
-  return MultiInstanceRunner(dispatch, loop);
+  return MultiInstanceRunner(Router(rc), loop);
 }
 
 TokenMap Flatten(std::vector<TokenMap> sinks) {

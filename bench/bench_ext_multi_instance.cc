@@ -2,7 +2,7 @@
 // fleet sizes and dispatch policies with vLLM-style FCFS vs Apt-Serve per
 // instance, reporting fleet-level SLO attainment.
 #include "bench/bench_util.h"
-#include "sim/multi_instance.h"
+#include "serve/multi_instance.h"
 
 using namespace aptserve;
 using namespace aptserve::bench;
@@ -11,6 +11,11 @@ int main() {
   const SloSpec slo{1.0, 1.0};
   const ModelSpec model = ModelSpec::Opt13B();
   CostModel cm(model, ClusterSpec::ForModel(model));
+  const BackendFactory backend =
+      [&](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
+    APT_ASSIGN_OR_RETURN(auto b, CostModelBackend::Create(cm, {}));
+    return std::unique_ptr<ExecutionBackend>(std::move(b));
+  };
 
   TraceConfig tc;
   tc.profile = DatasetProfile::ShareGpt();
@@ -30,20 +35,20 @@ int main() {
            {RoutePolicy::kRoundRobin, RoutePolicy::kLeastLoaded,
             RoutePolicy::kPowerOfTwo}) {
         if (n == 1 && policy != RoutePolicy::kRoundRobin) continue;
-        MultiInstanceConfig mc;
-        mc.fleet.router.n_instances = n;
-        mc.fleet.router.policy = policy;
-        MultiInstanceSimulator mi(cm, mc);
+        RouterConfig rc;
+        rc.n_instances = n;
+        rc.policy = policy;
+        MultiInstanceRunner mi(Router(rc, &cm), ServingLoopConfig{});
         auto rf = mi.Run(*trace,
                          [] { return std::make_unique<FcfsScheduler>(); },
-                         slo);
+                         backend, slo);
         auto ra = mi.Run(*trace,
                          [&] {
                            AptConfig c;
                            c.slo = slo;
                            return std::make_unique<AptScheduler>(c);
                          },
-                         slo);
+                         backend, slo);
         if (!rf.ok() || !ra.ok()) return 1;
         std::printf("%10.1f %6d %14s %12.1f %12.1f\n", rate, n,
                     RoutePolicyName(policy),

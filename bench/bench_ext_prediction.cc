@@ -23,8 +23,10 @@ SloReport RunApt(const RunSpec& spec, bool predict, double quantile) {
   c.prediction_quantile = quantile;
   AptScheduler sched(c);
   CostModel cm(spec.model, ClusterSpec::ForModel(spec.model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto result = sim.Run(*trace, &sched, spec.slo);
+  auto backend = CostModelBackend::Create(cm, {});
+  if (!backend.ok()) std::abort();
+  auto result = ServingLoop(backend->get(), ServingLoopConfig{})
+                    .Run(*trace, &sched, spec.slo);
   if (!result.ok()) std::abort();
   return result->report;
 }

@@ -14,7 +14,7 @@ using namespace aptserve::bench;
 namespace {
 
 void PerRequestDetail(const RunSpec& spec, const std::string& system) {
-  const SimulationResult result = RunOnceFull(spec, system);
+  const ServingLoopResult result = RunOnceFull(spec, system);
   const SloReport& rep = result.report;
   std::printf("--- %s at %.1f req/s ---\n", system.c_str(), spec.rate);
   std::printf("TTFT: mean=%.2fs p50=%.2fs p99=%.2fs  |  per-request P99 TBT:"

@@ -31,10 +31,13 @@ SloReport RunUltra(const UltraCase& c, const ModelSpec& model, double rate,
   ClusterSpec cluster;
   cluster.n_gpus = c.n_gpus;
   CostModel cm(model, cluster);
-  SimulatorConfig sc;
-  sc.block_size = 32;  // larger blocks keep pool metadata manageable
-  Simulator sim(cm, sc);
-  auto result = sim.Run(*trace, sched.get(), slo);
+  CostModelBackend::Options opts;
+  opts.block_size = 32;  // larger blocks keep pool metadata manageable
+  auto result = [&]() -> StatusOr<ServingLoopResult> {
+    APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, opts));
+    return ServingLoop(backend.get(), ServingLoopConfig{})
+        .Run(*trace, sched.get(), slo);
+  }();
   if (!result.ok()) {
     std::fprintf(stderr, "sim(%s/%s): %s\n", c.profile.name.c_str(),
                  system.c_str(), result.status().ToString().c_str());

@@ -1,10 +1,11 @@
 // Prefix-sharing sweep: hit-rate (conversation fan-out) x prefix-length
 // grid over the shared-prefix workload, run with sharing off and on, on
 // BOTH execution backends:
-//   - the analytic CostModelBackend (Simulator, Opt-13B roofline), where
-//     skipped prefill positions are priced out of the iteration, and
-//   - the real InferenceBackend (ServingEngine, Tiny model, measured wall
-//     clock), where they are genuinely not computed.
+//   - the analytic CostModelBackend (Opt-13B roofline), where skipped
+//     prefill positions are priced out of the iteration, and
+//   - the real InferenceBackend (Tiny model, measured wall clock), where
+//     they are genuinely not computed.
+// Each run is one ServingLoop over the backend.
 // Reported per cell: prefill tokens computed/skipped (the reduction
 // factor), mean TTFT, request throughput, hits, and blocks saved through
 // sharing. The same trace drives both backends, and the final parity table
@@ -16,7 +17,7 @@
 
 #include "baselines/fcfs_scheduler.h"
 #include "bench/bench_util.h"
-#include "engine/serving_engine.h"
+#include "serve/inference_backend.h"
 #include "workload/shared_prefix.h"
 
 namespace aptserve {
@@ -54,13 +55,16 @@ std::vector<Request> MakeTrace(int32_t prefix_len, int32_t fan_out) {
 CellResult RunCostModel(const std::vector<Request>& trace, bool sharing) {
   const ModelSpec m = ModelSpec::Opt13B();
   CostModel cm(m, ClusterSpec::ForModel(m));
-  SimulatorConfig cfg;
-  cfg.block_size = kBlockSize;
-  cfg.pool_blocks_override = kPoolBlocks;
-  cfg.enable_prefix_sharing = sharing;
-  Simulator sim(cm, cfg);
+  CostModelBackend::Options opts;
+  opts.block_size = kBlockSize;
+  opts.pool_blocks_override = kPoolBlocks;
+  opts.enable_prefix_sharing = sharing;
   FcfsScheduler sched;
-  auto r = sim.Run(trace, &sched, SloSpec{10.0, 10.0});
+  auto r = [&]() -> StatusOr<ServingLoopResult> {
+    APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, opts));
+    return ServingLoop(backend.get(), ServingLoopConfig{})
+        .Run(trace, &sched, SloSpec{10.0, 10.0});
+  }();
   if (!r.ok()) {
     std::fprintf(stderr, "sim: %s\n", r.status().ToString().c_str());
     std::abort();
@@ -77,16 +81,15 @@ CellResult RunCostModel(const std::vector<Request>& trace, bool sharing) {
 }
 
 CellResult RunEngine(const std::vector<Request>& trace, bool sharing) {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Tiny();
-  cfg.num_blocks = kPoolBlocks;
-  cfg.block_size = kBlockSize;
-  cfg.slo = SloSpec{10.0, 10.0};
-  cfg.calibrate_rho = false;
-  cfg.enable_prefix_sharing = sharing;
-  ServingEngine serving(cfg);
+  InferenceBackendOptions opts;
+  opts.enable_prefix_sharing = sharing;
+  InferenceBackend backend(ModelConfig::Tiny(), /*weight_seed=*/42,
+                           kPoolBlocks, kBlockSize, SamplingParams{}, opts);
+  ServingLoopConfig loop;
+  loop.max_batch_size = INT32_MAX;
+  loop.max_iterations = 2'000'000;
   FcfsScheduler sched;
-  auto r = serving.Serve(trace, &sched);
+  auto r = ServingLoop(&backend, loop).Run(trace, &sched, SloSpec{10.0, 10.0});
   if (!r.ok()) {
     std::fprintf(stderr, "engine: %s\n", r.status().ToString().c_str());
     std::abort();

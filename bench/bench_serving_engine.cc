@@ -2,12 +2,16 @@
 // transformer under FCFS vs Apt-Serve with a deliberately small pool, so
 // the hybrid cache and value-based scheduling act on real memory and real
 // compute (measured rho; virtual timeline = measured compute seconds).
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 
 #include "baselines/fcfs_scheduler.h"
 #include "bench/bench_util.h"
 #include "core/apt_scheduler.h"
-#include "engine/serving_engine.h"
+#include "engine/rho_calibrator.h"
+#include "serve/inference_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/arrival.h"
 
 using namespace aptserve;
@@ -31,12 +35,14 @@ std::vector<Request> BurstTrace(int32_t n, uint64_t seed) {
 }  // namespace
 
 int main() {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Small();
-  cfg.model.max_seq_len = 256;
-  cfg.num_blocks = 160;  // tight pool: ~10 KV requests of ~64 tokens
-  cfg.block_size = 8;
-  cfg.slo = SloSpec{1e9, 1e9};  // timing varies by host; report latencies
+  ModelConfig model = ModelConfig::Small();
+  model.max_seq_len = 256;
+  const uint64_t weight_seed = 42;
+  const int32_t num_blocks = 160;  // tight pool: ~10 KV requests of ~64 tokens
+  const SloSpec slo{1e9, 1e9};  // timing varies by host; report latencies
+  ServingLoopConfig loop;
+  loop.max_batch_size = INT32_MAX;  // a serial CPU gains nothing from a cap
+  loop.max_iterations = 2'000'000;
 
   auto trace = BurstTrace(24, 17);
   std::printf("=== Real-engine serving: 24-request burst on the mini "
@@ -45,14 +51,29 @@ int main() {
               "compute(s)", "mean TTFT(s)", "p99 TTFT(s)", "preempts",
               "conversions");
   for (int k = 0; k < 2; ++k) {
-    ServingEngine serving(cfg);
+    // rho for the scheduler's quantification model, measured on this
+    // engine geometry (the paper's offline profiling pass, Eq. 6).
+    auto calib = CalibrateRho(model, weight_seed,
+                              {std::min(16, model.max_seq_len / 4),
+                               std::min(48, model.max_seq_len / 2)},
+                              2);
+    if (!calib.ok()) {
+      std::fprintf(stderr, "calibrate: %s\n",
+                   calib.status().ToString().c_str());
+      return 1;
+    }
+    const double rho = calib->rho_seconds_per_token;
+    InferenceBackendOptions opts;
+    opts.rho_seconds_per_token = rho;
+    InferenceBackend backend(model, weight_seed, num_blocks, /*block_size=*/8,
+                             SamplingParams{}, opts);
     FcfsScheduler fcfs;
     AptConfig ac;
     ac.slo = SloSpec{2.0, 2.0};  // drives the value model, not the report
     AptScheduler apt(ac);
     Scheduler* sched = k == 0 ? static_cast<Scheduler*>(&fcfs)
                               : static_cast<Scheduler*>(&apt);
-    auto result = serving.Serve(trace, sched);
+    auto result = ServingLoop(&backend, loop).Run(trace, sched, slo);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", sched->name().c_str(),
                    result.status().ToString().c_str());
@@ -61,7 +82,7 @@ int main() {
     std::printf("%-12s %14.2f %14.2f %14.2f %12ld %12ld\n",
                 sched->name().c_str(), result->compute_seconds,
                 result->report.mean_ttft, result->report.p99_ttft,
-                result->preemptions, result->report.conversions);
+                result->report.preemptions, result->report.conversions);
     bench::JsonObject e;
     e.Str("scheduler", sched->name())
         .Int("num_requests", static_cast<int64_t>(trace.size()))
@@ -73,14 +94,14 @@ int main() {
                  ? result->tokens_generated / result->compute_seconds
                  : 0.0)
         .Int("tokens_generated", result->tokens_generated)
-        .Int("preemptions", result->preemptions)
+        .Int("preemptions", result->report.preemptions)
         .Int("conversions", result->report.conversions)
-        .Num("rho_seconds_per_token", result->rho_seconds_per_token);
+        .Num("rho_seconds_per_token", rho);
     bench::BenchJson::Instance().AddEntry(std::move(e));
     if (k == 1) {
       std::printf("measured rho = %.1f us/token (real Eq. 6 calibration "
                   "fed to the scheduler)\n",
-                  1e6 * result->rho_seconds_per_token);
+                  1e6 * rho);
     }
     std::fflush(stdout);
   }

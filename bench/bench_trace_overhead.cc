@@ -118,12 +118,12 @@ StatusOr<RunResult> RunOnce(Mode mode, const std::vector<Request>& trace) {
     async.metrics = &metrics;
   }
 
-  DispatchConfig dispatch;
-  dispatch.n_instances = kInstances;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
+  RouterConfig rc;
+  rc.n_instances = kInstances;
+  rc.policy = RoutePolicy::kRoundRobin;
   ServingLoopConfig loop;
   loop.max_batch_size = INT32_MAX;
-  MultiInstanceRunner runner(dispatch, loop);
+  MultiInstanceRunner runner(Router(rc), loop);
 
   std::vector<TokenMap> sinks(kInstances);
   APT_ASSIGN_OR_RETURN(

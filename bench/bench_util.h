@@ -21,7 +21,8 @@
 #include "common/json.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -216,7 +217,10 @@ struct RunSpec {
   int32_t max_total_len = 2048;
 };
 
-inline SloReport RunOnce(const RunSpec& spec, const std::string& scheduler) {
+/// Full simulation result (for benches that need more than the report):
+/// one ServingLoop over a default-configured CostModelBackend.
+inline ServingLoopResult RunOnceFull(const RunSpec& spec,
+                                     const std::string& scheduler) {
   TraceConfig tc;
   tc.profile = spec.profile;
   tc.num_requests = spec.num_requests;
@@ -231,35 +235,11 @@ inline SloReport RunOnce(const RunSpec& spec, const std::string& scheduler) {
   }
   auto sched = MakeScheduler(scheduler, spec.slo);
   CostModel cm(spec.model, ClusterSpec::ForModel(spec.model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto result = sim.Run(*trace, sched.get(), spec.slo);
-  if (!result.ok()) {
-    std::fprintf(stderr, "sim(%s): %s\n", scheduler.c_str(),
-                 result.status().ToString().c_str());
-    std::abort();
-  }
-  RecordReport(scheduler, spec.rate, spec.cv, spec.num_requests,
-               spec.profile.name, spec.model.name, spec.slo.ttft_s,
-               spec.slo.tbt_p99_s, result->report);
-  return result->report;
-}
-
-/// Full simulation result (for benches that need more than the report).
-inline SimulationResult RunOnceFull(const RunSpec& spec,
-                                    const std::string& scheduler) {
-  TraceConfig tc;
-  tc.profile = spec.profile;
-  tc.num_requests = spec.num_requests;
-  tc.rate_per_sec = spec.rate;
-  tc.cv = spec.cv;
-  tc.seed = spec.seed;
-  tc.max_total_len = spec.max_total_len;
-  auto trace = BuildTrace(tc);
-  if (!trace.ok()) std::abort();
-  auto sched = MakeScheduler(scheduler, spec.slo);
-  CostModel cm(spec.model, ClusterSpec::ForModel(spec.model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto result = sim.Run(*trace, sched.get(), spec.slo);
+  auto result = [&]() -> StatusOr<ServingLoopResult> {
+    APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, {}));
+    return ServingLoop(backend.get(), ServingLoopConfig{})
+        .Run(*trace, sched.get(), spec.slo);
+  }();
   if (!result.ok()) {
     std::fprintf(stderr, "sim(%s): %s\n", scheduler.c_str(),
                  result.status().ToString().c_str());
@@ -269,6 +249,10 @@ inline SimulationResult RunOnceFull(const RunSpec& spec,
                spec.profile.name, spec.model.name, spec.slo.ttft_s,
                spec.slo.tbt_p99_s, result->report);
   return std::move(*result);
+}
+
+inline SloReport RunOnce(const RunSpec& spec, const std::string& scheduler) {
+  return RunOnceFull(spec, scheduler).report;
 }
 
 /// Prints an SLO-attainment-vs-rate table, one row per rate, one column per

@@ -10,7 +10,8 @@
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 using namespace aptserve;
@@ -27,8 +28,12 @@ double AttainmentAt(double rate, Scheduler* sched, const SloSpec& slo) {
   if (!trace.ok()) return 0.0;
   const ModelSpec model = ModelSpec::Opt13B();
   CostModel cost(model, ClusterSpec::ForModel(model));
-  Simulator sim(cost, SimulatorConfig{});
-  auto result = sim.Run(*trace, sched, slo);
+  // One serving instance: the shared serving loop over the analytic
+  // (roofline cost-model) backend.
+  auto backend = CostModelBackend::Create(cost, CostModelBackend::Options{});
+  if (!backend.ok()) return 0.0;
+  auto result =
+      ServingLoop(backend->get(), ServingLoopConfig{}).Run(*trace, sched, slo);
   return result.ok() ? result->report.slo_attainment : 0.0;
 }
 

@@ -12,7 +12,8 @@
 #include "baselines/sarathi_scheduler.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 using namespace aptserve;
@@ -56,8 +57,10 @@ int main() {
           sched = std::make_unique<AptSarathiScheduler>(c);
         }
       }
-      Simulator sim(cost, SimulatorConfig{});
-      auto result = sim.Run(*trace, sched.get(), slo);
+      auto backend = CostModelBackend::Create(cost, {});
+      if (!backend.ok()) return 1;
+      auto result = ServingLoop(backend->get(), ServingLoopConfig{})
+                        .Run(*trace, sched.get(), slo);
       if (!result.ok()) return 1;
       std::printf(" %10.1f", 100 * result->report.slo_attainment);
     }

@@ -2,9 +2,10 @@
 //
 // The Scheduler interface is the seam the whole system is built around —
 // this example implements SJF (shortest-prompt-first) admission with
-// KV-only caching in ~40 lines, plugs it into the simulator, and races it
-// against FCFS and Apt-Serve. Use this as the template for experimenting
-// with new policies on the same substrate the paper's evaluation uses.
+// KV-only caching in ~40 lines, plugs it into the serving loop over the
+// analytic cost-model backend, and races it against FCFS and Apt-Serve.
+// Use this as the template for experimenting with new policies on the
+// same substrate the paper's evaluation uses.
 //
 // Build & run:  ./build/examples/custom_scheduler
 #include <algorithm>
@@ -12,7 +13,8 @@
 
 #include "baselines/fcfs_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 using namespace aptserve;
@@ -76,8 +78,11 @@ int main() {
   for (Scheduler* sched :
        {static_cast<Scheduler*>(&fcfs), static_cast<Scheduler*>(&sjf),
         static_cast<Scheduler*>(&apt)}) {
-    Simulator sim(cost, SimulatorConfig{});
-    auto result = sim.Run(*trace, sched, slo);
+    // Each run gets a fresh backend: the pool starts empty every time.
+    auto backend = CostModelBackend::Create(cost, CostModelBackend::Options{});
+    if (!backend.ok()) return 1;
+    auto result = ServingLoop(backend->get(), ServingLoopConfig{})
+                      .Run(*trace, sched, slo);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", sched->name().c_str(),
                    result.status().ToString().c_str());

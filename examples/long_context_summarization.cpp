@@ -9,7 +9,8 @@
 
 #include "baselines/fcfs_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 using namespace aptserve;
@@ -26,8 +27,11 @@ SloReport Serve(double cv, Scheduler* sched, const SloSpec& slo) {
   auto trace = BuildTrace(tc);
   const ModelSpec model = ModelSpec::Opt13B();
   CostModel cost(model, ClusterSpec::ForModel(model));
-  Simulator sim(cost, SimulatorConfig{});
-  auto result = sim.Run(*trace, sched, slo);
+  auto result = [&]() -> StatusOr<ServingLoopResult> {
+    APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cost, {}));
+    return ServingLoop(backend.get(), ServingLoopConfig{})
+        .Run(*trace, sched, slo);
+  }();
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     std::exit(1);

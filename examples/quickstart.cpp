@@ -3,8 +3,9 @@
 //   1. The *inference engine* — a real (CPU, fp32) decoder-only transformer
 //      with the paper's hybrid cache: generate with KV cache, generate with
 //      hidden cache, observe identical tokens at half the cache memory.
-//   2. The *serving simulator* — serve a small ShareGPT-like trace under
-//      vLLM-style FCFS and under Apt-Serve, and compare SLO attainment.
+//   2. The *serving simulator* — the shared ServingLoop over the analytic
+//      CostModelBackend serves a small ShareGPT-like trace under vLLM-style
+//      FCFS and under Apt-Serve; compare SLO attainment.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
@@ -12,7 +13,8 @@
 #include "baselines/fcfs_scheduler.h"
 #include "core/apt_scheduler.h"
 #include "engine/inference_engine.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 using namespace aptserve;
@@ -64,8 +66,12 @@ int main() {
 
   for (Scheduler* sched : {static_cast<Scheduler*>(&fcfs),
                            static_cast<Scheduler*>(&apt)}) {
-    Simulator sim(cost, SimulatorConfig{});
-    auto result = sim.Run(*trace, sched, slo);
+    // A fresh backend per run (its block pool starts empty); the loop does
+    // admission, scheduling, preemption and metrics.
+    auto backend = CostModelBackend::Create(cost, CostModelBackend::Options{});
+    if (!backend.ok()) return 1;
+    auto result = ServingLoop(backend->get(), ServingLoopConfig{})
+                      .Run(*trace, sched, slo);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", sched->name().c_str(),
                    result.status().ToString().c_str());

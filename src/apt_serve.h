@@ -31,7 +31,6 @@
 #include "engine/model_config.h"
 #include "engine/rho_calibrator.h"
 #include "engine/sampling.h"
-#include "engine/serving_engine.h"
 #include "engine/transformer.h"
 
 // Workloads (paper §6.2).
@@ -54,10 +53,8 @@
 #include "sim/cost_model.h"
 #include "sim/metrics.h"
 #include "sim/model_spec.h"
-#include "sim/multi_instance.h"
 #include "sim/report_writer.h"
 #include "sim/scheduler.h"
-#include "sim/simulator.h"
 
 // Baseline schedulers (paper §6.2).
 #include "baselines/fastgen_scheduler.h"

@@ -1,7 +1,8 @@
-// RuntimeConfig: the knobs of the shared parallel runtime layer. Every
-// facade (Simulator, ServingEngine, MultiInstanceSimulator) carries one and
-// threads it down to the ThreadPool that kernels, the engine's batch
-// executor, and the multi-instance fleet run on.
+// RuntimeConfig: the knobs of the shared parallel runtime layer. The
+// engine (through InferenceBackendOptions or its constructor) and the
+// fleet (MultiInstanceRunner, FleetConfig) each carry one and thread it
+// down to the ThreadPool that kernels, the engine's batch executor, and
+// the multi-instance fleet run on.
 #pragma once
 
 #include <cstdint>

@@ -64,8 +64,11 @@ struct AsyncInstance {
   std::atomic<int32_t> waiting_depth{0};
 };
 
-}  // namespace
-
+/// Serves `trace` on a static fleet of router.config().n_instances
+/// continuously-batching worker threads. Blocks until the last request
+/// drains (or the first error). `migration_cost_model` prices the virtual
+/// availability delay of shed requests (null = instantaneous, wall cost is
+/// real either way).
 StatusOr<AsyncServingResult> RunAsyncFleet(
     const std::vector<Request>& trace, const Router& router,
     const ServingLoopConfig& loop_config, const AsyncServingConfig& async,
@@ -260,7 +263,10 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
         cmd.request.best_effort = true;
         deprioritized.fetch_add(1, std::memory_order_acq_rel);
       }
-      cmd.wall_arrival = clock.Now();
+      // Stamp the due instant, not the push: time spent behind a blocking
+      // Push to a full queue (or behind feeder lag) is arrival-to-token
+      // latency the request really waited.
+      cmd.wall_arrival = release;
       routed.fetch_add(1, std::memory_order_acq_rel);
       // Blocking push: a full queue is backpressure, not an error. False
       // means the fabric closed under us (abort path).
@@ -382,25 +388,7 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
   return out;
 }
 
-StatusOr<AsyncServingResult> FleetController::RunAsync(
-    const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
-    const BackendFactory& make_backend, const SloSpec& slo,
-    const AsyncServingConfig& async) {
-  if (config_.IsElastic()) {
-    return Status::InvalidArgument(
-        "async serving runs a static fleet: scaling rules and planner "
-        "migration are virtual-time features (queue shedding is the async "
-        "mode's live motion)");
-  }
-  if (config_.cells.num_cells > 1) {
-    return Status::InvalidArgument(
-        "async serving does not support hierarchical (num_cells > 1) "
-        "fleets yet: the cell front tier runs on the virtual-time routing "
-        "path");
-  }
-  return RunAsyncFleet(trace, router_, config_.loop, async, make_scheduler,
-                       make_backend, slo, migration_cost_model_);
-}
+}  // namespace
 
 StatusOr<AsyncServingResult> MultiInstanceRunner::RunAsync(
     const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,

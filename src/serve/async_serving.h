@@ -95,15 +95,4 @@ struct AsyncServingResult {
   std::vector<int64_t> sheds_per_instance;
 };
 
-/// Serves `trace` on a static fleet of router.config().n_instances
-/// continuously-batching worker threads. Blocks until the last request
-/// drains (or the first error). `migration_cost_model` prices the virtual
-/// availability delay of shed requests (null = instantaneous, wall cost is
-/// real either way).
-StatusOr<AsyncServingResult> RunAsyncFleet(
-    const std::vector<Request>& trace, const Router& router,
-    const ServingLoopConfig& loop_config, const AsyncServingConfig& async,
-    const SchedulerFactory& make_scheduler, const BackendFactory& make_backend,
-    const SloSpec& slo, const CostModel* migration_cost_model = nullptr);
-
 }  // namespace aptserve

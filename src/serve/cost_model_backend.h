@@ -3,8 +3,8 @@
 // performs cache accounting for every scheduled step, and prices each
 // iteration with the roofline CostModel — no real compute. The operation
 // sequence (and therefore the virtual timeline) is bit-for-bit identical
-// to the pre-refactor Simulator loop; tests/serving_loop_parity_test.cc
-// pins that equivalence.
+// to the pre-refactor simulator loop; tests/serving_loop_parity_test.cc
+// keeps that loop as a reference and pins the equivalence.
 #pragma once
 
 #include <memory>
@@ -53,8 +53,7 @@ class CostModelBackend : public ExecutionBackend {
     CacheEncodingPolicy cache_encoding;
   };
 
-  /// Pool blocks the configuration yields (shared with Simulator's
-  /// DerivePoolBlocks accessor).
+  /// Pool blocks the configuration yields (what Create would allocate).
   static StatusOr<int32_t> DerivePoolBlocks(const CostModel& cost_model,
                                             const Options& options);
 

@@ -125,8 +125,7 @@ struct ScalingRule {
   }
 };
 
-/// The single home of fleet options (satellite of ISSUE 5: the legacy
-/// sim-layer MultiInstanceConfig is now a thin wrapper around this).
+/// The single home of fleet options.
 struct FleetConfig {
   /// Routing policy, admission control, and the *initial* fleet size
   /// (router.n_instances).
@@ -199,10 +198,6 @@ struct FleetResult {
   FleetMetrics fleet;
 };
 
-// Async wall-clock serving mode (serve/async_serving.h).
-struct AsyncServingConfig;
-struct AsyncServingResult;
-
 class FleetController {
  public:
   /// Routes through a copy of `router` (its config().n_instances is the
@@ -227,20 +222,6 @@ class FleetController {
                             const SchedulerFactory& make_scheduler,
                             const BackendFactory& make_backend,
                             const SloSpec& slo);
-
-  /// Serves `trace` in the async wall-clock mode: a static fleet of
-  /// router().config().n_instances continuously-batching worker threads
-  /// with real-time arrival replay — see serve/async_serving.h for the
-  /// architecture and determinism contract. Token streams are
-  /// bit-identical to Run() on a static fleet; only timing differs.
-  /// Rejects elastic configs (scaling rules / planner migration): the
-  /// async mode's only live motion is queue-depth shedding for now.
-  /// Defined in async_serving.cc.
-  StatusOr<AsyncServingResult> RunAsync(const std::vector<Request>& trace,
-                                        const SchedulerFactory& make_scheduler,
-                                        const BackendFactory& make_backend,
-                                        const SloSpec& slo,
-                                        const AsyncServingConfig& async);
 
   const Router& router() const { return router_; }
   const FleetConfig& config() const { return config_; }

@@ -2,62 +2,15 @@
 
 #include <utility>
 
-#include "common/logging.h"
 #include "serve/fleet_controller.h"
 
 namespace aptserve {
-
-const char* DispatchPolicyName(DispatchPolicy p) {
-  switch (p) {
-    case DispatchPolicy::kRoundRobin:
-      return "round-robin";
-    case DispatchPolicy::kLeastLoaded:
-      return "least-loaded";
-    case DispatchPolicy::kPowerOfTwo:
-      return "power-of-two";
-  }
-  return "?";
-}
-
-RouterConfig ToRouterConfig(const DispatchConfig& config) {
-  RouterConfig r;
-  r.n_instances = config.n_instances;
-  switch (config.policy) {
-    case DispatchPolicy::kRoundRobin:
-      r.policy = RoutePolicy::kRoundRobin;
-      break;
-    case DispatchPolicy::kLeastLoaded:
-      r.policy = RoutePolicy::kLeastLoaded;
-      break;
-    case DispatchPolicy::kPowerOfTwo:
-      r.policy = RoutePolicy::kPowerOfTwo;
-      break;
-  }
-  r.load_window_s = config.load_window_s;
-  r.dispatch_seed = config.dispatch_seed;
-  r.admission = AdmissionMode::kNone;
-  return r;
-}
-
-std::vector<int32_t> DispatchTrace(const std::vector<Request>& trace,
-                                   const DispatchConfig& config) {
-  return Router(ToRouterConfig(config)).Route(trace).assignment;
-}
 
 MultiInstanceRunner::MultiInstanceRunner(const Router& router,
                                          const ServingLoopConfig& loop,
                                          const RuntimeConfig& runtime,
                                          const CellRouterConfig& cells)
     : router_(router), loop_(loop), runtime_(runtime), cells_(cells) {}
-
-MultiInstanceRunner::MultiInstanceRunner(const DispatchConfig& dispatch,
-                                         const ServingLoopConfig& loop,
-                                         const RuntimeConfig& runtime)
-    : router_(Router(ToRouterConfig(dispatch))),
-      loop_(loop),
-      runtime_(runtime) {
-  APT_CHECK(dispatch.n_instances >= 1);
-}
 
 StatusOr<MultiInstanceResult> MultiInstanceRunner::Run(
     const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,

@@ -20,9 +20,7 @@
 // serial runner at any thread count.
 //
 // The router sees only what a real front-end would: arrival times, prompt
-// lengths, prompt token ids and per-request SLOs. DispatchPolicy /
-// DispatchConfig / DispatchTrace are the pre-router dispatch API, kept as
-// thin aliases over the router's legacy policies.
+// lengths, prompt token ids and per-request SLOs.
 #pragma once
 
 #include <functional>
@@ -41,57 +39,19 @@
 
 namespace aptserve {
 
-/// Pre-router dispatch policies (compatibility aliases; the Router
-/// reproduces their assignments bit-for-bit).
-enum class DispatchPolicy {
-  kRoundRobin,
-  /// Assign to the instance with the least prompt tokens dispatched within
-  /// the trailing window (a backlog proxy).
-  kLeastLoaded,
-  /// Pick two instances uniformly at random, assign to the less loaded —
-  /// the classic power-of-two-choices balancer.
-  kPowerOfTwo,
-};
-
-const char* DispatchPolicyName(DispatchPolicy p);
-
-struct DispatchConfig {
-  int32_t n_instances = 2;
-  DispatchPolicy policy = DispatchPolicy::kLeastLoaded;
-  /// Sliding window (seconds) over which dispatched prompt tokens count as
-  /// backlog.
-  double load_window_s = 30.0;
-  uint64_t dispatch_seed = 99;
-};
-
-/// The RouterConfig equivalent of a legacy dispatch configuration.
-RouterConfig ToRouterConfig(const DispatchConfig& config);
-
-/// Assigns each request of `trace` to an instance under `config`
-/// (admission-free routing; kept for existing callers and parity tests).
-std::vector<int32_t> DispatchTrace(const std::vector<Request>& trace,
-                                   const DispatchConfig& config);
-
-// MultiInstanceResult, SchedulerFactory, BackendFactory and MergeReports
-// now live in serve/fleet_controller.h (the runner is a thin static-fleet
-// facade over the event-driven FleetController) and are re-exported here
-// for existing users.
+// Async wall-clock serving mode (serve/async_serving.h).
+struct AsyncServingConfig;
+struct AsyncServingResult;
 
 class MultiInstanceRunner {
  public:
-  /// Fleet behind an SLO-aware router (the primary entry point). `cells`
-  /// configures the hierarchical fleet-of-fleets front tier; the default
-  /// (num_cells = 1) is the flat fleet, bit-identical to runners built
-  /// before cells existed.
+  /// Fleet behind an SLO-aware router. `cells` configures the
+  /// hierarchical fleet-of-fleets front tier; the default (num_cells = 1)
+  /// is the flat fleet, bit-identical to runners built before cells
+  /// existed.
   MultiInstanceRunner(const Router& router, const ServingLoopConfig& loop,
                       const RuntimeConfig& runtime = RuntimeConfig{},
                       const CellRouterConfig& cells = CellRouterConfig{});
-
-  /// Legacy dispatch-policy fleet; equivalent to a Router over
-  /// ToRouterConfig(dispatch) with admission off.
-  MultiInstanceRunner(const DispatchConfig& dispatch,
-                      const ServingLoopConfig& loop,
-                      const RuntimeConfig& runtime = RuntimeConfig{});
 
   /// Routes `trace` across instances, serves each admitted shard with its
   /// own ServingLoop over a backend from `make_backend`, and merges
@@ -106,23 +66,13 @@ class MultiInstanceRunner {
   /// The same fleet as a real-time continuously-batching server
   /// (serve/async_serving.h): per-instance worker threads, bounded
   /// arrival queues, wall-clock TTFT/TBT. Token streams are bit-identical
-  /// to Run(); only timing differs. Defined in async_serving.cc.
+  /// to Run(); only timing differs. Hierarchical fleets (cells.num_cells
+  /// > 1) are rejected with InvalidArgument. Defined in async_serving.cc.
   StatusOr<AsyncServingResult> RunAsync(const std::vector<Request>& trace,
                                         const SchedulerFactory& make_scheduler,
                                         const BackendFactory& make_backend,
                                         const SloSpec& slo,
                                         const AsyncServingConfig& async);
-
-  /// Exposed for tests: the full routing decision for a trace.
-  RouteDecision Route(const std::vector<Request>& trace) const {
-    return router_.Route(trace);
-  }
-  /// Legacy accessor: the per-request instance assignment.
-  std::vector<int32_t> Dispatch(const std::vector<Request>& trace) const {
-    return router_.Route(trace).assignment;
-  }
-
-  const Router& router() const { return router_; }
 
  private:
   Router router_;

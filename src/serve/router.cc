@@ -153,7 +153,8 @@ class AffinityMirror {
 struct RouterState::Impl {
   int32_t n = 0;
   /// Legacy-policy state: per-instance sliding-window backlog of dispatched
-  /// prompt tokens (bit-for-bit the pre-router DispatchTrace bookkeeping).
+  /// prompt tokens (bit-for-bit the pre-router dispatch bookkeeping that
+  /// router_test's LegacyDispatchTrace keeps as a reference).
   std::vector<std::deque<std::pair<TimePoint, int64_t>>> window;
   std::vector<int64_t> backlog;
   Rng rng{0};

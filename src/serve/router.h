@@ -67,8 +67,7 @@ struct RouterConfig {
   RoutePolicy policy = RoutePolicy::kRoundRobin;
 
   /// kLeastLoaded / kPowerOfTwo: sliding window (seconds) over which
-  /// dispatched prompt tokens count as backlog, and the p2c seed. Must
-  /// match the legacy DispatchConfig values for bit-for-bit parity.
+  /// dispatched prompt tokens count as backlog, and the p2c seed.
   double load_window_s = 30.0;
   uint64_t dispatch_seed = 99;
 

@@ -6,9 +6,9 @@
 // advances the clock by the backend's iteration latency, and (6) emits
 // tokens / completes requests, collecting TTFT/TBT/SLO metrics.
 //
-// Simulator (analytic), ServingEngine (real transformer) and the
-// multi-instance fleet are all thin wrappers over this loop with different
-// backends; preemption and swap semantics live here, once.
+// A single instance is this loop over a CostModelBackend (analytic) or an
+// InferenceBackend (real transformer); the multi-instance fleet runs one
+// loop state per instance. Preemption and swap semantics live here, once.
 //
 // The loop body is a resumable state machine (ServingLoopState): Start()
 // registers a trace, Step() runs exactly one classic loop iteration, and

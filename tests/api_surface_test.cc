@@ -7,8 +7,21 @@
 namespace aptserve {
 namespace {
 
+/// One serving instance: the shared loop over a fresh analytic backend.
+StatusOr<ServingLoopResult> Simulate(const std::vector<Request>& trace,
+                                     Scheduler* sched, const SloSpec& slo,
+                                     const CostModelBackend::Options& opts = {}) {
+  const ModelSpec model = ModelSpec::Opt13B();
+  APT_ASSIGN_OR_RETURN(
+      auto backend,
+      CostModelBackend::Create(CostModel(model, ClusterSpec::ForModel(model)),
+                               opts));
+  return ServingLoop(backend.get(), ServingLoopConfig{}).Run(trace, sched, slo);
+}
+
 TEST(ApiSurfaceTest, UmbrellaHeaderEndToEnd) {
-  // Workload -> scheduler -> simulator, all through apt_serve.h.
+  // Workload -> scheduler -> serving loop over the analytic backend, all
+  // through apt_serve.h.
   TraceConfig tc;
   tc.profile = DatasetProfile::HumanEval();
   tc.num_requests = 30;
@@ -19,10 +32,7 @@ TEST(ApiSurfaceTest, UmbrellaHeaderEndToEnd) {
   AptConfig cfg;
   cfg.slo = slo;
   AptScheduler scheduler(cfg);
-  const ModelSpec model = ModelSpec::Opt13B();
-  CostModel cost(model, ClusterSpec::ForModel(model));
-  Simulator sim(cost, SimulatorConfig{});
-  auto result = sim.Run(*trace, &scheduler, slo);
+  auto result = Simulate(*trace, &scheduler, slo);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->records.size(), 30u);
 
@@ -87,10 +97,7 @@ TEST(SimulatorEdgeTest, SimultaneousArrivalsAllServed) {
   }
   const SloSpec slo{30.0, 30.0};
   FcfsScheduler sched;
-  const ModelSpec model = ModelSpec::Opt13B();
-  CostModel cm(model, ClusterSpec::ForModel(model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto r = sim.Run(trace, &sched, slo);
+  auto r = Simulate(trace, &sched, slo);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->report.ttfts.count(), 20u);
 }
@@ -100,10 +107,7 @@ TEST(SimulatorEdgeTest, SingleTokenOutputsHaveNoTbt) {
   for (int i = 0; i < 10; ++i) trace.push_back(Request{i, 32, 1, i * 0.1});
   const SloSpec slo{10.0, 10.0};
   FcfsScheduler sched;
-  const ModelSpec model = ModelSpec::Opt13B();
-  CostModel cm(model, ClusterSpec::ForModel(model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto r = sim.Run(trace, &sched, slo);
+  auto r = Simulate(trace, &sched, slo);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->report.p99_tbts.count(), 0u);  // nobody decoded twice
   EXPECT_DOUBLE_EQ(r->report.tbt_attainment, 1.0);  // vacuously met
@@ -115,12 +119,9 @@ TEST(SimulatorEdgeTest, PoolExactlyOneRequestWide) {
   for (int i = 0; i < 4; ++i) trace.push_back(Request{i, 60, 4, 0.0});
   const SloSpec slo{1e6, 1e6};
   FcfsScheduler sched;
-  const ModelSpec model = ModelSpec::Opt13B();
-  CostModel cm(model, ClusterSpec::ForModel(model));
-  SimulatorConfig sc;
-  sc.pool_blocks_override = 8;  // KV(64 tokens) = 8 blocks
-  Simulator sim(cm, sc);
-  auto r = sim.Run(trace, &sched, slo);
+  CostModelBackend::Options opts;
+  opts.pool_blocks_override = 8;  // KV(64 tokens) = 8 blocks
+  auto r = Simulate(trace, &sched, slo, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->report.ttfts.count(), 4u);
   EXPECT_LE(r->report.mean_batch_size, 1.01);
@@ -131,10 +132,7 @@ TEST(SimulatorEdgeTest, UnsortedTraceHandled) {
                                 {2, 32, 4, 3.0}};
   const SloSpec slo{10.0, 10.0};
   FcfsScheduler sched;
-  const ModelSpec model = ModelSpec::Opt13B();
-  CostModel cm(model, ClusterSpec::ForModel(model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto r = sim.Run(trace, &sched, slo);
+  auto r = Simulate(trace, &sched, slo);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->report.ttfts.count(), 3u);
 }

@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "engine/model_config.h"
 #include "engine/sampling.h"
-#include "serve/fleet_controller.h"
 #include "serve/inference_backend.h"
 #include "serve/multi_instance.h"
 #include "workload/request.h"
@@ -100,13 +99,17 @@ void ExpectSameTokens(const TokenMap& want, const TokenMap& got) {
   }
 }
 
+RouterConfig RoundRobin(int32_t n) {
+  RouterConfig rc;
+  rc.n_instances = n;
+  rc.policy = RoutePolicy::kRoundRobin;
+  return rc;
+}
+
 MultiInstanceRunner TwoInstanceRunner() {
-  DispatchConfig dispatch;
-  dispatch.n_instances = 2;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
   ServingLoopConfig loop;
   loop.max_batch_size = INT32_MAX;
-  return MultiInstanceRunner(dispatch, loop);
+  return MultiInstanceRunner(Router(RoundRobin(2)), loop);
 }
 
 AsyncServingConfig FastReplay() {
@@ -233,13 +236,14 @@ TEST(AsyncServingTest, WallMetricsAreInternallyConsistent) {
   EXPECT_EQ(live->serve.combined.ttfts.count(), trace.size());
 }
 
-TEST(AsyncServingTest, ElasticFleetConfigRejected) {
-  FleetConfig config;
-  config.router.n_instances = 2;
-  config.scaling.push_back(ScalingRule::QueueDepth());
-  FleetController controller(config);
+TEST(AsyncServingTest, HierarchicalFleetRejected) {
+  // The cell front tier runs on the virtual-time routing path only.
+  CellRouterConfig cells;
+  cells.num_cells = 2;
+  MultiInstanceRunner runner(Router(RoundRobin(2)), ServingLoopConfig{},
+                             RuntimeConfig{}, cells);
   std::vector<TokenMap> sinks(2);
-  auto result = controller.RunAsync(
+  auto result = runner.RunAsync(
       TinyTrace(4, 1), Fcfs(),
       EngineFactory(&sinks, 1, SamplingParams::Greedy(), 1), SloSpec{5.0, 5.0},
       AsyncServingConfig{});
@@ -247,14 +251,37 @@ TEST(AsyncServingTest, ElasticFleetConfigRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(AsyncServingTest, WallArrivalIsTheDueInstantUnderBackpressure) {
+  // A burst at t=0 through a one-slot arrival queue: the feeder blocks on
+  // every Push until the worker drains the previous request, so later
+  // requests reach the instance long after they were due. Wall latency is
+  // measured from the due instant, so the time a request spent waiting
+  // behind the blocked feeder counts: every request is due at 0, and the
+  // last one to finish must report the whole run as its e2e latency.
+  const uint64_t seed = FuzzSeeds().front();
+  MultiInstanceRunner runner(Router(RoundRobin(1)), ServingLoopConfig{});
+  std::vector<Request> trace = TinyTrace(32, seed + 5);
+  for (Request& r : trace) r.arrival = 0.0;
+
+  AsyncServingConfig async = FastReplay();
+  async.queue_capacity = 1;
+  std::vector<TokenMap> sinks(1);
+  auto live = runner.RunAsync(
+      trace, Fcfs(), EngineFactory(&sinks, seed, SamplingParams::Greedy(), 1),
+      SloSpec{5.0, 5.0}, async);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(live->arrival_queue_high_water, 1u);  // the feeder did block
+  const WallLatencyReport& wall = live->wall;
+  EXPECT_EQ(wall.requests, static_cast<int64_t>(trace.size()));
+  EXPECT_GT(wall.duration_s, 0.0);
+  EXPECT_DOUBLE_EQ(wall.e2e.max(), wall.duration_s);
+}
+
 TEST(AsyncServingTest, SingleInstanceFleetDrains) {
   // Degenerate fleet: one worker, everything through one queue; a lone
   // instance must also receive its own shed back without deadlocking.
   const uint64_t seed = FuzzSeeds().front();
-  DispatchConfig dispatch;
-  dispatch.n_instances = 1;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
-  MultiInstanceRunner runner(dispatch, ServingLoopConfig{});
+  MultiInstanceRunner runner(Router(RoundRobin(1)), ServingLoopConfig{});
   const auto trace = TinyTrace(10, seed + 4);
 
   AsyncServingConfig async = FastReplay();

@@ -97,15 +97,15 @@ TEST(FleetControllerTest, StaticFleetIsDegenerate) {
       2 * std::max(result->serve.combined.total_serving_time,
                    fm.instance_seconds / 2));
   // And the serve-side result matches the classic runner bit for bit.
-  DispatchConfig dispatch;
-  dispatch.n_instances = 2;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
+  RouterConfig classic_router;
+  classic_router.n_instances = 2;
+  classic_router.policy = RoutePolicy::kRoundRobin;
   FleetConfig rr = cfg;
   rr.router.policy = RoutePolicy::kRoundRobin;
   FleetController rr_controller(rr, &cm);
   auto direct = rr_controller.Run(trace, Fcfs(), CostBackends(&cm),
                                   SloSpec{1.0, 1.0});
-  MultiInstanceRunner runner(dispatch, ServingLoopConfig{});
+  MultiInstanceRunner runner(Router(classic_router), ServingLoopConfig{});
   auto classic = runner.Run(trace, Fcfs(), CostBackends(&cm),
                             SloSpec{1.0, 1.0});
   ASSERT_TRUE(direct.ok() && classic.ok());

@@ -4,12 +4,15 @@
 // give identical tokens, TTFT/TBT samples, and report.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
 
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "engine/serving_engine.h"
+#include "serve/inference_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/arrival.h"
 
 namespace aptserve {
@@ -31,15 +34,29 @@ std::vector<Request> TinyTrace(int32_t n, double rate, uint64_t seed = 4) {
   return trace;
 }
 
-ServingEngineConfig Cfg() {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Tiny();
-  cfg.num_blocks = 96;
-  cfg.block_size = 8;
-  cfg.slo = SloSpec{5.0, 5.0};
-  cfg.calibrate_rho = false;  // measured rho would be timing-dependent
-  cfg.virtual_timing = true;
-  return cfg;
+using TokenMap = std::unordered_map<RequestId, std::vector<int32_t>>;
+
+const SloSpec kSlo{5.0, 5.0};
+
+/// Serves `trace` on a fresh Tiny engine (weight seed 42, `num_blocks`
+/// blocks of 8) with virtual timing and rho = 0 (a measured rho would be
+/// timing-dependent). Finished token streams land in `tokens`.
+StatusOr<ServingLoopResult> Serve(const std::vector<Request>& trace,
+                                  Scheduler* sched, TokenMap* tokens,
+                                  int32_t num_blocks = 96,
+                                  uint64_t prompt_seed = 7) {
+  InferenceBackendOptions opts;
+  opts.prompt_seed = prompt_seed;
+  opts.virtual_timing = true;
+  InferenceBackend backend(ModelConfig::Tiny(), /*weight_seed=*/42,
+                           num_blocks, /*block_size=*/8, SamplingParams{},
+                           opts);
+  ServingLoopConfig loop;
+  loop.max_batch_size = INT32_MAX;
+  loop.max_iterations = 2'000'000;
+  auto result = ServingLoop(&backend, loop).Run(trace, sched, kSlo);
+  *tokens = backend.TakeFinishedTokens();
+  return result;
 }
 
 std::unique_ptr<Scheduler> Make(const std::string& kind, const SloSpec& slo) {
@@ -60,32 +77,32 @@ class DeterminismTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DeterminismTest, SameSeedsSameTokensAndLatencies) {
   const auto trace = TinyTrace(20, 50.0);
-  ServingEngineConfig cfg = Cfg();
 
-  StatusOr<ServingEngineResult> runs[2] = {Status::Internal("unset"),
-                                           Status::Internal("unset")};
+  StatusOr<ServingLoopResult> runs[2] = {Status::Internal("unset"),
+                                         Status::Internal("unset")};
+  TokenMap tokens[2];
   for (int i = 0; i < 2; ++i) {
-    ServingEngine serving(cfg);  // fresh engine, same weight/prompt seeds
-    auto sched = Make(GetParam(), cfg.slo);
-    runs[i] = serving.Serve(trace, sched.get());
+    // Fresh engine, same weight/prompt seeds.
+    auto sched = Make(GetParam(), kSlo);
+    runs[i] = Serve(trace, sched.get(), &tokens[i]);
     ASSERT_TRUE(runs[i].ok()) << runs[i].status().ToString();
   }
-  const ServingEngineResult& a = *runs[0];
-  const ServingEngineResult& b = *runs[1];
+  const ServingLoopResult& a = *runs[0];
+  const ServingLoopResult& b = *runs[1];
 
   // Same tokens, request by request.
-  ASSERT_EQ(a.tokens.size(), b.tokens.size());
-  ASSERT_EQ(a.tokens.size(), trace.size());
-  for (const auto& [id, toks] : a.tokens) {
-    auto it = b.tokens.find(id);
-    ASSERT_NE(it, b.tokens.end());
+  ASSERT_EQ(tokens[0].size(), tokens[1].size());
+  ASSERT_EQ(tokens[0].size(), trace.size());
+  for (const auto& [id, toks] : tokens[0]) {
+    auto it = tokens[1].find(id);
+    ASSERT_NE(it, tokens[1].end());
     EXPECT_EQ(toks, it->second) << "tokens diverged for request " << id;
   }
 
   // Same virtual timeline: identical TTFT/TBT samples and aggregates.
   EXPECT_EQ(a.tokens_generated, b.tokens_generated);
   EXPECT_EQ(a.compute_seconds, b.compute_seconds);
-  EXPECT_EQ(a.preemptions, b.preemptions);
+  EXPECT_EQ(a.report.preemptions, b.report.preemptions);
   EXPECT_EQ(a.report.iterations, b.report.iterations);
   EXPECT_EQ(a.report.total_serving_time, b.report.total_serving_time);
   EXPECT_EQ(a.report.slo_attainment, b.report.slo_attainment);
@@ -96,19 +113,16 @@ TEST_P(DeterminismTest, SameSeedsSameTokensAndLatencies) {
 
 TEST_P(DeterminismTest, DifferentPromptSeedChangesTokens) {
   const auto trace = TinyTrace(8, 1000.0, 6);
-  ServingEngineConfig cfg = Cfg();
-  ServingEngine a(cfg);
-  cfg.prompt_seed = 1234;
-  ServingEngine b(cfg);
-  auto sa = Make(GetParam(), cfg.slo);
-  auto sb = Make(GetParam(), cfg.slo);
-  auto ra = a.Serve(trace, sa.get());
-  auto rb = b.Serve(trace, sb.get());
+  auto sa = Make(GetParam(), kSlo);
+  auto sb = Make(GetParam(), kSlo);
+  TokenMap ta, tb;
+  auto ra = Serve(trace, sa.get(), &ta);
+  auto rb = Serve(trace, sb.get(), &tb, 96, /*prompt_seed=*/1234);
   ASSERT_TRUE(ra.ok() && rb.ok());
   bool any_diff = false;
-  for (const auto& [id, toks] : ra->tokens) {
-    auto it = rb->tokens.find(id);
-    ASSERT_NE(it, rb->tokens.end());
+  for (const auto& [id, toks] : ta) {
+    auto it = tb.find(id);
+    ASSERT_NE(it, tb.end());
     if (toks != it->second) any_diff = true;
   }
   EXPECT_TRUE(any_diff) << "prompt seed had no effect on any sequence";
@@ -119,18 +133,17 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, DeterminismTest,
                          [](const auto& info) { return info.param; });
 
 TEST(VirtualTimingTest, MemoryPressureRunStaysDeterministic) {
-  ServingEngineConfig cfg = Cfg();
-  cfg.num_blocks = 24;  // tight: forces preemption under load
   const auto trace = TinyTrace(16, 1000.0, 9);
-  StatusOr<ServingEngineResult> runs[2] = {Status::Internal("unset"),
-                                           Status::Internal("unset")};
+  StatusOr<ServingLoopResult> runs[2] = {Status::Internal("unset"),
+                                         Status::Internal("unset")};
   for (int i = 0; i < 2; ++i) {
-    ServingEngine serving(cfg);
     FcfsScheduler sched;
-    runs[i] = serving.Serve(trace, &sched);
+    TokenMap tokens;
+    // 24 blocks: tight, forces preemption under load.
+    runs[i] = Serve(trace, &sched, &tokens, /*num_blocks=*/24);
     ASSERT_TRUE(runs[i].ok()) << runs[i].status().ToString();
   }
-  EXPECT_GT(runs[0]->preemptions + runs[0]->report.conversions, 0);
+  EXPECT_GT(runs[0]->report.preemptions + runs[0]->report.conversions, 0);
   EXPECT_EQ(runs[0]->report.total_serving_time,
             runs[1]->report.total_serving_time);
   EXPECT_EQ(runs[0]->report.ttfts.samples(),

@@ -10,7 +10,8 @@
 #include "baselines/random_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -21,11 +22,11 @@ CostModel Opt13() {
   return CostModel(m, ClusterSpec::ForModel(m));
 }
 
-StatusOr<SimulationResult> RunWith(Scheduler* sched,
-                                   const std::vector<Request>& trace,
-                                   const SloSpec& slo) {
-  Simulator sim(Opt13(), SimulatorConfig{});
-  return sim.Run(trace, sched, slo);
+StatusOr<ServingLoopResult> RunWith(Scheduler* sched,
+                                    const std::vector<Request>& trace,
+                                    const SloSpec& slo) {
+  APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(Opt13(), {}));
+  return ServingLoop(backend.get(), ServingLoopConfig{}).Run(trace, sched, slo);
 }
 
 std::vector<Request> ShareGptTrace(double rate, int n = 250,
@@ -183,10 +184,12 @@ TEST(IntegrationTest, PoolAccountingConservation) {
       ac.slo = slo;
       s = std::make_unique<AptScheduler>(ac);
     }
-    Simulator sim(Opt13(), SimulatorConfig{});
-    auto r = sim.Run(trace, s.get(), slo);
+    auto backend = CostModelBackend::Create(Opt13(), {});
+    ASSERT_TRUE(backend.ok());
+    auto r =
+        ServingLoop(backend->get(), ServingLoopConfig{}).Run(trace, s.get(), slo);
     ASSERT_TRUE(r.ok()) << s->name() << ": " << r.status().ToString();
-    EXPECT_LE(r->peak_blocks, r->pool_blocks) << s->name();
+    EXPECT_LE(r->peak_blocks, (*backend)->pool_blocks()) << s->name();
     EXPECT_GT(r->peak_blocks, 0) << s->name();
   }
 }
@@ -200,14 +203,12 @@ TEST(IntegrationTest, HiddenCacheEngagesUnderPressure) {
   AptConfig ac;
   ac.slo = slo;
   AptScheduler apt(ac);
-  Simulator sim(Opt13(), SimulatorConfig{});
-  auto r = sim.Run(trace, &apt, slo);
+  auto r = RunWith(&apt, trace, slo);
   ASSERT_TRUE(r.ok());
   AptConfig kc = ac;
   kc.enable_hidden = false;
   AptScheduler kv(kc);
-  Simulator sim2(Opt13(), SimulatorConfig{});
-  auto rk = sim2.Run(trace, &kv, slo);
+  auto rk = RunWith(&kv, trace, slo);
   ASSERT_TRUE(rk.ok());
   EXPECT_GT(r->report.mean_batch_size, 0.9 * rk->report.mean_batch_size);
 }

@@ -4,7 +4,8 @@
 
 #include "common/rng.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -69,8 +70,10 @@ TEST(PredictiveAptTest, ServesAndLearns) {
   AptScheduler sched(cfg);
   const ModelSpec model = ModelSpec::Opt13B();
   CostModel cm(model, ClusterSpec::ForModel(model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto result = sim.Run(*trace, &sched, slo);
+  auto backend = CostModelBackend::Create(cm, {});
+  ASSERT_TRUE(backend.ok());
+  auto result =
+      ServingLoop(backend->get(), ServingLoopConfig{}).Run(*trace, &sched, slo);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->report.ttfts.count(), 200u);
   // The predictor observed (nearly) every completed request.
@@ -97,9 +100,13 @@ TEST(PredictiveAptTest, PredictionReducesPreemptionsUnderPressure) {
   AptConfig pred = base;
   pred.enable_prediction = true;
   AptScheduler s_base(base), s_pred(pred);
-  Simulator sim1(cm, SimulatorConfig{}), sim2(cm, SimulatorConfig{});
-  auto r_base = sim1.Run(*trace, &s_base, slo);
-  auto r_pred = sim2.Run(*trace, &s_pred, slo);
+  auto b_base = CostModelBackend::Create(cm, {});
+  auto b_pred = CostModelBackend::Create(cm, {});
+  ASSERT_TRUE(b_base.ok() && b_pred.ok());
+  auto r_base = ServingLoop(b_base->get(), ServingLoopConfig{})
+                    .Run(*trace, &s_base, slo);
+  auto r_pred = ServingLoop(b_pred->get(), ServingLoopConfig{})
+                    .Run(*trace, &s_pred, slo);
   ASSERT_TRUE(r_base.ok() && r_pred.ok());
   EXPECT_LE(r_pred->report.preemptions,
             r_base->report.preemptions * 1.2 + 10);

@@ -1,75 +1,18 @@
 // MultiInstanceRunner composes with any ExecutionBackend: the same
-// dispatch policies shard the analytic CostModelBackend (the legacy
-// MultiInstanceSimulator path) and the real-engine InferenceBackend —
-// which before the serve/ refactor was impossible (sharding was wired to
-// the simulator only).
+// routing policies shard the analytic CostModelBackend and the real-engine
+// InferenceBackend — which before the serve/ refactor was impossible
+// (sharding was wired to the simulator only).
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "baselines/fcfs_scheduler.h"
-#include "serve/cost_model_backend.h"
+#include "common/rng.h"
 #include "serve/inference_backend.h"
 #include "serve/multi_instance.h"
-#include "sim/multi_instance.h"
-#include "workload/trace.h"
 
 namespace aptserve {
 namespace {
-
-CostModel Opt13() {
-  const ModelSpec m = ModelSpec::Opt13B();
-  return CostModel(m, ClusterSpec::ForModel(m));
-}
-
-std::vector<Request> MakeTrace(double rate, int n, uint64_t seed = 6) {
-  TraceConfig tc;
-  tc.profile = DatasetProfile::ShareGpt();
-  tc.num_requests = n;
-  tc.rate_per_sec = rate;
-  tc.seed = seed;
-  auto t = BuildTrace(tc);
-  EXPECT_TRUE(t.ok());
-  return *t;
-}
-
-TEST(MultiBackendFleetTest, RunnerMatchesSimulatorFacade) {
-  // The generic runner with CostModelBackend factories must reproduce the
-  // MultiInstanceSimulator facade exactly (same backends, same loop).
-  const SloSpec slo{1.0, 1.0};
-  const CostModel cm = Opt13();
-  const auto trace = MakeTrace(4.0, 120, 12);
-
-  MultiInstanceConfig cfg;
-  cfg.fleet.router.n_instances = 2;
-  MultiInstanceSimulator facade(cm, cfg);
-  auto facade_result =
-      facade.Run(trace, [] { return std::make_unique<FcfsScheduler>(); }, slo);
-  ASSERT_TRUE(facade_result.ok()) << facade_result.status().ToString();
-
-  DispatchConfig dispatch;
-  dispatch.n_instances = 2;
-  MultiInstanceRunner runner(dispatch, ServingLoopConfig{});
-  auto runner_result = runner.Run(
-      trace, [] { return std::make_unique<FcfsScheduler>(); },
-      [&](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
-        APT_ASSIGN_OR_RETURN(
-            std::unique_ptr<CostModelBackend> backend,
-            CostModelBackend::Create(cm, CostModelBackend::Options{}));
-        return std::unique_ptr<ExecutionBackend>(std::move(backend));
-      },
-      slo);
-  ASSERT_TRUE(runner_result.ok()) << runner_result.status().ToString();
-
-  EXPECT_EQ(facade_result->combined.total_serving_time,
-            runner_result->combined.total_serving_time);
-  EXPECT_EQ(facade_result->combined.iterations,
-            runner_result->combined.iterations);
-  EXPECT_EQ(facade_result->combined.slo_attainment,
-            runner_result->combined.slo_attainment);
-  EXPECT_EQ(facade_result->requests_per_instance,
-            runner_result->requests_per_instance);
-}
 
 TEST(MultiBackendFleetTest, InferenceBackendFleetServesAllRequests) {
   // Shard a burst of tiny requests across two *real-engine* instances.
@@ -84,12 +27,12 @@ TEST(MultiBackendFleetTest, InferenceBackendFleetServesAllRequests) {
     trace.push_back(r);
   }
 
-  DispatchConfig dispatch;
-  dispatch.n_instances = 2;
-  dispatch.policy = DispatchPolicy::kRoundRobin;
+  RouterConfig rc;
+  rc.n_instances = 2;
+  rc.policy = RoutePolicy::kRoundRobin;
   ServingLoopConfig loop;
   loop.max_batch_size = INT32_MAX;
-  MultiInstanceRunner runner(dispatch, loop);
+  MultiInstanceRunner runner(Router(rc), loop);
   auto result = runner.Run(
       trace, [] { return std::make_unique<FcfsScheduler>(); },
       [](int32_t instance) -> StatusOr<std::unique_ptr<ExecutionBackend>> {

@@ -1,9 +1,12 @@
-#include "sim/multi_instance.h"
+#include "serve/multi_instance.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "baselines/fcfs_scheduler.h"
 #include "core/apt_scheduler.h"
+#include "serve/cost_model_backend.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -12,6 +15,21 @@ namespace {
 CostModel Opt13() {
   const ModelSpec m = ModelSpec::Opt13B();
   return CostModel(m, ClusterSpec::ForModel(m));
+}
+
+/// One fresh analytic backend per instance.
+BackendFactory CostBackends(const CostModel* cm) {
+  return [cm](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
+    APT_ASSIGN_OR_RETURN(auto b, CostModelBackend::Create(*cm, {}));
+    return std::unique_ptr<ExecutionBackend>(std::move(b));
+  };
+}
+
+RouterConfig Fleet(int32_t n, RoutePolicy policy) {
+  RouterConfig rc;
+  rc.n_instances = n;
+  rc.policy = policy;
+  return rc;
 }
 
 std::vector<Request> MakeTrace(double rate, int n = 200, uint64_t seed = 6) {
@@ -26,21 +44,15 @@ std::vector<Request> MakeTrace(double rate, int n = 200, uint64_t seed = 6) {
 }
 
 TEST(DispatchTest, RoundRobinCycles) {
-  MultiInstanceConfig cfg;
-  cfg.fleet.router.n_instances = 3;
-  cfg.fleet.router.policy = RoutePolicy::kRoundRobin;
-  MultiInstanceSimulator mi(Opt13(), cfg);
-  auto a = mi.Dispatch(MakeTrace(2.0, 9));
+  const Router router(Fleet(3, RoutePolicy::kRoundRobin));
+  auto a = router.Route(MakeTrace(2.0, 9)).assignment;
   EXPECT_EQ(a, (std::vector<int32_t>{0, 1, 2, 0, 1, 2, 0, 1, 2}));
 }
 
 TEST(DispatchTest, LeastLoadedBalancesTokens) {
-  MultiInstanceConfig cfg;
-  cfg.fleet.router.n_instances = 2;
-  cfg.fleet.router.policy = RoutePolicy::kLeastLoaded;
-  MultiInstanceSimulator mi(Opt13(), cfg);
+  const Router router(Fleet(2, RoutePolicy::kLeastLoaded));
   auto trace = MakeTrace(50.0, 400);  // dense arrivals, window matters
-  auto a = mi.Dispatch(trace);
+  auto a = router.Route(trace).assignment;
   int64_t tokens[2] = {0, 0};
   for (size_t i = 0; i < trace.size(); ++i) {
     tokens[a[i]] += trace[i].prompt_len;
@@ -52,23 +64,18 @@ TEST(DispatchTest, LeastLoadedBalancesTokens) {
 }
 
 TEST(DispatchTest, PowerOfTwoUsesAllInstancesAndIsDeterministic) {
-  MultiInstanceConfig cfg;
-  cfg.fleet.router.n_instances = 4;
-  cfg.fleet.router.policy = RoutePolicy::kPowerOfTwo;
-  MultiInstanceSimulator mi(Opt13(), cfg);
+  const Router router(Fleet(4, RoutePolicy::kPowerOfTwo));
   auto trace = MakeTrace(10.0, 200);
-  auto a1 = mi.Dispatch(trace);
-  auto a2 = mi.Dispatch(trace);
+  auto a1 = router.Route(trace).assignment;
+  auto a2 = router.Route(trace).assignment;
   EXPECT_EQ(a1, a2);  // seeded
   std::set<int32_t> used(a1.begin(), a1.end());
   EXPECT_EQ(used.size(), 4u);
 }
 
 TEST(DispatchTest, SingleInstanceAllZero) {
-  MultiInstanceConfig cfg;
-  cfg.fleet.router.n_instances = 1;
-  MultiInstanceSimulator mi(Opt13(), cfg);
-  auto a = mi.Dispatch(MakeTrace(2.0, 10));
+  const Router router(Fleet(1, RoutePolicy::kLeastLoaded));
+  auto a = router.Route(MakeTrace(2.0, 10)).assignment;
   for (int32_t v : a) EXPECT_EQ(v, 0);
 }
 
@@ -77,17 +84,18 @@ TEST(MultiInstanceTest, TwoInstancesSustainRoughlyTwiceTheRate) {
   // A rate that collapses one instance but should be fine split over two.
   auto trace = MakeTrace(4.0, 300, 12);
 
+  const CostModel cm = Opt13();
   FcfsScheduler single_sched;
-  Simulator single(Opt13(), SimulatorConfig{});
-  auto r1 = single.Run(trace, &single_sched, slo);
+  auto single = CostModelBackend::Create(cm, {});
+  ASSERT_TRUE(single.ok());
+  auto r1 = ServingLoop(single->get(), ServingLoopConfig{})
+                .Run(trace, &single_sched, slo);
   ASSERT_TRUE(r1.ok());
 
-  MultiInstanceConfig cfg;
-  cfg.fleet.router.n_instances = 2;
-  cfg.fleet.router.policy = RoutePolicy::kLeastLoaded;
-  MultiInstanceSimulator mi(Opt13(), cfg);
+  MultiInstanceRunner mi(Router(Fleet(2, RoutePolicy::kLeastLoaded), &cm),
+                         ServingLoopConfig{});
   auto r2 = mi.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                   slo);
+                   CostBackends(&cm), slo);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_GT(r2->combined.slo_attainment, r1->report.slo_attainment + 0.2);
   EXPECT_EQ(r2->requests_per_instance[0] + r2->requests_per_instance[1],
@@ -97,18 +105,18 @@ TEST(MultiInstanceTest, TwoInstancesSustainRoughlyTwiceTheRate) {
 TEST(MultiInstanceTest, AptOnFleetBeatsFcfsOnFleet) {
   const SloSpec slo{1.0, 1.0};
   auto trace = MakeTrace(8.0, 300, 14);
-  MultiInstanceConfig cfg;
-  cfg.fleet.router.n_instances = 2;
-  MultiInstanceSimulator mi(Opt13(), cfg);
+  const CostModel cm = Opt13();
+  MultiInstanceRunner mi(Router(Fleet(2, RoutePolicy::kLeastLoaded), &cm),
+                         ServingLoopConfig{});
   auto rf = mi.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                   slo);
+                   CostBackends(&cm), slo);
   auto ra = mi.Run(trace,
                    [&] {
                      AptConfig c;
                      c.slo = slo;
                      return std::make_unique<AptScheduler>(c);
                    },
-                   slo);
+                   CostBackends(&cm), slo);
   ASSERT_TRUE(rf.ok() && ra.ok());
   EXPECT_GT(ra->combined.slo_attainment, rf->combined.slo_attainment);
 }

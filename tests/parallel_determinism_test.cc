@@ -5,17 +5,21 @@
 // run merges to exactly the serial fleet's report.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "engine/serving_engine.h"
+#include "serve/cost_model_backend.h"
+#include "serve/inference_backend.h"
+#include "serve/multi_instance.h"
+#include "serve/serving_loop.h"
 #include "sim/cluster_spec.h"
 #include "sim/cost_model.h"
 #include "sim/model_spec.h"
-#include "sim/multi_instance.h"
 #include "workload/arrival.h"
 #include "workload/trace.h"
 
@@ -38,16 +42,29 @@ std::vector<Request> TinyTrace(int32_t n, double rate, uint64_t seed = 4) {
   return trace;
 }
 
-ServingEngineConfig Cfg(int32_t num_threads) {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Tiny();
-  cfg.num_blocks = 96;
-  cfg.block_size = 8;
-  cfg.slo = SloSpec{5.0, 5.0};
-  cfg.calibrate_rho = false;
-  cfg.virtual_timing = true;
-  cfg.runtime.num_threads = num_threads;
-  return cfg;
+using TokenMap = std::unordered_map<RequestId, std::vector<int32_t>>;
+
+/// Serves `trace` on a fresh Tiny engine (weight seed 42, `num_blocks`
+/// blocks of 8, `num_threads` runtime threads) with virtual timing and no
+/// rho calibration. Finished token streams land in `tokens`.
+StatusOr<ServingLoopResult> Serve(
+    const std::vector<Request>& trace, Scheduler* sched, int32_t num_threads,
+    TokenMap* tokens, int32_t num_blocks = 96,
+    PreemptionMode preemption_mode = PreemptionMode::kRecompute,
+    const SamplingParams& sampling = SamplingParams{}) {
+  InferenceBackendOptions opts;
+  opts.virtual_timing = true;
+  opts.runtime.num_threads = num_threads;
+  InferenceBackend backend(ModelConfig::Tiny(), /*weight_seed=*/42,
+                           num_blocks, /*block_size=*/8, sampling, opts);
+  ServingLoopConfig loop;
+  loop.max_batch_size = INT32_MAX;
+  loop.max_iterations = 2'000'000;
+  loop.preemption_mode = preemption_mode;
+  auto result =
+      ServingLoop(&backend, loop).Run(trace, sched, SloSpec{5.0, 5.0});
+  *tokens = backend.TakeFinishedTokens();
+  return result;
 }
 
 std::unique_ptr<Scheduler> Make(const std::string& kind, const SloSpec& slo) {
@@ -64,17 +81,17 @@ std::unique_ptr<Scheduler> Make(const std::string& kind, const SloSpec& slo) {
   return std::make_unique<AptScheduler>(c);
 }
 
-void ExpectIdenticalRuns(const ServingEngineResult& a,
-                         const ServingEngineResult& b) {
-  ASSERT_EQ(a.tokens.size(), b.tokens.size());
-  for (const auto& [id, toks] : a.tokens) {
-    auto it = b.tokens.find(id);
-    ASSERT_NE(it, b.tokens.end());
+void ExpectIdenticalRuns(const ServingLoopResult& a, const TokenMap& a_tokens,
+                         const ServingLoopResult& b, const TokenMap& b_tokens) {
+  ASSERT_EQ(a_tokens.size(), b_tokens.size());
+  for (const auto& [id, toks] : a_tokens) {
+    auto it = b_tokens.find(id);
+    ASSERT_NE(it, b_tokens.end());
     EXPECT_EQ(toks, it->second) << "tokens diverged for request " << id;
   }
   EXPECT_EQ(a.tokens_generated, b.tokens_generated);
   EXPECT_EQ(a.compute_seconds, b.compute_seconds);
-  EXPECT_EQ(a.preemptions, b.preemptions);
+  EXPECT_EQ(a.report.preemptions, b.report.preemptions);
   EXPECT_EQ(a.swap_outs, b.swap_outs);
   EXPECT_EQ(a.swap_ins, b.swap_ins);
   EXPECT_EQ(a.report.iterations, b.report.iterations);
@@ -88,16 +105,16 @@ class CrossThreadCountTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CrossThreadCountTest, TokensAndReportsBitIdentical) {
   const auto trace = TinyTrace(20, 50.0);
-  StatusOr<ServingEngineResult> runs[2] = {Status::Internal("unset"),
-                                           Status::Internal("unset")};
+  StatusOr<ServingLoopResult> runs[2] = {Status::Internal("unset"),
+                                         Status::Internal("unset")};
+  TokenMap tokens[2];
   const int32_t thread_counts[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
-    ServingEngine serving(Cfg(thread_counts[i]));
     auto sched = Make(GetParam(), SloSpec{5.0, 5.0});
-    runs[i] = serving.Serve(trace, sched.get());
+    runs[i] = Serve(trace, sched.get(), thread_counts[i], &tokens[i]);
     ASSERT_TRUE(runs[i].ok()) << runs[i].status().ToString();
   }
-  ExpectIdenticalRuns(*runs[0], *runs[1]);
+  ExpectIdenticalRuns(*runs[0], tokens[0], *runs[1], tokens[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, CrossThreadCountTest,
@@ -106,38 +123,36 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, CrossThreadCountTest,
 
 TEST(CrossThreadCountSwapTest, SwapModeBitIdentical) {
   const auto trace = TinyTrace(16, 1000.0, 9);
-  StatusOr<ServingEngineResult> runs[2] = {Status::Internal("unset"),
-                                           Status::Internal("unset")};
+  StatusOr<ServingLoopResult> runs[2] = {Status::Internal("unset"),
+                                         Status::Internal("unset")};
+  TokenMap tokens[2];
   const int32_t thread_counts[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
-    ServingEngineConfig cfg = Cfg(thread_counts[i]);
-    cfg.num_blocks = 24;  // tight: forces preemption under load
-    cfg.preemption_mode = PreemptionMode::kSwap;
-    ServingEngine serving(cfg);
     FcfsScheduler sched;
-    runs[i] = serving.Serve(trace, &sched);
+    // 24 blocks: tight, forces preemption under load.
+    runs[i] = Serve(trace, &sched, thread_counts[i], &tokens[i],
+                    /*num_blocks=*/24, PreemptionMode::kSwap);
     ASSERT_TRUE(runs[i].ok()) << runs[i].status().ToString();
   }
-  EXPECT_GT(runs[0]->swap_outs + runs[0]->preemptions, 0);
-  ExpectIdenticalRuns(*runs[0], *runs[1]);
+  EXPECT_GT(runs[0]->swap_outs + runs[0]->report.preemptions, 0);
+  ExpectIdenticalRuns(*runs[0], tokens[0], *runs[1], tokens[1]);
 }
 
 TEST(CrossThreadCountSwapTest, StochasticSamplingBitIdentical) {
   // Non-greedy sampling consumes the shared RNG stream per emitted token;
   // the serial sampling barrier must reproduce the exact draw order.
   const auto trace = TinyTrace(12, 200.0, 5);
-  StatusOr<ServingEngineResult> runs[2] = {Status::Internal("unset"),
-                                           Status::Internal("unset")};
+  StatusOr<ServingLoopResult> runs[2] = {Status::Internal("unset"),
+                                         Status::Internal("unset")};
+  TokenMap tokens[2];
   const int32_t thread_counts[2] = {1, 4};
   for (int i = 0; i < 2; ++i) {
-    ServingEngineConfig cfg = Cfg(thread_counts[i]);
-    cfg.sampling = SamplingParams::TopK(8, 0.9);
-    ServingEngine serving(cfg);
     FcfsScheduler sched;
-    runs[i] = serving.Serve(trace, &sched);
+    runs[i] = Serve(trace, &sched, thread_counts[i], &tokens[i], 96,
+                    PreemptionMode::kRecompute, SamplingParams::TopK(8, 0.9));
     ASSERT_TRUE(runs[i].ok()) << runs[i].status().ToString();
   }
-  ExpectIdenticalRuns(*runs[0], *runs[1]);
+  ExpectIdenticalRuns(*runs[0], tokens[0], *runs[1], tokens[1]);
 }
 
 TEST(ParallelFleetTest, MergedReportBitIdenticalAcrossThreadCounts) {
@@ -154,13 +169,20 @@ TEST(ParallelFleetTest, MergedReportBitIdenticalAcrossThreadCounts) {
 
   SloReport reports[2];
   const int32_t thread_counts[2] = {1, 4};
+  RouterConfig rc;
+  rc.n_instances = 4;
+  rc.policy = RoutePolicy::kLeastLoaded;
   for (int i = 0; i < 2; ++i) {
-    MultiInstanceConfig cfg;
-    cfg.fleet.router.n_instances = 4;
-    cfg.fleet.runtime.num_threads = thread_counts[i];
-    MultiInstanceSimulator fleet(cm, cfg);
+    RuntimeConfig runtime;
+    runtime.num_threads = thread_counts[i];
+    MultiInstanceRunner fleet(Router(rc, &cm), ServingLoopConfig{}, runtime);
     auto result = fleet.Run(
-        *trace, [] { return std::make_unique<FcfsScheduler>(); }, slo);
+        *trace, [] { return std::make_unique<FcfsScheduler>(); },
+        [&](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
+          APT_ASSIGN_OR_RETURN(auto b, CostModelBackend::Create(cm, {}));
+          return std::unique_ptr<ExecutionBackend>(std::move(b));
+        },
+        slo);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     reports[i] = result->combined;
   }

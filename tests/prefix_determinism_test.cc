@@ -1,6 +1,6 @@
 // Prefix sharing must be invisible in the tokens and identical in its hit
 // accounting across execution backends:
-//   - ServingEngine token streams are bit-identical with the index on and
+//   - Engine token streams are bit-identical with the index on and
 //     off, at any thread count (APTSERVE_NUM_THREADS included): adopted
 //     K/V blocks of a causal transformer equal the recomputed ones, and
 //     greedy sampling depends only on a request's own content.
@@ -10,12 +10,15 @@
 //     TTFT drops.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "backend_diff_util.h"
 #include "baselines/fcfs_scheduler.h"
-#include "engine/serving_engine.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/inference_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/shared_prefix.h"
 #include "workload/token_ids.h"
 
@@ -37,30 +40,36 @@ std::vector<Request> Trace() {
   return *trace;
 }
 
-ServingEngineConfig EngineCfg(bool sharing, int32_t threads = 0) {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Tiny();
-  cfg.num_blocks = 256;
-  cfg.block_size = 4;
-  cfg.slo = SloSpec{10.0, 10.0};
-  cfg.calibrate_rho = false;
-  cfg.virtual_timing = true;  // deterministic timeline
-  cfg.enable_prefix_sharing = sharing;
-  if (threads > 0) cfg.runtime.num_threads = threads;
-  return cfg;
-}
+using TokenMap = std::unordered_map<RequestId, std::vector<int32_t>>;
 
-StatusOr<ServingEngineResult> RunEngine(const std::vector<Request>& trace,
-                                        bool sharing, int32_t threads = 0) {
-  ServingEngine serving(EngineCfg(sharing, threads));
+/// Serves `trace` under FCFS on a fresh Tiny engine (weight seed 42, 256
+/// blocks of 4) with a deterministic virtual timeline. `threads` = 0 keeps
+/// the default runtime. Finished token streams land in `tokens`.
+StatusOr<ServingLoopResult> RunEngine(const std::vector<Request>& trace,
+                                      bool sharing, TokenMap* tokens,
+                                      int32_t threads = 0) {
+  InferenceBackendOptions opts;
+  opts.virtual_timing = true;
+  opts.enable_prefix_sharing = sharing;
+  if (threads > 0) opts.runtime.num_threads = threads;
+  InferenceBackend backend(ModelConfig::Tiny(), /*weight_seed=*/42,
+                           /*num_blocks=*/256, /*block_size=*/4,
+                           SamplingParams{}, opts);
+  ServingLoopConfig loop;
+  loop.max_batch_size = INT32_MAX;
+  loop.max_iterations = 2'000'000;
   FcfsScheduler sched;
-  return serving.Serve(trace, &sched);
+  auto result =
+      ServingLoop(&backend, loop).Run(trace, &sched, SloSpec{10.0, 10.0});
+  *tokens = backend.TakeFinishedTokens();
+  return result;
 }
 
 TEST(PrefixDeterminismTest, TokensBitIdenticalWithIndexOnAndOff) {
   const auto trace = Trace();
-  auto off = RunEngine(trace, false);
-  auto on = RunEngine(trace, true);
+  TokenMap off_tokens, on_tokens;
+  auto off = RunEngine(trace, false, &off_tokens);
+  auto on = RunEngine(trace, true, &on_tokens);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 
@@ -70,10 +79,10 @@ TEST(PrefixDeterminismTest, TokensBitIdenticalWithIndexOnAndOff) {
   EXPECT_LT(on->prefill_tokens_computed, off->prefill_tokens_computed);
   EXPECT_EQ(off->prefill_tokens_skipped, 0);
   // ...and was invisible in every token stream.
-  ASSERT_EQ(off->tokens.size(), on->tokens.size());
-  for (const auto& [id, toks] : off->tokens) {
-    auto it = on->tokens.find(id);
-    ASSERT_NE(it, on->tokens.end());
+  ASSERT_EQ(off_tokens.size(), on_tokens.size());
+  for (const auto& [id, toks] : off_tokens) {
+    auto it = on_tokens.find(id);
+    ASSERT_NE(it, on_tokens.end());
     EXPECT_EQ(toks, it->second) << "request " << id;
   }
 }
@@ -83,19 +92,21 @@ TEST(PrefixDeterminismTest, TokensBitIdenticalAcrossThreadCounts) {
   // CI matrix also exercises this with a forced thread count; the explicit
   // 1/2/4 sweep below makes the invariant independent of the environment.
   const auto trace = Trace();
-  auto ref = RunEngine(trace, true, 1);
+  TokenMap ref_tokens;
+  auto ref = RunEngine(trace, true, &ref_tokens, 1);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   for (int32_t threads : {2, 4}) {
-    auto r = RunEngine(trace, true, threads);
+    TokenMap r_tokens;
+    auto r = RunEngine(trace, true, &r_tokens, threads);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->prefix.hits, ref->prefix.hits);
     EXPECT_EQ(r->prefix.matched_tokens, ref->prefix.matched_tokens);
     // Virtual timing: the whole latency report reproduces too.
     EXPECT_DOUBLE_EQ(r->report.mean_ttft, ref->report.mean_ttft);
-    ASSERT_EQ(r->tokens.size(), ref->tokens.size());
-    for (const auto& [id, toks] : ref->tokens) {
-      auto it = r->tokens.find(id);
-      ASSERT_NE(it, r->tokens.end());
+    ASSERT_EQ(r_tokens.size(), ref_tokens.size());
+    for (const auto& [id, toks] : ref_tokens) {
+      auto it = r_tokens.find(id);
+      ASSERT_NE(it, r_tokens.end());
       EXPECT_EQ(toks, it->second)
           << "request " << id << " at " << threads << " threads";
     }
@@ -106,16 +117,20 @@ TEST(PrefixDeterminismTest, CostModelBackendSkipsPrefillAndLowersTtft) {
   const auto trace = Trace();
   const ModelSpec m = ModelSpec::Opt13B();
   CostModel cm(m, ClusterSpec::ForModel(m));
-  SimulatorConfig cfg;
-  cfg.block_size = 4;
-  cfg.pool_blocks_override = 256;
+  CostModelBackend::Options opts;
+  opts.block_size = 4;
+  opts.pool_blocks_override = 256;
 
   FcfsScheduler s_off, s_on;
-  Simulator off_sim(cm, cfg);
-  auto off = off_sim.Run(trace, &s_off, SloSpec{10.0, 10.0});
-  cfg.enable_prefix_sharing = true;
-  Simulator on_sim(cm, cfg);
-  auto on = on_sim.Run(trace, &s_on, SloSpec{10.0, 10.0});
+  auto off_backend = CostModelBackend::Create(cm, opts);
+  ASSERT_TRUE(off_backend.ok());
+  auto off = ServingLoop(off_backend->get(), ServingLoopConfig{})
+                 .Run(trace, &s_off, SloSpec{10.0, 10.0});
+  opts.enable_prefix_sharing = true;
+  auto on_backend = CostModelBackend::Create(cm, opts);
+  ASSERT_TRUE(on_backend.ok());
+  auto on = ServingLoop(on_backend->get(), ServingLoopConfig{})
+                .Run(trace, &s_on, SloSpec{10.0, 10.0});
   ASSERT_TRUE(off.ok()) << off.status().ToString();
   ASSERT_TRUE(on.ok()) << on.status().ToString();
 

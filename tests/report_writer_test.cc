@@ -6,7 +6,8 @@
 #include <sstream>
 
 #include "baselines/fcfs_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -179,8 +180,10 @@ TEST(ReportWriterTest, SimulatorRecordsExportEndToEnd) {
   FcfsScheduler sched;
   const ModelSpec model = ModelSpec::Opt13B();
   CostModel cm(model, ClusterSpec::ForModel(model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto result = sim.Run(*trace, &sched, slo);
+  auto backend = CostModelBackend::Create(cm, {});
+  ASSERT_TRUE(backend.ok());
+  auto result =
+      ServingLoop(backend->get(), ServingLoopConfig{}).Run(*trace, &sched, slo);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->records.size(), 50u);
   std::ostringstream out;

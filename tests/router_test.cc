@@ -1,6 +1,6 @@
 // Fleet Router tests: legacy-policy parity (the router must reproduce the
-// pre-router DispatchTrace bit-for-bit, pinned against a verbatim copy of
-// the old implementation), the new least-outstanding-work and
+// pre-router dispatch bit-for-bit, pinned against a copy of the old
+// implementation kept as a second reference), the new least-outstanding-work and
 // prefix-affinity policies, SLO admission control, and the cross-backend
 // agreement of routed fleets (via tests/backend_diff_util.h).
 #include <gtest/gtest.h>
@@ -27,23 +27,25 @@ namespace aptserve {
 namespace {
 
 // ---------------------------------------------------------------------------
-// The pre-router DispatchTrace, verbatim (the PR-2-era implementation).
+// The pre-router dispatch pass (the original round-robin / least-loaded /
+// power-of-two implementation), kept as an independent reference.
 // ---------------------------------------------------------------------------
 
 std::vector<int32_t> LegacyDispatchTrace(const std::vector<Request>& trace,
-                                         const DispatchConfig& config) {
-  const int32_t n = config.n_instances;
+                                         RoutePolicy policy, int32_t n,
+                                         double load_window_s,
+                                         uint64_t dispatch_seed) {
   std::vector<int32_t> assignment(trace.size(), 0);
   if (n == 1) return assignment;
 
   std::vector<std::deque<std::pair<TimePoint, int64_t>>> window(n);
   std::vector<int64_t> backlog(n, 0);
-  Rng rng(config.dispatch_seed);
+  Rng rng(dispatch_seed);
 
   auto expire = [&](TimePoint now) {
     for (int32_t i = 0; i < n; ++i) {
       while (!window[i].empty() &&
-             window[i].front().first < now - config.load_window_s) {
+             window[i].front().first < now - load_window_s) {
         backlog[i] -= window[i].front().second;
         window[i].pop_front();
       }
@@ -58,11 +60,11 @@ std::vector<int32_t> LegacyDispatchTrace(const std::vector<Request>& trace,
 
   for (size_t r = 0; r < trace.size(); ++r) {
     expire(trace[r].arrival);
-    switch (config.policy) {
-      case DispatchPolicy::kRoundRobin:
+    switch (policy) {
+      case RoutePolicy::kRoundRobin:
         assign(r, static_cast<int32_t>(r % n));
         break;
-      case DispatchPolicy::kLeastLoaded: {
+      case RoutePolicy::kLeastLoaded: {
         int32_t best = 0;
         for (int32_t i = 1; i < n; ++i) {
           if (backlog[i] < backlog[best]) best = i;
@@ -70,13 +72,16 @@ std::vector<int32_t> LegacyDispatchTrace(const std::vector<Request>& trace,
         assign(r, best);
         break;
       }
-      case DispatchPolicy::kPowerOfTwo: {
+      case RoutePolicy::kPowerOfTwo: {
         const int32_t a = static_cast<int32_t>(rng.UniformInt(0, n - 1));
         int32_t b = static_cast<int32_t>(rng.UniformInt(0, n - 2));
         if (b >= a) ++b;
         assign(r, backlog[a] <= backlog[b] ? a : b);
         break;
       }
+      default:
+        ADD_FAILURE() << "no pre-router policy " << RoutePolicyName(policy);
+        return assignment;
     }
   }
   return assignment;
@@ -149,21 +154,22 @@ BackendFactory EngineBackendFactory(bool sharing, int32_t block_size = 4,
 // Legacy-policy parity.
 // ---------------------------------------------------------------------------
 
-class LegacyPolicyParity
-    : public ::testing::TestWithParam<DispatchPolicy> {};
+class LegacyPolicyParity : public ::testing::TestWithParam<RoutePolicy> {};
 
 TEST_P(LegacyPolicyParity, RouterReproducesPrePrDispatchBitForBit) {
-  DispatchConfig cfg;
+  RouterConfig cfg;
   cfg.policy = GetParam();
+  cfg.load_window_s = 30.0;
+  cfg.dispatch_seed = 99;
   for (int32_t n : {1, 2, 3, 5}) {
     cfg.n_instances = n;
     for (double rate : {0.5, 8.0, 50.0}) {
       const auto trace = MakeTrace(rate, 160, 7 + n);
-      const auto legacy = LegacyDispatchTrace(trace, cfg);
-      // Both the kept DispatchTrace entry point and a Router built from
-      // the same config must agree with the pre-PR implementation.
-      EXPECT_EQ(legacy, DispatchTrace(trace, cfg));
-      const RouteDecision d = Router(ToRouterConfig(cfg)).Route(trace);
+      const auto legacy = LegacyDispatchTrace(
+          trace, cfg.policy, n, cfg.load_window_s, cfg.dispatch_seed);
+      // A Router built from the same settings (admission off) must agree
+      // with the pre-router implementation.
+      const RouteDecision d = Router(cfg).Route(trace);
       EXPECT_EQ(legacy, d.assignment);
       EXPECT_EQ(d.rejected, 0);
       EXPECT_EQ(d.admitted, static_cast<int64_t>(trace.size()));
@@ -172,55 +178,19 @@ TEST_P(LegacyPolicyParity, RouterReproducesPrePrDispatchBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, LegacyPolicyParity,
-                         ::testing::Values(DispatchPolicy::kRoundRobin,
-                                           DispatchPolicy::kLeastLoaded,
-                                           DispatchPolicy::kPowerOfTwo),
+                         ::testing::Values(RoutePolicy::kRoundRobin,
+                                           RoutePolicy::kLeastLoaded,
+                                           RoutePolicy::kPowerOfTwo),
                          [](const auto& info) {
-                           return DispatchPolicyName(info.param) ==
-                                          std::string("round-robin")
-                                      ? "RoundRobin"
-                                      : DispatchPolicyName(info.param) ==
-                                                std::string("least-loaded")
-                                            ? "LeastLoaded"
-                                            : "PowerOfTwo";
+                           switch (info.param) {
+                             case RoutePolicy::kRoundRobin:
+                               return "RoundRobin";
+                             case RoutePolicy::kLeastLoaded:
+                               return "LeastLoaded";
+                             default:
+                               return "PowerOfTwo";
+                           }
                          });
-
-TEST(RouterParityTest, RoundRobinFleetReportMatchesLegacyRunnerBitForBit) {
-  // Full end-to-end pin: a Router-driven fleet under round-robin must
-  // reproduce the pre-router runner's merged report exactly.
-  const SloSpec slo{1.0, 1.0};
-  const CostModel cm = Opt13();
-  const auto trace = MakeTrace(6.0, 150, 21);
-
-  DispatchConfig legacy;
-  legacy.n_instances = 3;
-  legacy.policy = DispatchPolicy::kRoundRobin;
-  MultiInstanceRunner legacy_runner(legacy, ServingLoopConfig{});
-  auto legacy_result =
-      legacy_runner.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                        CostBackendFactory(cm, false, 16, -1), slo);
-  ASSERT_TRUE(legacy_result.ok()) << legacy_result.status().ToString();
-
-  RouterConfig rc;
-  rc.n_instances = 3;
-  rc.policy = RoutePolicy::kRoundRobin;
-  MultiInstanceRunner routed(Router(rc), ServingLoopConfig{});
-  auto routed_result =
-      routed.Run(trace, [] { return std::make_unique<FcfsScheduler>(); },
-                 CostBackendFactory(cm, false, 16, -1), slo);
-  ASSERT_TRUE(routed_result.ok()) << routed_result.status().ToString();
-
-  EXPECT_EQ(legacy_result->requests_per_instance,
-            routed_result->requests_per_instance);
-  EXPECT_EQ(legacy_result->combined.total_serving_time,
-            routed_result->combined.total_serving_time);
-  EXPECT_EQ(legacy_result->combined.slo_attainment,
-            routed_result->combined.slo_attainment);
-  EXPECT_EQ(legacy_result->combined.iterations,
-            routed_result->combined.iterations);
-  EXPECT_EQ(legacy_result->combined.ttfts.samples(),
-            routed_result->combined.ttfts.samples());
-}
 
 // ---------------------------------------------------------------------------
 // Least-outstanding-work.

@@ -1,10 +1,11 @@
 // Parity pin for the ServingLoop/ExecutionBackend refactor: the
-// CostModelBackend loop must reproduce the pre-refactor Simulator
-// bit-for-bit. `LegacySimulatorRun` below is a faithful port of the
-// original monolithic Simulator::Run (the loop as it existed before the
-// serve/ layer); every run compares its SloReport — every scalar and every
-// latency sample — exactly, across schedulers, load levels and both
-// preemption modes.
+// ServingLoop over a CostModelBackend must reproduce the pre-refactor
+// simulator bit-for-bit. `LegacySimulatorRun` below is a faithful port of
+// the original monolithic Simulator::Run (the loop as it existed before
+// the serve/ layer), reading the same two configs the loop and backend
+// take; every run compares its SloReport — every scalar and every latency
+// sample — exactly, across schedulers, load levels and both preemption
+// modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +26,8 @@
 #include "common/logging.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -47,11 +49,10 @@ struct LegacyResult {
   std::unordered_map<RequestId, RequestRecord> records;
 };
 
-StatusOr<LegacyResult> LegacySimulatorRun(const CostModel& cost_model,
-                                          const SimulatorConfig& config,
-                                          const std::vector<Request>& trace,
-                                          Scheduler* scheduler,
-                                          const SloSpec& slo) {
+StatusOr<LegacyResult> LegacySimulatorRun(
+    const CostModel& cost_model, const CostModelBackend::Options& config,
+    const ServingLoopConfig& loop, const std::vector<Request>& trace,
+    Scheduler* scheduler, const SloSpec& slo) {
   APT_CHECK(scheduler != nullptr);
   int32_t pool_blocks = 0;
   if (config.pool_blocks_override > 0) {
@@ -69,7 +70,7 @@ StatusOr<LegacyResult> LegacySimulatorRun(const CostModel& cost_model,
   BlockPool pool(pool_blocks, config.block_size);
   HybridCacheAssigner assigner(&pool);
   MetricsCollector metrics;
-  const bool swap_mode = config.preemption_mode == PreemptionMode::kSwap;
+  const bool swap_mode = loop.preemption_mode == PreemptionMode::kSwap;
   SwapSpace swap(config.swap_blocks > 0 ? config.swap_blocks
                                         : 4 * pool_blocks);
   const double block_bytes =
@@ -111,7 +112,7 @@ StatusOr<LegacyResult> LegacySimulatorRun(const CostModel& cost_model,
   size_t finished = 0;
   int32_t consecutive_idle = 0;
 
-  for (int64_t iter = 0; iter < config.max_iterations; ++iter) {
+  for (int64_t iter = 0; iter < loop.max_iterations; ++iter) {
     if (finished == reqs.size()) break;
     while (next_arrival < reqs.size() &&
            reqs[next_arrival].spec.arrival <= now) {
@@ -193,7 +194,7 @@ StatusOr<LegacyResult> LegacySimulatorRun(const CostModel& cost_model,
     double iter_swap_bytes = 0.0;
     int32_t accepted = 0;
     for (const ScheduledItem& item : plan.items) {
-      if (accepted >= config.max_batch_size) break;
+      if (accepted >= loop.max_batch_size) break;
       auto it = index.find(item.id);
       if (it == index.end()) {
         return Status::Internal("scheduler scheduled unknown request");
@@ -442,27 +443,31 @@ void ExpectReportsIdentical(const SloReport& legacy, const SloReport& now) {
   EXPECT_EQ(legacy.p99_tbts.samples(), now.p99_tbts.samples());
 }
 
-void RunParity(const std::string& scheduler_kind, const SimulatorConfig& cfg,
-               double rate, int32_t n, uint64_t seed = 3) {
+void RunParity(const std::string& scheduler_kind,
+               const CostModelBackend::Options& opts,
+               const ServingLoopConfig& loop, double rate, int32_t n,
+               uint64_t seed = 3) {
   const SloSpec slo{1.0, 1.0};
   const CostModel cm = MakeCostModel();
   const auto trace = MakeTrace(rate, n, seed);
 
   auto legacy_sched = MakeNamedScheduler(scheduler_kind, slo);
   auto legacy =
-      LegacySimulatorRun(cm, cfg, trace, legacy_sched.get(), slo);
+      LegacySimulatorRun(cm, opts, loop, trace, legacy_sched.get(), slo);
   ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
 
   auto new_sched = MakeNamedScheduler(scheduler_kind, slo);
-  Simulator sim(cm, cfg);
-  auto current = sim.Run(trace, new_sched.get(), slo);
+  auto backend = CostModelBackend::Create(cm, opts);
+  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+  auto current =
+      ServingLoop(backend->get(), loop).Run(trace, new_sched.get(), slo);
   ASSERT_TRUE(current.ok()) << current.status().ToString();
 
   ExpectReportsIdentical(legacy->report, current->report);
   EXPECT_EQ(legacy->prefill_iterations, current->prefill_iterations);
   EXPECT_EQ(legacy->decode_iterations, current->decode_iterations);
   EXPECT_EQ(legacy->mixed_iterations, current->mixed_iterations);
-  EXPECT_EQ(legacy->pool_blocks, current->pool_blocks);
+  EXPECT_EQ(legacy->pool_blocks, (*backend)->pool_blocks());
   EXPECT_EQ(legacy->peak_blocks, current->peak_blocks);
   EXPECT_EQ(legacy->swap_outs, current->swap_outs);
   EXPECT_EQ(legacy->swap_ins, current->swap_ins);
@@ -480,34 +485,36 @@ void RunParity(const std::string& scheduler_kind, const SimulatorConfig& cfg,
 class ParityTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ParityTest, LightLoad) {
-  RunParity(GetParam(), SimulatorConfig{}, 0.5, 60);
+  RunParity(GetParam(), {}, ServingLoopConfig{}, 0.5, 60);
 }
 
 TEST_P(ParityTest, HeavyLoad) {
-  RunParity(GetParam(), SimulatorConfig{}, 20.0, 120);
+  RunParity(GetParam(), {}, ServingLoopConfig{}, 20.0, 120);
 }
 
 TEST_P(ParityTest, MemoryPressureRecompute) {
-  SimulatorConfig cfg;
-  cfg.pool_blocks_override = 220;
-  RunParity(GetParam(), cfg, 8.0, 80);
+  CostModelBackend::Options opts;
+  opts.pool_blocks_override = 220;
+  RunParity(GetParam(), opts, ServingLoopConfig{}, 8.0, 80);
 }
 
 TEST_P(ParityTest, MemoryPressureSwap) {
-  SimulatorConfig cfg;
-  cfg.pool_blocks_override = 220;
-  cfg.preemption_mode = PreemptionMode::kSwap;
-  RunParity(GetParam(), cfg, 8.0, 80);
+  CostModelBackend::Options opts;
+  opts.pool_blocks_override = 220;
+  ServingLoopConfig loop;
+  loop.preemption_mode = PreemptionMode::kSwap;
+  RunParity(GetParam(), opts, loop, 8.0, 80);
 }
 
 TEST_P(ParityTest, MemoryPressureSwapTinySwapSpace) {
   // A nearly-full swap space exercises the full-swap-space -> recompute
   // fallback in both implementations.
-  SimulatorConfig cfg;
-  cfg.pool_blocks_override = 220;
-  cfg.preemption_mode = PreemptionMode::kSwap;
-  cfg.swap_blocks = 32;
-  RunParity(GetParam(), cfg, 8.0, 80, 11);
+  CostModelBackend::Options opts;
+  opts.pool_blocks_override = 220;
+  opts.swap_blocks = 32;
+  ServingLoopConfig loop;
+  loop.preemption_mode = PreemptionMode::kSwap;
+  RunParity(GetParam(), opts, loop, 8.0, 80, 11);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schedulers, ParityTest,

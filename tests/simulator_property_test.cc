@@ -12,7 +12,8 @@
 #include "baselines/sarathi_scheduler.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -65,8 +66,10 @@ TEST_P(SimulatorPropertyTest, InvariantsHoldOnRandomWorkloads) {
   auto sched = Make(kind, slo);
   const ModelSpec model = ModelSpec::Opt13B();
   CostModel cm(model, ClusterSpec::ForModel(model));
-  Simulator sim(cm, SimulatorConfig{});
-  auto result = sim.Run(*trace, sched.get(), slo);
+  auto backend = CostModelBackend::Create(cm, {});
+  ASSERT_TRUE(backend.ok());
+  auto result = ServingLoop(backend->get(), ServingLoopConfig{})
+                    .Run(*trace, sched.get(), slo);
   ASSERT_TRUE(result.ok()) << kind << " seed=" << seed << ": "
                            << result.status().ToString();
 
@@ -75,7 +78,7 @@ TEST_P(SimulatorPropertyTest, InvariantsHoldOnRandomWorkloads) {
   EXPECT_EQ(rep.ttfts.count(), trace->size());
   // Memory stayed within the pool.
   EXPECT_GT(result->peak_blocks, 0);
-  EXPECT_LE(result->peak_blocks, result->pool_blocks);
+  EXPECT_LE(result->peak_blocks, (*backend)->pool_blocks());
   // Serving takes at least as long as the busiest possible schedule: one
   // iteration overhead per emitted token batch is a weak but sound bound.
   EXPECT_GT(rep.total_serving_time, 0.0);
@@ -123,8 +126,10 @@ TEST(SimulatorConservationTest, TokenEventsMatchOutputLengths) {
 
   // Use a collector-view via a custom run: re-run and inspect records
   // through the report sample counts.
-  Simulator sim(cm, SimulatorConfig{});
-  auto result = sim.Run(*trace, &sched, slo);
+  auto backend = CostModelBackend::Create(cm, {});
+  ASSERT_TRUE(backend.ok());
+  auto result =
+      ServingLoop(backend->get(), ServingLoopConfig{}).Run(*trace, &sched, slo);
   ASSERT_TRUE(result.ok());
   // Sum of TBT samples across requests = sum(output_len - 1).
   int64_t expected_gaps = 0;

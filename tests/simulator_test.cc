@@ -1,8 +1,7 @@
-// End-to-end tests of the iteration-level serving simulator: completion,
-// metric sanity, memory-pressure behaviour (preemption / batch-limit
-// accounting) and determinism, across all scheduler implementations.
-#include "sim/simulator.h"
-
+// End-to-end tests of the iteration-level serving simulator (the shared
+// ServingLoop over a CostModelBackend): completion, metric sanity,
+// memory-pressure behaviour (preemption / batch-limit accounting) and
+// determinism, across all scheduler implementations.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +12,8 @@
 #include "baselines/sarathi_scheduler.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -22,6 +23,15 @@ CostModel MakeCostModel() {
   const ModelSpec model = ModelSpec::Opt13B();
   const ClusterSpec cluster = ClusterSpec::ForModel(model);
   return CostModel(model, cluster);
+}
+
+/// One serving instance: a fresh analytic backend under the shared loop.
+StatusOr<ServingLoopResult> Simulate(const std::vector<Request>& trace,
+                                     Scheduler* sched, const SloSpec& slo,
+                                     const CostModelBackend::Options& opts = {}) {
+  APT_ASSIGN_OR_RETURN(auto backend,
+                       CostModelBackend::Create(MakeCostModel(), opts));
+  return ServingLoop(backend.get(), ServingLoopConfig{}).Run(trace, sched, slo);
 }
 
 std::vector<Request> SmallTrace(double rate, int32_t n = 60,
@@ -57,8 +67,7 @@ class AllSchedulersTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(AllSchedulersTest, CompletesLightLoad) {
   SloSpec slo{1.0, 1.0};
   auto sched = MakeScheduler(GetParam(), slo);
-  Simulator sim(MakeCostModel(), SimulatorConfig{});
-  auto result = sim.Run(SmallTrace(0.5), sched.get(), slo);
+  auto result = Simulate(SmallTrace(0.5), sched.get(), slo);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Light load: everything should finish and most requests meet SLOs.
   EXPECT_EQ(result->report.ttfts.count(), 60u);
@@ -69,8 +78,7 @@ TEST_P(AllSchedulersTest, CompletesLightLoad) {
 TEST_P(AllSchedulersTest, CompletesHeavyLoad) {
   SloSpec slo{1.0, 1.0};
   auto sched = MakeScheduler(GetParam(), slo);
-  Simulator sim(MakeCostModel(), SimulatorConfig{});
-  auto result = sim.Run(SmallTrace(20.0, 120), sched.get(), slo);
+  auto result = Simulate(SmallTrace(20.0, 120), sched.get(), slo);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->report.ttfts.count(), 120u);
   // Under heavy load the serving time must exceed the arrival span.
@@ -82,9 +90,8 @@ TEST_P(AllSchedulersTest, DeterministicAcrossRuns) {
   auto trace = SmallTrace(2.0, 40);
   auto s1 = MakeScheduler(GetParam(), slo);
   auto s2 = MakeScheduler(GetParam(), slo);
-  Simulator sim(MakeCostModel(), SimulatorConfig{});
-  auto r1 = sim.Run(trace, s1.get(), slo);
-  auto r2 = sim.Run(trace, s2.get(), slo);
+  auto r1 = Simulate(trace, s1.get(), slo);
+  auto r2 = Simulate(trace, s2.get(), slo);
   ASSERT_TRUE(r1.ok() && r2.ok());
   EXPECT_DOUBLE_EQ(r1->report.total_serving_time,
                    r2->report.total_serving_time);
@@ -100,15 +107,14 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, AllSchedulersTest,
 TEST(SimulatorTest, RejectsOversizedRequest) {
   SloSpec slo{1.0, 1.0};
   FcfsScheduler sched;
-  SimulatorConfig cfg;
-  cfg.pool_blocks_override = 4;  // tiny pool
-  Simulator sim(MakeCostModel(), cfg);
+  CostModelBackend::Options opts;
+  opts.pool_blocks_override = 4;  // tiny pool
   Request r;
   r.id = 0;
   r.prompt_len = 1000;  // needs 63 hidden blocks > 4
   r.output_len = 10;
   r.arrival = 0.0;
-  auto result = sim.Run({r}, &sched, slo);
+  auto result = Simulate({r}, &sched, slo, opts);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }
@@ -116,20 +122,18 @@ TEST(SimulatorTest, RejectsOversizedRequest) {
 TEST(SimulatorTest, RejectsNonPositiveLengths) {
   SloSpec slo{1.0, 1.0};
   FcfsScheduler sched;
-  Simulator sim(MakeCostModel(), SimulatorConfig{});
   Request r;
   r.id = 0;
   r.prompt_len = 0;
   r.output_len = 5;
-  auto result = sim.Run({r}, &sched, slo);
+  auto result = Simulate({r}, &sched, slo);
   EXPECT_FALSE(result.ok());
 }
 
 TEST(SimulatorTest, EmptyTraceYieldsEmptyReport) {
   SloSpec slo{1.0, 1.0};
   FcfsScheduler sched;
-  Simulator sim(MakeCostModel(), SimulatorConfig{});
-  auto result = sim.Run({}, &sched, slo);
+  auto result = Simulate({}, &sched, slo);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->report.iterations, 0);
 }
@@ -140,13 +144,12 @@ TEST(SimulatorTest, SingleRequestLatencyBreakdown) {
   SloSpec slo{10.0, 10.0};
   FcfsScheduler sched;
   CostModel cm = MakeCostModel();
-  Simulator sim(cm, SimulatorConfig{});
   Request r;
   r.id = 0;
   r.prompt_len = 512;
   r.output_len = 20;
   r.arrival = 0.0;
-  auto result = sim.Run({r}, &sched, slo);
+  auto result = Simulate({r}, &sched, slo);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const auto& rep = result->report;
   EXPECT_EQ(rep.ttfts.count(), 1u);
@@ -162,19 +165,16 @@ TEST(SimulatorTest, SingleRequestLatencyBreakdown) {
 TEST(SimulatorTest, MemoryPressureTriggersPreemptionOrBatchLimit) {
   SloSpec slo{1.0, 1.0};
   FcfsScheduler sched;
-  SimulatorConfig cfg;
-  cfg.pool_blocks_override = 200;  // deliberately small pool
-  Simulator sim(MakeCostModel(), cfg);
-  auto result = sim.Run(SmallTrace(8.0, 80), &sched, slo);
+  CostModelBackend::Options opts;
+  opts.pool_blocks_override = 200;  // deliberately small pool
+  auto result = Simulate(SmallTrace(8.0, 80), &sched, slo, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->report.batch_limit_time_ratio, 0.0);
   EXPECT_LE(result->peak_blocks, 200);
 }
 
 TEST(SimulatorTest, PoolBlocksDerivedFromClusterMemory) {
-  CostModel cm = MakeCostModel();
-  Simulator sim(cm, SimulatorConfig{});
-  auto blocks = sim.DerivePoolBlocks();
+  auto blocks = CostModelBackend::DerivePoolBlocks(MakeCostModel(), {});
   ASSERT_TRUE(blocks.ok());
   // OPT-13B on A100-40G: (40e9*0.9 - 26e9) / (16 * 40*5120*2) ~= 1526.
   EXPECT_GT(*blocks, 1000);

@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "engine/serving_engine.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/inference_backend.h"
+#include "serve/serving_loop.h"
 
 namespace aptserve {
 namespace {
@@ -73,24 +76,32 @@ std::vector<Request> BurstTrace(int32_t n, int32_t prompt, int32_t output) {
   return trace;
 }
 
-// ---- CostModelBackend (Simulator facade) ----------------------------------
+// ---- CostModelBackend ------------------------------------------------------
 
-SimulatorConfig SimCfg() {
-  SimulatorConfig cfg;
-  cfg.pool_blocks_override = 64;
-  cfg.preemption_mode = PreemptionMode::kSwap;
-  return cfg;
+CostModelBackend::Options SimOpts() {
+  CostModelBackend::Options opts;
+  opts.pool_blocks_override = 64;
+  return opts;
 }
 
-CostModel Opt13() {
+/// Swap-mode serving loop over a fresh Opt-13B analytic backend.
+StatusOr<ServingLoopResult> SimRun(const std::vector<Request>& trace,
+                                   Scheduler* sched,
+                                   const CostModelBackend::Options& opts =
+                                       SimOpts()) {
   const ModelSpec m = ModelSpec::Opt13B();
-  return CostModel(m, ClusterSpec::ForModel(m));
+  APT_ASSIGN_OR_RETURN(
+      auto backend,
+      CostModelBackend::Create(CostModel(m, ClusterSpec::ForModel(m)), opts));
+  ServingLoopConfig loop;
+  loop.preemption_mode = PreemptionMode::kSwap;
+  return ServingLoop(backend.get(), loop)
+      .Run(trace, sched, SloSpec{10.0, 10.0});
 }
 
 TEST(SimSwapTest, SwapRoundTripServesTraceToCompletion) {
   PreemptingScheduler sched(/*period=*/5, /*convert=*/false);
-  Simulator sim(Opt13(), SimCfg());
-  auto r = sim.Run(BurstTrace(3, 100, 40), &sched, SloSpec{10.0, 10.0});
+  auto r = SimRun(BurstTrace(3, 100, 40), &sched);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->swap_outs, 0);
   EXPECT_EQ(r->swap_outs, r->swap_ins);  // every swap-out came back
@@ -99,11 +110,10 @@ TEST(SimSwapTest, SwapRoundTripServesTraceToCompletion) {
 }
 
 TEST(SimSwapTest, FullSwapSpaceFallsBackToRecompute) {
-  SimulatorConfig cfg = SimCfg();
-  cfg.swap_blocks = 1;  // nothing fits: every swap attempt must fall back
+  CostModelBackend::Options opts = SimOpts();
+  opts.swap_blocks = 1;  // nothing fits: every swap attempt must fall back
   PreemptingScheduler sched(5, false);
-  Simulator sim(Opt13(), cfg);
-  auto r = sim.Run(BurstTrace(3, 100, 40), &sched, SloSpec{10.0, 10.0});
+  auto r = SimRun(BurstTrace(3, 100, 40), &sched, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->swap_outs, 0);
   EXPECT_GT(r->report.preemptions, 0);  // recompute preemptions happened
@@ -111,38 +121,48 @@ TEST(SimSwapTest, FullSwapSpaceFallsBackToRecompute) {
 
 TEST(SimSwapTest, ConversionBypassesSwap) {
   PreemptingScheduler sched(5, /*convert=*/true);
-  Simulator sim(Opt13(), SimCfg());
-  auto r = sim.Run(BurstTrace(3, 100, 40), &sched, SloSpec{10.0, 10.0});
+  auto r = SimRun(BurstTrace(3, 100, 40), &sched);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->swap_outs, 0);  // conversions discard, never swap
   EXPECT_GT(r->report.conversions, 0);
 }
 
-// ---- InferenceBackend (ServingEngine facade) ------------------------------
+// ---- InferenceBackend ------------------------------------------------------
 
-ServingEngineConfig EngineCfg() {
-  ServingEngineConfig cfg;
-  cfg.model = ModelConfig::Tiny();
-  cfg.num_blocks = 64;
-  cfg.block_size = 4;
-  cfg.slo = SloSpec{10.0, 10.0};
-  cfg.calibrate_rho = false;
-  cfg.virtual_timing = true;  // deterministic timeline
-  cfg.preemption_mode = PreemptionMode::kSwap;
-  return cfg;
+InferenceBackendOptions EngineOpts() {
+  InferenceBackendOptions opts;
+  opts.virtual_timing = true;  // deterministic timeline
+  return opts;
+}
+
+/// A fresh Tiny engine: weight seed 42, 64 blocks of 4.
+std::unique_ptr<InferenceBackend> MakeEngine(
+    const InferenceBackendOptions& opts = EngineOpts()) {
+  return std::make_unique<InferenceBackend>(
+      ModelConfig::Tiny(), /*weight_seed=*/42, /*num_blocks=*/64,
+      /*block_size=*/4, SamplingParams{}, opts);
+}
+
+StatusOr<ServingLoopResult> EngineRun(
+    InferenceBackend* backend, const std::vector<Request>& trace,
+    Scheduler* sched, PreemptionMode mode = PreemptionMode::kSwap) {
+  ServingLoopConfig loop;
+  loop.max_batch_size = INT32_MAX;
+  loop.max_iterations = 2'000'000;
+  loop.preemption_mode = mode;
+  return ServingLoop(backend, loop).Run(trace, sched, SloSpec{10.0, 10.0});
 }
 
 TEST(EngineSwapTest, SwapRoundTripServesTraceToCompletion) {
-  ServingEngineConfig cfg = EngineCfg();
-  ServingEngine serving(cfg);
+  auto engine = MakeEngine();
   PreemptingScheduler sched(/*period=*/3, /*convert=*/false);
   const auto trace = BurstTrace(3, 12, 10);
-  auto r = serving.Serve(trace, &sched);
+  auto r = EngineRun(engine.get(), trace, &sched);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->swap_outs, 0);
   EXPECT_EQ(r->swap_outs, r->swap_ins);
   EXPECT_EQ(r->tokens_generated, 3 * 10);
-  EXPECT_EQ(serving.engine().pool().num_allocated(), 0);
+  EXPECT_EQ(engine->engine().pool().num_allocated(), 0);
 }
 
 TEST(EngineSwapTest, SwapAndRecomputeProduceIdenticalTokens) {
@@ -150,44 +170,44 @@ TEST(EngineSwapTest, SwapAndRecomputeProduceIdenticalTokens) {
   // from the same tokens, so with greedy sampling the generated sequences
   // must agree between the two preemption modes.
   const auto trace = BurstTrace(3, 12, 10);
-  ServingEngineConfig cfg = EngineCfg();
-  ServingEngine swap_serving(cfg);
-  cfg.preemption_mode = PreemptionMode::kRecompute;
-  ServingEngine recompute_serving(cfg);
+  auto swap_engine = MakeEngine();
+  auto recompute_engine = MakeEngine();
 
   PreemptingScheduler s1(3, false);
   PreemptingScheduler s2(3, false);
-  auto swap_r = swap_serving.Serve(trace, &s1);
-  auto rec_r = recompute_serving.Serve(trace, &s2);
+  auto swap_r = EngineRun(swap_engine.get(), trace, &s1);
+  auto rec_r = EngineRun(recompute_engine.get(), trace, &s2,
+                         PreemptionMode::kRecompute);
   ASSERT_TRUE(swap_r.ok()) << swap_r.status().ToString();
   ASSERT_TRUE(rec_r.ok()) << rec_r.status().ToString();
   EXPECT_GT(swap_r->swap_outs, 0);
   EXPECT_EQ(rec_r->swap_outs, 0);
-  ASSERT_EQ(swap_r->tokens.size(), rec_r->tokens.size());
-  for (const auto& [id, toks] : swap_r->tokens) {
-    auto it = rec_r->tokens.find(id);
-    ASSERT_NE(it, rec_r->tokens.end());
+  const auto swap_tokens = swap_engine->TakeFinishedTokens();
+  const auto rec_tokens = recompute_engine->TakeFinishedTokens();
+  ASSERT_EQ(swap_tokens.size(), rec_tokens.size());
+  for (const auto& [id, toks] : swap_tokens) {
+    auto it = rec_tokens.find(id);
+    ASSERT_NE(it, rec_tokens.end());
     EXPECT_EQ(toks, it->second) << "request " << id;
   }
 }
 
 TEST(EngineSwapTest, FullSwapSpaceFallsBackToRecompute) {
-  ServingEngineConfig cfg = EngineCfg();
-  cfg.swap_blocks = 1;
-  ServingEngine serving(cfg);
+  InferenceBackendOptions opts = EngineOpts();
+  opts.swap_blocks = 1;
+  auto engine = MakeEngine(opts);
   PreemptingScheduler sched(3, false);
-  auto r = serving.Serve(BurstTrace(3, 12, 10), &sched);
+  auto r = EngineRun(engine.get(), BurstTrace(3, 12, 10), &sched);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->swap_outs, 0);
-  EXPECT_GT(r->preemptions, 0);
+  EXPECT_GT(r->report.preemptions, 0);
   EXPECT_EQ(r->tokens_generated, 3 * 10);
 }
 
 TEST(EngineSwapTest, ConversionBypassesSwap) {
-  ServingEngineConfig cfg = EngineCfg();
-  ServingEngine serving(cfg);
+  auto engine = MakeEngine();
   PreemptingScheduler sched(3, /*convert=*/true);
-  auto r = serving.Serve(BurstTrace(3, 12, 10), &sched);
+  auto r = EngineRun(engine.get(), BurstTrace(3, 12, 10), &sched);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->swap_outs, 0);
   EXPECT_GT(r->report.conversions, 0);
@@ -215,14 +235,14 @@ std::vector<Request> TwoWaveSharedTrace(int32_t per_wave, int32_t prompt,
 }
 
 TEST(EngineSwapTest, SwapPreemptionWithSharingKeepsReferencedBlocksSafe) {
-  ServingEngineConfig cfg = EngineCfg();
-  cfg.enable_prefix_sharing = true;
-  ServingEngine serving(cfg);
+  InferenceBackendOptions opts = EngineOpts();
+  opts.enable_prefix_sharing = true;
+  auto engine = MakeEngine(opts);
   PreemptingScheduler sched(/*period=*/3, /*convert=*/false);
   // Wave 1 (3 requests, ~36 virtual items) drains long before wave 2
   // arrives at t=1.
   const auto trace = TwoWaveSharedTrace(3, 12, 10, 1.0);
-  auto r = serving.Serve(trace, &sched);
+  auto r = EngineRun(engine.get(), trace, &sched);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->swap_outs, 0);
   EXPECT_EQ(r->swap_outs, r->swap_ins);
@@ -231,39 +251,38 @@ TEST(EngineSwapTest, SwapPreemptionWithSharingKeepsReferencedBlocksSafe) {
   // All requests drained; only the index still owns blocks, every one of
   // them at refcount 1 — i.e. no reference was leaked or double-freed
   // through the swap round trips.
-  EXPECT_EQ(serving.engine().pool().num_allocated(),
-            serving.engine().prefix_index()->indexed_blocks());
-  EXPECT_EQ(serving.engine().pool().num_shared(), 0);
+  EXPECT_EQ(engine->engine().pool().num_allocated(),
+            engine->engine().prefix_index()->indexed_blocks());
+  EXPECT_EQ(engine->engine().pool().num_shared(), 0);
 
   // Tokens must match the sharing-enabled recompute-mode run: swap-in
   // restores payload bit-identically even when the swapped map held
   // previously shared blocks.
-  ServingEngineConfig rec_cfg = EngineCfg();
-  rec_cfg.enable_prefix_sharing = true;
-  rec_cfg.preemption_mode = PreemptionMode::kRecompute;
-  ServingEngine recompute(rec_cfg);
+  auto recompute = MakeEngine(opts);
   PreemptingScheduler sched2(/*period=*/3, /*convert=*/false);
-  auto rec = recompute.Serve(trace, &sched2);
+  auto rec = EngineRun(recompute.get(), trace, &sched2,
+                       PreemptionMode::kRecompute);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-  ASSERT_EQ(r->tokens.size(), rec->tokens.size());
-  for (const auto& [id, toks] : r->tokens) {
-    auto it = rec->tokens.find(id);
-    ASSERT_NE(it, rec->tokens.end());
+  const auto tokens = engine->TakeFinishedTokens();
+  const auto rec_tokens = recompute->TakeFinishedTokens();
+  ASSERT_EQ(tokens.size(), rec_tokens.size());
+  for (const auto& [id, toks] : tokens) {
+    auto it = rec_tokens.find(id);
+    ASSERT_NE(it, rec_tokens.end());
     EXPECT_EQ(toks, it->second) << "request " << id;
   }
 }
 
 TEST(SimSwapTest, SwapPreemptionWithSharingDrainsCleanly) {
-  SimulatorConfig cfg = SimCfg();
-  cfg.enable_prefix_sharing = true;
+  CostModelBackend::Options opts = SimOpts();
+  opts.enable_prefix_sharing = true;
   PreemptingScheduler sched(/*period=*/5, /*convert=*/false);
-  Simulator sim(Opt13(), cfg);
   // Wave 2 arrives far after wave 1 drained on the virtual timeline, so
   // its requests adopt wave 1's indexed blocks; identical token content
   // across all requests (the analytic backend would otherwise synthesize
   // per-id content that never matches).
   const auto trace = TwoWaveSharedTrace(3, 100, 40, /*wave_gap=*/500.0);
-  auto r = sim.Run(trace, &sched, SloSpec{10.0, 10.0});
+  auto r = SimRun(trace, &sched, opts);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->swap_outs, 0);
   EXPECT_EQ(r->swap_outs, r->swap_ins);

@@ -4,7 +4,8 @@
 
 #include "baselines/fcfs_scheduler.h"
 #include "core/apt_scheduler.h"
-#include "sim/simulator.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
 #include "workload/trace.h"
 
 namespace aptserve {
@@ -57,7 +58,7 @@ TEST(SwapSpaceTest, InvalidEntriesRejected) {
   EXPECT_TRUE(swap.SwapOut(1, CacheType::kKV, 8, 0).IsInvalidArgument());
 }
 
-// ---- Simulator integration ----
+// ---- Serving-loop integration (analytic backend) ----
 
 std::vector<Request> PressureTrace(int n = 200, uint64_t seed = 41) {
   TraceConfig tc;
@@ -71,21 +72,29 @@ std::vector<Request> PressureTrace(int n = 200, uint64_t seed = 41) {
   return *t;
 }
 
-CostModel Opt13() {
+/// Opt-13B on a 400-block pool (tight: forces preemptions).
+StatusOr<ServingLoopResult> Simulate(const std::vector<Request>& trace,
+                                     Scheduler* sched, const SloSpec& slo,
+                                     PreemptionMode mode,
+                                     int32_t swap_blocks = -1) {
   const ModelSpec m = ModelSpec::Opt13B();
-  return CostModel(m, ClusterSpec::ForModel(m));
+  CostModelBackend::Options opts;
+  opts.pool_blocks_override = 400;
+  opts.swap_blocks = swap_blocks;
+  APT_ASSIGN_OR_RETURN(
+      auto backend,
+      CostModelBackend::Create(CostModel(m, ClusterSpec::ForModel(m)), opts));
+  ServingLoopConfig loop;
+  loop.preemption_mode = mode;
+  return ServingLoop(backend.get(), loop).Run(trace, sched, slo);
 }
 
 TEST(SwapPreemptionTest, SwapModeCompletesAndSwaps) {
   const SloSpec slo{1.0, 1.0};
-  SimulatorConfig cfg;
-  cfg.preemption_mode = PreemptionMode::kSwap;
-  cfg.pool_blocks_override = 400;  // tight: forces preemptions
   AptConfig ac;
   ac.slo = slo;
   AptScheduler sched(ac);
-  Simulator sim(Opt13(), cfg);
-  auto r = sim.Run(PressureTrace(), &sched, slo);
+  auto r = Simulate(PressureTrace(), &sched, slo, PreemptionMode::kSwap);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->swap_outs, 0);
   EXPECT_EQ(r->swap_outs, r->swap_ins);  // everything swapped back in
@@ -93,13 +102,10 @@ TEST(SwapPreemptionTest, SwapModeCompletesAndSwaps) {
 
 TEST(SwapPreemptionTest, RecomputeModeNeverSwaps) {
   const SloSpec slo{1.0, 1.0};
-  SimulatorConfig cfg;
-  cfg.pool_blocks_override = 400;
   AptConfig ac;
   ac.slo = slo;
   AptScheduler sched(ac);
-  Simulator sim(Opt13(), cfg);
-  auto r = sim.Run(PressureTrace(), &sched, slo);
+  auto r = Simulate(PressureTrace(), &sched, slo, PreemptionMode::kRecompute);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->swap_outs, 0);
 }
@@ -109,13 +115,9 @@ TEST(SwapPreemptionTest, SwapReducesPrefillRecompute) {
   // performs fewer prefill iterations under identical preemption pressure.
   const SloSpec slo{1.0, 1.0};
   auto trace = PressureTrace(250, 43);
-  SimulatorConfig rec_cfg, swap_cfg;
-  rec_cfg.pool_blocks_override = swap_cfg.pool_blocks_override = 400;
-  swap_cfg.preemption_mode = PreemptionMode::kSwap;
   FcfsScheduler s1, s2;
-  Simulator rec(Opt13(), rec_cfg), swp(Opt13(), swap_cfg);
-  auto r_rec = rec.Run(trace, &s1, slo);
-  auto r_swp = swp.Run(trace, &s2, slo);
+  auto r_rec = Simulate(trace, &s1, slo, PreemptionMode::kRecompute);
+  auto r_swp = Simulate(trace, &s2, slo, PreemptionMode::kSwap);
   ASSERT_TRUE(r_rec.ok() && r_swp.ok());
   if (r_swp->swap_outs > 0) {
     EXPECT_LE(r_swp->prefill_iterations, r_rec->prefill_iterations);
@@ -124,15 +126,12 @@ TEST(SwapPreemptionTest, SwapReducesPrefillRecompute) {
 
 TEST(SwapPreemptionTest, TinySwapSpaceFallsBackToRecompute) {
   const SloSpec slo{1.0, 1.0};
-  SimulatorConfig cfg;
-  cfg.preemption_mode = PreemptionMode::kSwap;
-  cfg.pool_blocks_override = 400;
-  cfg.swap_blocks = 1;  // nothing fits: every preemption falls back
   AptConfig ac;
   ac.slo = slo;
   AptScheduler sched(ac);
-  Simulator sim(Opt13(), cfg);
-  auto r = sim.Run(PressureTrace(), &sched, slo);
+  // swap_blocks = 1: nothing fits, every preemption falls back.
+  auto r = Simulate(PressureTrace(), &sched, slo, PreemptionMode::kSwap,
+                    /*swap_blocks=*/1);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->swap_outs, 0);
 }
