@@ -49,6 +49,42 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
+namespace {
+
+/// The repo's one quantile formula: position q·(n−1) over n ascending
+/// samples, linearly interpolated between the closest ranks lo and hi.
+struct QuantileRank {
+  size_t lo;
+  size_t hi;
+  double frac;
+
+  QuantileRank(size_t n, double q) {
+    const double pos = std::clamp(q, 0.0, 1.0) * static_cast<double>(n - 1);
+    lo = static_cast<size_t>(pos);
+    hi = std::min(lo + 1, n - 1);
+    frac = pos - static_cast<double>(lo);
+  }
+  /// `lo_value`/`hi_value`: the lo-th and hi-th smallest samples.
+  double Interpolate(double lo_value, double hi_value) const {
+    return lo_value * (1.0 - frac) + hi_value * frac;
+  }
+};
+
+}  // namespace
+
+double SelectQuantile(std::vector<double>* values, double q) {
+  std::vector<double>& v = *values;
+  if (v.empty()) return 0.0;
+  const QuantileRank rank(v.size(), q);
+  const auto lo = v.begin() + static_cast<std::ptrdiff_t>(rank.lo);
+  std::nth_element(v.begin(), lo, v.end());
+  // Everything after the lo-th smallest is >= it, so the hi-th smallest
+  // (hi = lo + 1) is the minimum of that tail.
+  const double hi_value =
+      rank.hi == rank.lo ? *lo : *std::min_element(lo + 1, v.end());
+  return rank.Interpolate(*lo, hi_value);
+}
+
 void SampleSet::EnsureSorted() const {
   if (!sorted_) {
     std::sort(samples_.begin(), samples_.end());
@@ -59,12 +95,8 @@ void SampleSet::EnsureSorted() const {
 double SampleSet::Quantile(double q) const {
   if (samples_.empty()) return 0.0;
   EnsureSorted();
-  q = std::clamp(q, 0.0, 1.0);
-  const double pos = q * static_cast<double>(samples_.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, samples_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  const QuantileRank rank(samples_.size(), q);
+  return rank.Interpolate(samples_[rank.lo], samples_[rank.hi]);
 }
 
 double SampleSet::Mean() const {

@@ -35,6 +35,13 @@ class RunningStat {
   double sum_ = 0.0;
 };
 
+/// Exact q-quantile of `values` (q clamped to [0,1]; 0 when empty) by the
+/// same closest-ranks interpolation as SampleSet::Quantile, bit for bit.
+/// Only the two order statistics around the rank are needed, so they are
+/// selected (nth_element, then the tail's minimum) in O(n) rather than
+/// sorted; `values` is left permuted.
+double SelectQuantile(std::vector<double>* values, double q);
+
 /// Collects samples and answers exact quantile queries (sorts lazily).
 class SampleSet {
  public:

@@ -10,9 +10,9 @@ namespace aptserve {
 InferenceEngine::InferenceEngine(const ModelConfig& config, uint64_t seed,
                                  int32_t num_blocks, int32_t block_size,
                                  const RuntimeConfig& runtime)
-    : model_(ModelWeights::Random(config, seed)),
+    : storage_(num_blocks, block_size, config.n_layers, config.d_model),
+      model_(ModelWeights::Random(config, seed)),
       pool_(num_blocks, block_size),
-      storage_(num_blocks, block_size, config.n_layers, config.d_model),
       assigner_(&pool_) {
   if (runtime.ResolvedNumThreads() > 1) {
     thread_pool_ = std::make_unique<runtime::ThreadPool>(runtime);

@@ -258,9 +258,15 @@ class InferenceEngine {
     std::vector<float> data;
   };
 
+  /// Declared, so constructed, first. The arena is the engine's largest
+  /// allocation; made before the weights, it reuses the heap block a
+  /// previous engine's arena freed. Made after them, a few KB of unrelated
+  /// fragmentation can leave that block just short and grow the process by
+  /// a whole arena (glibc serves it from the brk heap once an earlier
+  /// arena's mmap was freed).
+  BlockStorage storage_;
   TransformerModel model_;
   BlockPool pool_;
-  BlockStorage storage_;
   HybridCacheAssigner assigner_;
   /// Declared after pool_ so destruction releases index references first.
   std::unique_ptr<PrefixIndex> prefix_index_;

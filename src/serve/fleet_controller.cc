@@ -484,7 +484,10 @@ StatusOr<FleetResult> FleetController::Run(
           routed.best_effort = true;
           ++total_deprioritized;
         }
-        APT_RETURN_NOT_OK(fleet[inst]->loop->Inject(routed, routed.arrival));
+        // Virtual time only: no wall clock is attached, so the wall stamp
+        // is unread.
+        APT_RETURN_NOT_OK(fleet[inst]->loop->Inject(routed, routed.arrival,
+                                                    routed.arrival));
       }
       ++next_route;
     }

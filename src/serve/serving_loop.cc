@@ -98,15 +98,13 @@ Status ServingLoopState::Inject(const Request& r, double available_at,
   APT_CHECK_MSG(started_ && !finished_run_, "Inject outside a live run");
   APT_RETURN_NOT_OK(
       Register(r, std::max(available_at, r.arrival), /*admit_backend=*/true));
-  if (wall_clock_ != nullptr) {
-    wall_metrics_.OnArrival(
-        r.id, wall_arrival >= 0 ? wall_arrival : wall_clock_->Now());
-  }
   Slot* slot = index_.at(r.id);
-  slot->obs_enqueued_at =
-      wall_clock_ != nullptr
-          ? (wall_arrival >= 0 ? wall_arrival : wall_clock_->Now())
-          : slot->available_at;
+  if (wall_clock_ != nullptr) {
+    wall_metrics_.OnArrival(r.id, wall_arrival);
+    slot->obs_enqueued_at = wall_arrival;
+  } else {
+    slot->obs_enqueued_at = slot->available_at;
+  }
   trace_.Instant(obs::TraceOp::kArrival, slot->obs_enqueued_at, r.id);
   return Status::OK();
 }
@@ -256,20 +254,20 @@ StatusOr<MigrationImport> ServingLoopState::Receive(
   return import;
 }
 
+int32_t ServingLoopState::CountActive(RequestPhase phase) const {
+  return static_cast<int32_t>(
+      std::count_if(active_.begin(), active_.end(),
+                    [phase](const Slot* s) { return s->sr.phase == phase; }));
+}
+
 int32_t ServingLoopState::NumWaiting() const {
-  int32_t n = 0;
-  for (const auto& slot : slots_) {
-    if (!slot->migrated_out && slot->sr.phase == RequestPhase::kWaiting) ++n;
-  }
-  return n;
+  // Every pending slot is a not-yet-admitted kWaiting request.
+  return CountActive(RequestPhase::kWaiting) +
+         static_cast<int32_t>(pending_.size());
 }
 
 int32_t ServingLoopState::NumRunning() const {
-  int32_t n = 0;
-  for (const auto& slot : slots_) {
-    if (!slot->migrated_out && slot->sr.phase == RequestPhase::kRunning) ++n;
-  }
-  return n;
+  return CountActive(RequestPhase::kRunning);
 }
 
 std::vector<RequestId> ServingLoopState::MigratableWaiting() const {
@@ -567,6 +565,7 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
   // iteration, shared by the batch, exactly like the virtual timeline.
   const double wall_now = wall_clock_ != nullptr ? wall_clock_->Now() : 0.0;
   const double obs_iter_end = wall_clock_ != nullptr ? wall_now : now_;
+  bool any_finished = false;
   if (obs_.iteration_seconds != nullptr) {
     obs_.iteration_seconds->Observe(latency);
   }
@@ -620,6 +619,7 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
       metrics_.OnFinish(sr.spec.id, now_);
       APT_RETURN_NOT_OK(backend_->OnFinish(sr));
       ++finished_;
+      any_finished = true;
       const RequestRecord& rec = metrics_.records().at(sr.spec.id);
       finish_log_.emplace_back(now_, rec.MeetsTtft(slo_));
       trace_.Instant(obs::TraceOp::kCompletion, obs_iter_end, sr.spec.id,
@@ -631,25 +631,36 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
     }
   }
 
+  // Finished requests leave the admission queue (order-preserving), so
+  // every per-iteration scan costs O(live requests), not O(history). Their
+  // slots stay owned by slots_ and indexed, for the finished-request check.
+  if (any_finished) {
+    active_.erase(std::remove_if(active_.begin(), active_.end(),
+                                 [](const Slot* s) {
+                                   return s->sr.phase ==
+                                          RequestPhase::kFinished;
+                                 }),
+                  active_.end());
+  }
+
   // 7. Batch-limit accounting (Figure 2): the batch could not be grown —
   // either an allocation failed above, or unscheduled waiting work exists
-  // that would not fit in the remaining pool space.
+  // that would not fit in the remaining pool space. The pool test runs
+  // first; only a request that would not fit is looked up in `applied`.
   bool at_limit = hit_memory_wall;
   if (!at_limit) {
+    const int32_t num_free = backend_->pool()->num_free();
     for (Slot* s : active_) {
       const SimRequest& sr = s->sr;
-      if (sr.phase != RequestPhase::kWaiting) continue;
-      bool scheduled_now = false;
-      for (const Applied& a : applied) {
-        if (a.req == &sr) {
-          scheduled_now = true;
-          break;
-        }
-      }
-      if (!scheduled_now &&
+      if (sr.phase != RequestPhase::kWaiting ||
           backend_->assigner()->BlocksNeeded(CacheType::kKV,
-                                             sr.PrefillTarget()) >
-              backend_->pool()->num_free()) {
+                                             sr.PrefillTarget()) <= num_free) {
+        continue;
+      }
+      const bool scheduled_now =
+          std::any_of(applied.begin(), applied.end(),
+                      [&sr](const Applied& a) { return a.req == &sr; });
+      if (!scheduled_now) {
         at_limit = true;
         break;
       }

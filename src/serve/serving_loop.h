@@ -144,10 +144,9 @@ class ServingLoopState {
 
   /// Registers one more request mid-run (live routing): it becomes
   /// schedulable once the clock reaches `available_at` (>= its arrival).
-  /// `wall_arrival` (with an attached wall clock) stamps the request's
-  /// real arrival time for wall metrics; < 0 reads the clock now.
-  Status Inject(const Request& r, double available_at,
-                double wall_arrival = -1.0);
+  /// `wall_arrival` is the request's real arrival time for wall metrics
+  /// and traces; it is read only when a wall clock is attached.
+  Status Inject(const Request& r, double available_at, double wall_arrival);
 
   /// Removes a queued/preempted request for migration: its cache state is
   /// exported from the backend (shared prefix blocks stay for their other
@@ -231,6 +230,9 @@ class ServingLoopState {
   std::pair<int64_t, int64_t> TtftFinishesSince(double since) const;
 
  private:
+  /// Tests recount the live queues by brute force over every slot.
+  friend struct ServingLoopStateTestPeer;
+
   struct Slot {
     SimRequest sr;
     double available_at = 0.0;
@@ -243,6 +245,7 @@ class ServingLoopState {
   };
 
   Status Register(const Request& r, double available_at, bool admit_backend);
+  int32_t CountActive(RequestPhase phase) const;
   void InsertPending(Slot* slot);
 
   ExecutionBackend* backend_;
@@ -281,7 +284,8 @@ class ServingLoopState {
   std::unordered_map<RequestId, Slot*> index_;
   /// Not-yet-available requests, sorted by (available_at, seq).
   std::deque<Slot*> pending_;
-  /// Admitted requests in admission order (the scheduler's queue order).
+  /// Admitted, unfinished requests in admission order (the scheduler's
+  /// queue order). Finished requests leave at the end of their iteration.
   std::vector<Slot*> active_;
   /// (finish time, met TTFT) log feeding TtftFinishesSince.
   std::vector<std::pair<double, bool>> finish_log_;

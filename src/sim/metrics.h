@@ -25,6 +25,7 @@ struct RequestRecord {
   std::vector<double> tbt_samples;   ///< gaps between consecutive tokens.
   TimePoint finish_time = -1.0;
 
+  /// 99th-percentile gap between consecutive tokens; 0 without gaps.
   double P99Tbt() const;
   /// Effective deadlines: the request's own SLO when set (>= 0), else the
   /// run-level spec. A deadline exactly met (ttft == bound) counts as met.
@@ -38,8 +39,12 @@ struct RequestRecord {
     return ttft >= 0 && ttft <= TtftBound(slo);
   }
   bool MeetsTbt(const SloSpec& slo) const {
+    return TbtWithin(P99Tbt(), slo);
+  }
+  /// MeetsTbt given this record's P99Tbt() already computed.
+  bool TbtWithin(double p99_tbt, const SloSpec& slo) const {
     // Requests with a single output token have no TBT; vacuously met.
-    return tbt_samples.empty() || P99Tbt() <= TbtBound(slo);
+    return tbt_samples.empty() || p99_tbt <= TbtBound(slo);
   }
   bool MeetsSlo(const SloSpec& slo) const {
     return MeetsTtft(slo) && MeetsTbt(slo);

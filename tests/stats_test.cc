@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <vector>
 
 namespace aptserve {
 namespace {
@@ -62,6 +64,38 @@ TEST(SampleSetTest, AddAfterQueryResorts) {
   EXPECT_EQ(s.Median(), 10.0);
   s.Add(0.0);
   EXPECT_EQ(s.Median(), 5.0);
+}
+
+TEST(SelectQuantileTest, MatchesSortedQuantileBitForBit) {
+  // Selection must return the very doubles the full sort interpolates
+  // between, so every value (the serving report's per-request p99 TBT
+  // included) is bit-identical to SampleSet::Quantile's.
+  std::mt19937_64 gen(2024);
+  std::uniform_real_distribution<double> spread(1e-4, 2.0);
+  std::uniform_int_distribution<int> few(0, 4);  // heavy ties
+  for (const size_t n : {1, 2, 99, 100, 101, 1000}) {
+    for (const bool ties : {false, true}) {
+      for (int trial = 0; trial < 5; ++trial) {
+        std::vector<double> values(n);
+        for (double& v : values) v = ties ? 0.25 * few(gen) : spread(gen);
+        SampleSet sorted;
+        for (double v : values) sorted.Add(v);
+        for (const double q : {0.99, 0.0, 0.5, 0.9, 1.0}) {
+          std::vector<double> scratch = values;
+          EXPECT_EQ(SelectQuantile(&scratch, q), sorted.Quantile(q))
+              << "n=" << n << " ties=" << ties << " q=" << q;
+        }
+      }
+    }
+  }
+}
+
+TEST(SelectQuantileTest, EmptyIsZeroAndRangeClamps) {
+  std::vector<double> empty;
+  EXPECT_EQ(SelectQuantile(&empty, 0.99), 0.0);
+  std::vector<double> two = {2.0, 1.0};
+  EXPECT_EQ(SelectQuantile(&two, -0.5), 1.0);
+  EXPECT_EQ(SelectQuantile(&two, 2.0), 2.0);
 }
 
 TEST(SampleSetTest, CdfMonotoneAndComplete) {
