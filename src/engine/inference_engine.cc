@@ -227,7 +227,8 @@ StatusOr<PendingStep> InferenceEngine::PreparePrefillChunk(
   PendingStep step;
   step.id = id;
   step.is_decode = false;
-  step.prefill_tokens.assign(gs.tokens.begin(), gs.tokens.begin() + upto);
+  step.prefill_tokens.assign(gs.tokens.begin() + gs.cached_tokens,
+                             gs.tokens.begin() + upto);
   step.start = gs.cached_tokens;
   step.upto = upto;
   step.fresh = fresh;
@@ -239,7 +240,7 @@ StatusOr<PendingStep> InferenceEngine::PreparePrefillChunk(
 StatusOr<std::optional<int32_t>> InferenceEngine::PrefillChunk(
     RequestId id, int32_t max_tokens) {
   APT_ASSIGN_OR_RETURN(PendingStep step, PreparePrefillChunk(id, max_tokens));
-  ComputeStep(&step);
+  ComputeSteps(&step, 1);
   return FinishStep(&step);
 }
 
@@ -281,29 +282,48 @@ StatusOr<PendingStep> InferenceEngine::PrepareDecode(RequestId id) {
 
 StatusOr<int32_t> InferenceEngine::DecodeStep(RequestId id) {
   APT_ASSIGN_OR_RETURN(PendingStep step, PrepareDecode(id));
-  ComputeStep(&step);
+  ComputeSteps(&step, 1);
   APT_ASSIGN_OR_RETURN(std::optional<int32_t> next, FinishStep(&step));
   APT_CHECK(next.has_value());
   return *next;
 }
 
-void InferenceEngine::ComputeStep(PendingStep* step) {
-  APT_CHECK(step != nullptr && !step->computed);
-  const CacheMap* map = assigner_.Find(step->id);
-  if (map == nullptr) {
-    step->compute_status =
-        Status::Internal("pending step lost its cache map before compute");
-  } else if (step->is_decode) {
-    step->compute_status =
-        model_.CachedStep(step->token, step->pos, *map, &storage_,
-                          &step->logits, thread_pool_.get());
-  } else {
-    step->compute_status =
-        model_.PrefillCached(step->prefill_tokens, step->start, *map,
-                             &storage_, &step->logits, thread_pool_.get());
+void InferenceEngine::ComputeSteps(PendingStep* steps, size_t n) {
+  // One layer-major forward over every step whose map is still present;
+  // items keep their own status, so a rejected step fails alone.
+  std::vector<ForwardItem> items;
+  std::vector<PendingStep*> owners;
+  for (size_t s = 0; s < n; ++s) {
+    PendingStep& step = steps[s];
+    APT_CHECK(!step.computed);
+    step.computed = true;
+    if (obs_steps_computed_ != nullptr) obs_steps_computed_->Inc();
+    const CacheMap* map = assigner_.Find(step.id);
+    if (map == nullptr) {
+      step.compute_status =
+          Status::Internal("pending step lost its cache map before compute");
+      continue;
+    }
+    ForwardItem item;
+    if (step.is_decode) {
+      item.tokens = &step.token;
+      item.start = step.pos;
+      item.count = 1;
+    } else {
+      item.tokens = step.prefill_tokens.data();
+      item.start = step.start;
+      item.count = step.upto - step.start;
+    }
+    item.map = map;
+    item.logits = &step.logits;
+    items.push_back(item);
+    owners.push_back(&step);
   }
-  step->computed = true;
-  if (obs_steps_computed_ != nullptr) obs_steps_computed_->Inc();
+  model_.ForwardBatch(items.data(), static_cast<int32_t>(items.size()),
+                      &storage_, thread_pool_.get());
+  for (size_t i = 0; i < items.size(); ++i) {
+    owners[i]->compute_status = std::move(items[i].status);
+  }
 }
 
 StatusOr<std::optional<int32_t>> InferenceEngine::FinishStep(
@@ -348,29 +368,17 @@ StatusOr<std::optional<int32_t>> InferenceEngine::FinishStep(
 
 Status InferenceEngine::ExecuteSteps(std::vector<PendingStep>* steps) {
   APT_CHECK(steps != nullptr);
-  const int64_t n = static_cast<int64_t>(steps->size());
-  // Items of an iteration are independent given the block pool: each step
-  // reads/writes only its own request's blocks and the immutable weights,
-  // so the forwards run concurrently and stay bit-identical. Item-level
-  // fan-out only pays once it can occupy the pool — nested ParallelFor
-  // runs inline, so a 2-item batch on an 8-thread pool would strand 6
-  // threads; below that point each step runs with full intra-op
-  // parallelism instead. Both paths are bit-identical.
-  if (thread_pool_ != nullptr && n >= thread_pool_->num_threads()) {
-    thread_pool_->ParallelFor(0, n, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) ComputeStep(&(*steps)[i]);
-    });
-  } else {
-    for (PendingStep& step : *steps) ComputeStep(&step);
-  }
+  ComputeSteps(steps->data(), steps->size());
   // Serial finish barrier, in preparation order: state mutations (cache
   // advance, prefix-index inserts) replay exactly as in serial execution.
   // Sampling itself is counter-based per request, so it is order-free.
+  // Every step finishes; the first failure is reported.
+  Status first = Status::OK();
   for (PendingStep& step : *steps) {
     auto finished = FinishStep(&step);
-    if (!finished.ok()) return finished.status();
+    if (!finished.ok() && first.ok()) first = finished.status();
   }
-  return Status::OK();
+  return first;
 }
 
 Status InferenceEngine::ConvertCacheType(RequestId id, CacheType new_type) {

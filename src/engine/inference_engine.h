@@ -51,19 +51,21 @@ struct GenerationState {
 /// A prepared-but-not-yet-computed engine step. Preparation (validation
 /// plus block allocation) runs serially in schedule order — it is what
 /// determines out-of-memory behaviour — while the deferred transformer
-/// forward is free to run on any thread: distinct steps touch disjoint
-/// cache blocks and only share the (immutable) weights. FinishStep then
-/// samples each request from its own counter-based RNG (seeded on
-/// (sample_seed, request, position)), so token streams are bit-identical
-/// to serial execution at any thread count and any batch composition.
+/// forwards of a batch run together in one layer-major pass: distinct
+/// steps touch disjoint cache blocks and only share the (immutable)
+/// weights. Finishing then samples each request from its own
+/// counter-based RNG (seeded on (sample_seed, request, position)), so
+/// token streams are bit-identical to serial execution at any thread
+/// count and any batch composition.
 struct PendingStep {
   RequestId id = -1;
   bool is_decode = false;
   /// Decode: the position processed and its input token.
   int32_t pos = 0;
   int32_t token = -1;
-  /// Prefill: tokens [0, upto), the first new position, the chunk end,
-  /// whether this pass created the cache, and whether it completes prefill.
+  /// Prefill: the chunk's tokens (positions [start, upto)), the first new
+  /// position, the chunk end, whether this pass created the cache, and
+  /// whether it completes prefill.
   std::vector<int32_t> prefill_tokens;
   int32_t start = 0;
   int32_t upto = 0;
@@ -72,7 +74,7 @@ struct PendingStep {
   /// Positions seeded from the prefix index instead of being computed
   /// (prefill only; the pass starts after them).
   int32_t prefix_skipped = 0;
-  /// Filled by ComputeStep.
+  /// Filled by the forward (ExecuteSteps).
   std::vector<float> logits;
   Status compute_status = Status::OK();
   bool computed = false;
@@ -148,11 +150,11 @@ class InferenceEngine {
   /// position, processes the latest token, appends and returns the next.
   StatusOr<int32_t> DecodeStep(RequestId id);
 
-  // ---- Batched execution (parallel runtime) --------------------------------
-  // PrefillChunk/DecodeStep are compositions of the three phases below, so
-  // the serial and batched paths share one implementation. A batch executor
-  // (serve/inference_backend.h) prepares steps in schedule order, computes
-  // them concurrently, and finishes them in order.
+  // ---- Batched execution --------------------------------------------------
+  // PrefillChunk/DecodeStep are one-step batches of the two phases below,
+  // so the serial and batched paths share one implementation. A batch
+  // executor (serve/inference_backend.h) prepares steps in schedule order
+  // and executes them together.
 
   /// Validates and allocates one decode step without computing it.
   StatusOr<PendingStep> PrepareDecode(RequestId id);
@@ -161,22 +163,17 @@ class InferenceEngine {
   /// computing it. Identical checks and allocation to PrefillChunk.
   StatusOr<PendingStep> PreparePrefillChunk(RequestId id, int32_t max_tokens);
 
-  /// Runs the deferred transformer forward for a prepared step. Safe to
-  /// call concurrently for distinct steps (disjoint cache blocks, shared
-  /// immutable weights). Errors land in `step->compute_status`.
-  void ComputeStep(PendingStep* step);
-
-  /// Applies a computed step to the request state: advances the cached
+  /// Computes `steps` in one layer-major forward (TransformerModel::
+  /// ForwardBatch: each layer's weights are read once per row group of the
+  /// batch, kernels parallel across the runtime pool when the engine has
+  /// one), then finishes them in preparation order: advances each cached
   /// token count and — for decodes and completing prefills — samples the
   /// next token from the request's counter-based RNG (a pure function of
-  /// (sample_seed, request id, position): independent of batch composition,
-  /// chunking, migration, and serving mode). Must be called in the same
-  /// order steps were prepared to reproduce serial token streams.
-  StatusOr<std::optional<int32_t>> FinishStep(PendingStep* step);
-
-  /// Computes `steps` (in parallel across the runtime pool when the engine
-  /// has one) and finishes them in order. Bit-identical to executing the
-  /// steps one by one.
+  /// (sample_seed, request id, position): independent of batch
+  /// composition, chunking, migration, and serving mode). Bit-identical to
+  /// executing the steps one by one. A step whose compute fails fails
+  /// alone (`compute_status`): every step is finished, and the first
+  /// failure is returned.
   Status ExecuteSteps(std::vector<PendingStep>* steps);
 
   /// Switches the request's cache type: discards the existing cache; the
@@ -243,6 +240,13 @@ class InferenceEngine {
  private:
   StatusOr<int32_t> SampleNext(RequestId id, const GenerationState& gs,
                                const std::vector<float>& logits);
+
+  /// Computes steps[0, n) in one ForwardBatch call and marks them computed.
+  void ComputeSteps(PendingStep* steps, size_t n);
+
+  /// Applies a computed step to the request state (see ExecuteSteps). Must
+  /// run in preparation order to reproduce serial token streams.
+  StatusOr<std::optional<int32_t>> FinishStep(PendingStep* step);
 
   /// Resolves the prefix index's counter handles against obs_registry_
   /// (no-op when either side is absent).

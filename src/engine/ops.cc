@@ -12,9 +12,18 @@ namespace ops {
 
 namespace {
 
-/// W rows per cache tile: a tile of kRowTile x cols fp32 weights is
-/// streamed once and reused across every batch row it multiplies.
+/// The fewest W rows per task of a W-row split, and the most per cache
+/// tile.
 constexpr int32_t kRowTile = 32;
+
+inline int64_t CeilDiv(int64_t a, int64_t b) { return (a + b - 1) / b; }
+
+/// W rows per cache tile: about 16 KB of weights, so a tile stays in L1
+/// while it multiplies every batch row; at least one 8-row ScoreKeys
+/// block, at most kRowTile.
+inline int32_t RowTile(int32_t cols) {
+  return std::clamp(4096 / std::max(cols, 1), 8, kRowTile);
+}
 
 /// Resolved once: the ops_simd.cc translation unit either carries a vector
 /// backend or returns false, fixed at build time.
@@ -67,6 +76,15 @@ float Dot(const float* a, const float* b, int32_t n) {
   float acc = 0.0f;
   for (int32_t i = 0; i < n; ++i) acc += a[i] * b[i];
   return acc;
+}
+
+void WeightedSum(const float* weights, const float* rows, int64_t stride,
+                 int32_t n_rows, int32_t len, float* out) {
+  for (int32_t i = 0; i < len; ++i) out[i] = 0.0f;
+  for (int32_t j = 0; j < n_rows; ++j) {
+    const float* row = rows + j * stride;
+    for (int32_t i = 0; i < len; ++i) out[i] += weights[j] * row[i];
+  }
 }
 
 void Softmax(float* x, int32_t n) {
@@ -126,6 +144,26 @@ int32_t ArgMax(const float* x, int32_t n) {
 
 float Dot(const float* a, const float* b, int32_t n) {
   return kUseSimd ? simd::Dot(a, b, n) : scalar::Dot(a, b, n);
+}
+
+void ScoreKeys(const float* q, const float* keys, int64_t stride,
+               int32_t n_keys, int32_t len, float scale, float* out) {
+  if (kUseSimd) {
+    simd::ScoreKeys(q, keys, stride, n_keys, len, scale, out);
+    return;
+  }
+  for (int32_t j = 0; j < n_keys; ++j) {
+    out[j] = scalar::Dot(q, keys + j * stride, len) * scale;
+  }
+}
+
+void WeightedSum(const float* weights, const float* rows, int64_t stride,
+                 int32_t n_rows, int32_t len, float* out) {
+  if (kUseSimd) {
+    simd::WeightedSum(weights, rows, stride, n_rows, len, out);
+  } else {
+    scalar::WeightedSum(weights, rows, stride, n_rows, len, out);
+  }
 }
 
 void MatVec(const float* w, const float* x, float* y, int32_t rows,
@@ -207,21 +245,23 @@ namespace {
 enum class PostAct { kNone, kRelu, kGelu };
 
 /// The blocked core: y_b[r] = act(dot(w_r, x_b)) over the sub-rectangle
-/// [b_lo, b_hi) x [r_lo, r_hi). The inner dot is the dispatched ops::Dot —
-/// the same accumulation order as the unblocked MatVec — so every output
+/// [b_lo, b_hi) x [r_lo, r_hi). Each dot is the dispatched ops::Dot's exact
+/// accumulation order — the same as the unblocked MatVec — so every output
 /// element is bit-identical to it no matter how the rectangle is split
 /// across threads.
 inline void MatMatTile(const float* w, const float* x, float* y, int32_t rows,
                        int32_t cols, int32_t b_lo, int32_t b_hi, int32_t r_lo,
                        int32_t r_hi, PostAct act) {
-  for (int32_t r0 = r_lo; r0 < r_hi; r0 += kRowTile) {
-    const int32_t r1 = std::min(r0 + kRowTile, r_hi);
+  const int32_t tile = RowTile(cols);
+  for (int32_t r0 = r_lo; r0 < r_hi; r0 += tile) {
+    const int32_t r1 = std::min(r0 + tile, r_hi);
     for (int32_t b = b_lo; b < b_hi; ++b) {
       const float* xb = x + static_cast<int64_t>(b) * cols;
       float* yb = y + static_cast<int64_t>(b) * rows;
-      for (int32_t r = r0; r < r1; ++r) {
-        yb[r] = Dot(w + static_cast<int64_t>(r) * cols, xb, cols);
-      }
+      // ScoreKeys with scale 1 (an exact multiply) is Dot per row, with
+      // eight rows' horizontal sums done at once.
+      ScoreKeys(xb, w + static_cast<int64_t>(r0) * cols, cols, r1 - r0, cols,
+                1.0f, yb + r0);
       if (act == PostAct::kRelu) {
         for (int32_t r = r0; r < r1; ++r) yb[r] = std::max(0.0f, yb[r]);
       } else if (act == PostAct::kGelu) {
@@ -239,19 +279,23 @@ void MatMatImpl(const float* w, const float* x, float* y, int32_t batch,
                 int32_t rows, int32_t cols, PostAct act,
                 runtime::ThreadPool* pool) {
   if (batch <= 0 || rows <= 0) return;
-  if (pool == nullptr || pool->num_threads() <= 1) {
+  const int64_t tasks =
+      ParallelTasks(pool, static_cast<int64_t>(batch) * rows * cols);
+  if (tasks <= 1) {
     MatMatTile(w, x, y, rows, cols, 0, batch, 0, rows, act);
     return;
   }
-  if (batch >= 2 * pool->num_threads()) {
+  if (batch >= 2 * tasks) {
     // Plenty of batch rows: split the batch, each task sweeps all W tiles.
-    pool->ParallelFor(0, batch, 1, [&](int64_t lo, int64_t hi) {
+    pool->ParallelFor(0, batch, CeilDiv(batch, tasks),
+                      [&](int64_t lo, int64_t hi) {
       MatMatTile(w, x, y, rows, cols, static_cast<int32_t>(lo),
                  static_cast<int32_t>(hi), 0, rows, act);
     });
   } else {
     // Few batch rows (decode / logits): split the W rows instead.
-    pool->ParallelFor(0, rows, kRowTile, [&](int64_t lo, int64_t hi) {
+    const int64_t grain = std::max<int64_t>(kRowTile, CeilDiv(rows, tasks));
+    pool->ParallelFor(0, rows, grain, [&](int64_t lo, int64_t hi) {
       MatMatTile(w, x, y, rows, cols, 0, batch, static_cast<int32_t>(lo),
                  static_cast<int32_t>(hi), act);
     });
@@ -259,6 +303,11 @@ void MatMatImpl(const float* w, const float* x, float* y, int32_t batch,
 }
 
 }  // namespace
+
+int64_t ParallelTasks(const runtime::ThreadPool* pool, int64_t work) {
+  if (pool == nullptr) return 1;
+  return std::clamp<int64_t>(work / kMinTaskWork, 1, pool->num_threads());
+}
 
 void MatMat(const float* w, const float* x, float* y, int32_t batch,
             int32_t rows, int32_t cols, runtime::ThreadPool* pool) {
@@ -273,7 +322,10 @@ void MatVecBlocked(const float* w, const float* x, float* y, int32_t rows,
 void LayerNormBatch(const float* x, const float* gain, const float* bias,
                     float* out, int32_t batch, int32_t n,
                     runtime::ThreadPool* pool) {
-  runtime::ParallelFor(pool, 0, batch, 4, [&](int64_t lo, int64_t hi) {
+  // A grain of the whole batch (one task) runs inline.
+  const int64_t tasks = ParallelTasks(pool, static_cast<int64_t>(batch) * n);
+  const int64_t grain = CeilDiv(batch, tasks);
+  runtime::ParallelFor(pool, 0, batch, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t b = lo; b < hi; ++b) {
       LayerNorm(x + b * n, gain, bias, out + b * n, n);
     }
@@ -284,8 +336,9 @@ void FusedLayerNormMatMat(const float* x, const float* gain,
                           const float* bias, const float* w, float* y,
                           int32_t batch, int32_t rows, int32_t cols,
                           runtime::ThreadPool* pool) {
-  if (pool != nullptr && pool->num_threads() > 1 &&
-      batch < 2 * pool->num_threads() && rows >= 4 * kRowTile) {
+  const int64_t tasks =
+      ParallelTasks(pool, static_cast<int64_t>(batch) * rows * cols);
+  if (tasks > 1 && batch < 2 * tasks && rows >= 4 * kRowTile) {
     // Few batch rows but a tall W (e.g. logits): normalize once, then let
     // the GEMM parallelize over W rows.
     std::vector<float> normed(static_cast<size_t>(batch) * cols);
@@ -293,7 +346,8 @@ void FusedLayerNormMatMat(const float* x, const float* gain,
     MatMat(w, normed.data(), y, batch, rows, cols, pool);
     return;
   }
-  runtime::ParallelFor(pool, 0, batch, 1, [&](int64_t lo, int64_t hi) {
+  const int64_t grain = CeilDiv(batch, tasks);
+  runtime::ParallelFor(pool, 0, batch, grain, [&](int64_t lo, int64_t hi) {
     std::vector<float> ln(cols);
     for (int64_t b = lo; b < hi; ++b) {
       LayerNorm(x + b * cols, gain, bias, ln.data(), cols);

@@ -14,14 +14,18 @@
 //     reduction kernels (Dot, LayerNorm) agree to bounded ulp when the
 //     vector path is active (reduction order differs) and are still a pure
 //     function of their inputs — bit-identical across thread counts and
-//     run-to-run. ops::ActiveIsa() reports which path runs so benches can
-//     stamp it;
+//     run-to-run. ScoreKeys (one attention head's scaled scores) is
+//     bit-identical to its per-key Dot on either path, and WeightedSum
+//     (its value-row mix) to the scalar reference. ops::ActiveIsa()
+//     reports which path runs so benches can stamp it;
 //   * blocked/batched kernels (MatMat, MatVecBlocked, LayerNormBatch and
-//     the fused passes) — cache-tiled over weight rows and optionally
-//     parallel over an aptserve::runtime::ThreadPool. Every blocked kernel
-//     accumulates each output element through the same dispatched Dot /
-//     LayerNorm primitives as the unblocked entry points, so its results
-//     are bit-identical to them at any thread count (pinned by
+//     the fused passes) — cache-tiled over weight rows and, when the work
+//     is large enough to pay for a fork/join (ParallelTasks), parallel over
+//     an aptserve::runtime::ThreadPool. Every blocked kernel
+//     accumulates each output element in the dispatched Dot's exact order
+//     (through ScoreKeys, eight W rows at a time) and normalizes through
+//     the dispatched LayerNorm, so its results are bit-identical to the
+//     unblocked entry points at any thread count (pinned by
 //     tests/parallel_ops_test.cc) on both ISA legs.
 #pragma once
 
@@ -59,6 +63,20 @@ void ScaleInPlace(float* x, float s, int32_t n);
 
 float Dot(const float* a, const float* b, int32_t n);
 
+/// One attention head's scaled scores: out[j] = Dot(q, keys + j * stride,
+/// len) * scale for j in [0, n_keys). Bit-identical to that per-key loop;
+/// the AVX2 path reduces eight keys' accumulators at once.
+void ScoreKeys(const float* q, const float* keys, int64_t stride,
+               int32_t n_keys, int32_t len, float scale, float* out);
+
+/// out = sum_j weights[j] * rows[j * stride .. + len), rows in order from
+/// a zeroed out: one attention head's output over its value rows. One
+/// multiply and one add per element and row, so bit-identical to the
+/// scalar loop `out[i] += weights[j] * row_j[i]`; the vector path keeps
+/// the running sums in registers across rows.
+void WeightedSum(const float* weights, const float* rows, int64_t stride,
+                 int32_t n_rows, int32_t len, float* out);
+
 /// In-place numerically-stable softmax over n elements.
 void Softmax(float* x, int32_t n);
 
@@ -92,6 +110,8 @@ void MatVecTransposed(const float* w, const float* x, float* y, int32_t rows,
 void AddInPlace(float* x, const float* y, int32_t n);
 void ScaleInPlace(float* x, float s, int32_t n);
 float Dot(const float* a, const float* b, int32_t n);
+void WeightedSum(const float* weights, const float* rows, int64_t stride,
+                 int32_t n_rows, int32_t len, float* out);
 void Softmax(float* x, int32_t n);
 void LayerNorm(const float* x, const float* gain, const float* bias,
                float* out, int32_t n);
@@ -103,11 +123,22 @@ int32_t ArgMax(const float* x, int32_t n);
 
 // ---- Blocked / batched kernels (parallel runtime tier) --------------------
 
+/// The least work (multiply-adds, or comparable float operations) one
+/// parallel task must carry before a kernel splits across a pool: a
+/// fork/join costs microseconds, about what one core spends on this much
+/// arithmetic, so smaller splits run slower than serial.
+constexpr int64_t kMinTaskWork = int64_t{1} << 16;
+
+/// Tasks worth splitting `work` into on `pool`: at most its thread count
+/// and at least kMinTaskWork each; 1 (run serially) for a null pool or too
+/// little work. The blocked kernels below size their splits with it.
+int64_t ParallelTasks(const runtime::ThreadPool* pool, int64_t work);
+
 /// Batched MatVec: Y = X W^T, i.e. y_b = W x_b for each of the `batch` rows
 /// of X ([batch, cols] row-major); Y is [batch, rows]. Tiles of W rows are
 /// streamed once and reused across the whole batch (cache blocking), and
-/// the work is split over `pool` when given. Bit-identical to looping
-/// MatVec over the batch.
+/// the work is split over `pool` into ParallelTasks tasks. Bit-identical
+/// to looping MatVec over the batch.
 void MatMat(const float* w, const float* x, float* y, int32_t batch,
             int32_t rows, int32_t cols, runtime::ThreadPool* pool = nullptr);
 

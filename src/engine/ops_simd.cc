@@ -110,6 +110,67 @@ inline float HSum(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
+/// Dot's vector phase (everything before HSum and the scalar tail) for
+/// `a` against two vectors at once: each result holds the bits Dot's own
+/// accumulator would, while `a` is loaded once and eight FMA chains run
+/// side by side. Sets *tail to the first index left for the scalar tail.
+inline void DotAccumulate2(const float* a, const float* b0, const float* b1,
+                           int32_t n, __m256* out0, __m256* out1,
+                           int32_t* tail) {
+  __m256 p0 = _mm256_setzero_ps(), p1 = _mm256_setzero_ps();
+  __m256 p2 = _mm256_setzero_ps(), p3 = _mm256_setzero_ps();
+  __m256 q0 = _mm256_setzero_ps(), q1 = _mm256_setzero_ps();
+  __m256 q2 = _mm256_setzero_ps(), q3 = _mm256_setzero_ps();
+  int32_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256 a0 = _mm256_loadu_ps(a + i);
+    const __m256 a1 = _mm256_loadu_ps(a + i + 8);
+    const __m256 a2 = _mm256_loadu_ps(a + i + 16);
+    const __m256 a3 = _mm256_loadu_ps(a + i + 24);
+    p0 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b0 + i), p0);
+    q0 = _mm256_fmadd_ps(a0, _mm256_loadu_ps(b1 + i), q0);
+    p1 = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b0 + i + 8), p1);
+    q1 = _mm256_fmadd_ps(a1, _mm256_loadu_ps(b1 + i + 8), q1);
+    p2 = _mm256_fmadd_ps(a2, _mm256_loadu_ps(b0 + i + 16), p2);
+    q2 = _mm256_fmadd_ps(a2, _mm256_loadu_ps(b1 + i + 16), q2);
+    p3 = _mm256_fmadd_ps(a3, _mm256_loadu_ps(b0 + i + 24), p3);
+    q3 = _mm256_fmadd_ps(a3, _mm256_loadu_ps(b1 + i + 24), q3);
+  }
+  __m256 p = _mm256_add_ps(_mm256_add_ps(p0, p1), _mm256_add_ps(p2, p3));
+  __m256 q = _mm256_add_ps(_mm256_add_ps(q0, q1), _mm256_add_ps(q2, q3));
+  for (; i + 8 <= n; i += 8) {
+    const __m256 ai = _mm256_loadu_ps(a + i);
+    p = _mm256_fmadd_ps(ai, _mm256_loadu_ps(b0 + i), p);
+    q = _mm256_fmadd_ps(ai, _mm256_loadu_ps(b1 + i), q);
+  }
+  *out0 = p;
+  *out1 = q;
+  *tail = i;
+}
+
+/// HSum of eight vectors at once: lane k of the result is HSum(v[k]),
+/// through HSum's add tree — lo+hi, then lanes 0+2 and 1+3, then the
+/// final pair. Float addition is commutative, so only the tree matters.
+inline __m256 HSum8(const __m256* v) {
+  // s_k = [lo(v_k) + hi(v_k) | lo(v_k+4) + hi(v_k+4)].
+  __m256 s[4];
+  for (int k = 0; k < 4; ++k) {
+    s[k] = _mm256_add_ps(_mm256_permute2f128_ps(v[k], v[k + 4], 0x20),
+                         _mm256_permute2f128_ps(v[k], v[k + 4], 0x31));
+  }
+  // Per 128-bit half: [s0[0]+s0[2], s0[1]+s0[3], s1[0]+s1[2], s1[1]+s1[3]].
+  const __m256 t01 =
+      _mm256_add_ps(_mm256_shuffle_ps(s[0], s[1], _MM_SHUFFLE(1, 0, 1, 0)),
+                    _mm256_shuffle_ps(s[0], s[1], _MM_SHUFFLE(3, 2, 3, 2)));
+  const __m256 t23 =
+      _mm256_add_ps(_mm256_shuffle_ps(s[2], s[3], _MM_SHUFFLE(1, 0, 1, 0)),
+                    _mm256_shuffle_ps(s[2], s[3], _MM_SHUFFLE(3, 2, 3, 2)));
+  // Final pair: lanes [v0, v1, v2, v3 | v4, v5, v6, v7].
+  return _mm256_add_ps(
+      _mm256_shuffle_ps(t01, t23, _MM_SHUFFLE(2, 0, 2, 0)),
+      _mm256_shuffle_ps(t01, t23, _MM_SHUFFLE(3, 1, 3, 1)));
+}
+
 }  // namespace
 
 float Dot(const float* a, const float* b, int32_t n) {
@@ -137,6 +198,34 @@ float Dot(const float* a, const float* b, int32_t n) {
   float sum = HSum(acc);
   for (; i < n; ++i) sum += a[i] * b[i];
   return sum;
+}
+
+void ScoreKeys(const float* q, const float* keys, int64_t stride,
+               int32_t n_keys, int32_t len, float scale, float* out) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  int32_t j = 0;
+  for (; j + 8 <= n_keys; j += 8) {
+    __m256 acc[8];
+    int32_t tail = 0;
+    for (int k = 0; k < 8; k += 2) {
+      DotAccumulate2(q, keys + (j + k) * stride, keys + (j + k + 1) * stride,
+                     len, &acc[k], &acc[k + 1], &tail);
+    }
+    const __m256 sums = HSum8(acc);
+    if (tail == len) {
+      _mm256_storeu_ps(out + j, _mm256_mul_ps(sums, vscale));
+      continue;
+    }
+    // Scalar tail per key, in Dot's order, before the scale.
+    _mm256_storeu_ps(out + j, sums);
+    for (int k = 0; k < 8; ++k) {
+      const float* key = keys + (j + k) * stride;
+      float sum = out[j + k];
+      for (int32_t i = tail; i < len; ++i) sum += q[i] * key[i];
+      out[j + k] = sum * scale;
+    }
+  }
+  for (; j < n_keys; ++j) out[j] = Dot(q, keys + j * stride, len) * scale;
 }
 
 void LayerNorm(const float* x, const float* gain, const float* bias,
@@ -203,6 +292,42 @@ void Axpy(const float* row, float xr, float* y, int32_t n) {
                                    _mm256_loadu_ps(y + i)));
   }
   for (; i < n; ++i) y[i] += row[i] * xr;
+}
+
+void WeightedSum(const float* weights, const float* rows, int64_t stride,
+                 int32_t n_rows, int32_t len, float* out) {
+  // Four independent 8-lane sums per pass over the rows; mul + add (not
+  // fmadd) keeps every element's two roundings per row.
+  int32_t i = 0;
+  for (; i + 32 <= len; i += 32) {
+    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+    for (int32_t j = 0; j < n_rows; ++j) {
+      const __m256 w = _mm256_set1_ps(weights[j]);
+      const float* r = rows + j * stride + i;
+      a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_loadu_ps(r), w));
+      a1 = _mm256_add_ps(a1, _mm256_mul_ps(_mm256_loadu_ps(r + 8), w));
+      a2 = _mm256_add_ps(a2, _mm256_mul_ps(_mm256_loadu_ps(r + 16), w));
+      a3 = _mm256_add_ps(a3, _mm256_mul_ps(_mm256_loadu_ps(r + 24), w));
+    }
+    _mm256_storeu_ps(out + i, a0);
+    _mm256_storeu_ps(out + i + 8, a1);
+    _mm256_storeu_ps(out + i + 16, a2);
+    _mm256_storeu_ps(out + i + 24, a3);
+  }
+  for (; i + 8 <= len; i += 8) {
+    __m256 a = _mm256_setzero_ps();
+    for (int32_t j = 0; j < n_rows; ++j) {
+      a = _mm256_add_ps(a, _mm256_mul_ps(_mm256_loadu_ps(rows + j * stride + i),
+                                         _mm256_set1_ps(weights[j])));
+    }
+    _mm256_storeu_ps(out + i, a);
+  }
+  for (; i < len; ++i) {
+    float a = 0.0f;
+    for (int32_t j = 0; j < n_rows; ++j) a += rows[j * stride + i] * weights[j];
+    out[i] = a;
+  }
 }
 
 void AddInPlace(float* x, const float* y, int32_t n) {
@@ -343,6 +468,13 @@ float Dot(const float* a, const float* b, int32_t n) {
   return sum;
 }
 
+void ScoreKeys(const float* q, const float* keys, int64_t stride,
+               int32_t n_keys, int32_t len, float scale, float* out) {
+  for (int32_t j = 0; j < n_keys; ++j) {
+    out[j] = Dot(q, keys + j * stride, len) * scale;
+  }
+}
+
 void LayerNorm(const float* x, const float* gain, const float* bias,
                float* out, int32_t n) {
   constexpr float kEps = 1e-5f;
@@ -388,6 +520,14 @@ void Axpy(const float* row, float xr, float* y, int32_t n) {
               vaddq_f32(vmulq_f32(vld1q_f32(row + i), vx), vld1q_f32(y + i)));
   }
   for (; i < n; ++i) y[i] += row[i] * xr;
+}
+
+void WeightedSum(const float* weights, const float* rows, int64_t stride,
+                 int32_t n_rows, int32_t len, float* out) {
+  std::fill(out, out + len, 0.0f);
+  for (int32_t j = 0; j < n_rows; ++j) {
+    Axpy(rows + j * stride, weights[j], out, len);
+  }
 }
 
 void AddInPlace(float* x, const float* y, int32_t n) {
@@ -492,8 +632,12 @@ const char* IsaName() { return "scalar"; }
 int32_t WidthFloats() { return 1; }
 
 float Dot(const float*, const float*, int32_t) { return 0.0f; }
+void ScoreKeys(const float*, const float*, int64_t, int32_t, int32_t, float,
+               float*) {}
 void LayerNorm(const float*, const float*, const float*, float*, int32_t) {}
 void Axpy(const float*, float, float*, int32_t) {}
+void WeightedSum(const float*, const float*, int64_t, int32_t, int32_t,
+                 float*) {}
 void AddInPlace(float*, const float*, int32_t) {}
 void ScaleInPlace(float*, float, int32_t) {}
 void Relu(float*, int32_t) {}

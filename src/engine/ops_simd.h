@@ -12,15 +12,17 @@
 // bit-identical across thread counts and run-to-run, exactly like the
 // scalar tier. Reduction primitives (Dot, LayerNorm) use a different
 // summation order than the scalar reference and therefore agree only to
-// bounded ulp; elementwise primitives (AddInPlace, ScaleInPlace, Relu,
-// Axpy) use one multiply/add per element in scalar order and are
-// bit-identical to the reference. Transcendental kernels (Softmax, Gelu)
-// replace libm exp/tanh with a vector polynomial (Cephes-style range
-// reduction) and agree with the scalar reference only to a documented
-// bound (~1e-5 relative); their scalar tails replay the vector lanes'
-// exact arithmetic (fmaf + the same polynomial), so every element's
-// result is independent of where the lane boundary falls — tiled callers
-// (FusedMatMatAct) stay bit-identical to the untiled dispatch.
+// bounded ulp; ScoreKeys replays Dot's order exactly, so it is
+// bit-identical to a per-key Dot; elementwise primitives (AddInPlace,
+// ScaleInPlace, Relu, Axpy, WeightedSum) use one multiply/add per element
+// in scalar order and are bit-identical to the reference. Transcendental
+// kernels (Softmax, Gelu) replace libm exp/tanh with a vector polynomial
+// (Cephes-style range reduction) and agree with the scalar reference only
+// to a documented bound (~1e-5 relative); their scalar tails replay the
+// vector lanes' exact arithmetic (fmaf + the same polynomial), so every
+// element's result is independent of where the lane boundary falls —
+// tiled callers (FusedMatMatAct) stay bit-identical to the untiled
+// dispatch.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +44,12 @@ int32_t WidthFloats();
 /// Bounded-ulp vs the scalar reference (reduction order differs).
 float Dot(const float* a, const float* b, int32_t n);
 
+/// out[j] = Dot(q, keys + j * stride, len) * scale, bit-identical to that
+/// per-key loop. AVX2 builds each key's Dot accumulator exactly and
+/// reduces eight keys at once with HSum's add tree; NEON loops Dot.
+void ScoreKeys(const float* q, const float* keys, int64_t stride,
+               int32_t n_keys, int32_t len, float scale, float* out);
+
 /// Vectorized LayerNorm (eps = 1e-5, same formula as the scalar kernel).
 /// Bounded-ulp vs the reference: mean/variance reductions are vectorized.
 void LayerNorm(const float* x, const float* gain, const float* bias,
@@ -50,6 +58,12 @@ void LayerNorm(const float* x, const float* gain, const float* bias,
 /// y[i] += row[i] * xr — the MatVecTransposed inner step. One multiply and
 /// one add per element (no FMA), so bit-identical to the scalar reference.
 void Axpy(const float* row, float xr, float* y, int32_t n);
+
+/// out = sum_j weights[j] * rows[j * stride ..], rows in order from zero,
+/// mul then add per element (no FMA): bit-identical to zero-fill plus an
+/// Axpy per row, with the running sums held in registers.
+void WeightedSum(const float* weights, const float* rows, int64_t stride,
+                 int32_t n_rows, int32_t len, float* out);
 
 /// Elementwise kernels, bit-identical to the scalar reference.
 void AddInPlace(float* x, const float* y, int32_t n);

@@ -154,9 +154,9 @@ Status InferenceBackend::FlushPending() {
 }
 
 StatusOr<double> InferenceBackend::EndIteration() {
-  // Run the deferred forwards of this iteration's batch — in parallel
-  // across the engine's pool when it has one — before the clock is read,
-  // so measured latency covers the whole batch.
+  // Run the deferred forwards of this iteration's batch — one batched
+  // forward — before the clock is read, so measured latency covers the
+  // whole batch.
   APT_RETURN_NOT_OK(FlushPending());
   if (options_.virtual_timing) {
     // Swap-outs of iterations that executed nothing carry forward to the

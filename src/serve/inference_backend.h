@@ -8,18 +8,19 @@
 // SwapSpace capacity account mirroring the simulator's so both backends
 // share the same full-swap-space fallback behaviour.
 //
-// Batch execution (runtime layer): scheduled items are *prepared* (checked
-// and allocated) serially in schedule order as the loop applies them, then
-// the deferred transformer forwards run concurrently across the engine's
-// thread pool when EndIteration flushes the batch. Sampling happens behind
-// a serial barrier in schedule order, so token streams, SLO reports and
-// scheduler decisions are bit-identical to serial execution at any thread
-// count (tests/parallel_determinism_test.cc pins this).
+// Batch execution: scheduled items are *prepared* (checked and allocated)
+// serially in schedule order as the loop applies them, then EndIteration
+// flushes the batch as one layer-major forward (InferenceEngine::
+// ExecuteSteps), kernels parallel across the engine's thread pool when it
+// has one. Sampling happens behind a serial barrier in schedule order, so
+// token streams, SLO reports and scheduler decisions are bit-identical to
+// serial execution at any thread count (tests/parallel_determinism_test.cc
+// pins this).
 //
-// Caveat (DESIGN.md): with a serial runtime a CPU executes batch items one
-// by one; with num_threads > 1 the items of an iteration are amortized
-// across cores, narrowing the gap to the GPU-style batching the analytic
-// CostModel assumes.
+// Caveat (DESIGN.md): each layer's weights are read once per iteration
+// (per row group), even on one thread, so a bigger batch costs less per
+// token — the shape of the GPU batching economics the analytic CostModel
+// assumes, at CPU absolute speeds.
 #pragma once
 
 #include <memory>
@@ -127,7 +128,8 @@ class InferenceBackend : public ExecutionBackend {
  private:
   /// Prompt synthesis + engine registration for one request (Prepare/Admit).
   Status Register(const SimRequest& sr);
-  /// Computes all deferred steps (parallel) and samples in schedule order.
+  /// Computes all deferred steps in one forward and samples in schedule
+  /// order.
   Status FlushPending();
   /// Flushes early iff `id` already has a deferred step this iteration.
   Status FlushIfPending(RequestId id);
@@ -143,7 +145,7 @@ class InferenceBackend : public ExecutionBackend {
   double iteration_start_ = 0.0;
   int32_t executed_items_ = 0;
   /// Steps prepared this iteration whose compute is deferred to the
-  /// EndIteration flush (parallel across the engine's pool).
+  /// EndIteration flush (one batched forward).
   std::vector<PendingStep> pending_;
   /// Virtual-timing cost of swap-outs not yet charged to an executed
   /// iteration (the engine-side analogue of carry_swap_bytes_).

@@ -47,7 +47,7 @@ TEST(ApiSurfaceTest, UmbrellaHeaderEndToEnd) {
 // Hand-checked attention on a deliberately tiny configuration: a model
 // with d_model = n_heads = 1 reduces attention at position 1 to
 //   softmax(q*k0, q*k1) . (v0, v1),
-// verifiable by hand through the CachedStep path.
+// verifiable by hand through ForwardFull.
 TEST(AttentionHandCheckTest, SingleHeadScalarAttention) {
   ModelConfig cfg;
   cfg.vocab_size = 4;

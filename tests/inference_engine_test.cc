@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics_registry.h"
+
 namespace aptserve {
 namespace {
 
@@ -11,6 +13,60 @@ std::vector<int32_t> Prompt(int32_t n, int32_t base = 3) {
   std::vector<int32_t> p(n);
   for (int32_t i = 0; i < n; ++i) p[i] = (base + i * 7) % Cfg().vocab_size;
   return p;
+}
+
+TEST(InferenceEngineTest, StepCountersStayExactWhenAnItemFails) {
+  // Batched iterations mixing prefill chunks and decodes, one of them
+  // carrying a step whose compute fails: that step gets its own status,
+  // its batch-mates still compute and finish, and the engine counters
+  // agree — every prepared step is computed once and finished once.
+  obs::MetricsRegistry registry;
+  InferenceEngine engine(Cfg(), 42, 64, 4);
+  engine.AttachMetrics(&registry, "");
+  for (RequestId id = 0; id < 4; ++id) {
+    ASSERT_TRUE(engine
+                    .AddRequest(id, Prompt(6 + id, static_cast<int32_t>(id)),
+                                id % 2 ? CacheType::kHidden : CacheType::kKV)
+                    .ok());
+  }
+  int64_t prepared = 0;
+  for (int32_t iter = 0; iter < 6; ++iter) {
+    std::vector<PendingStep> steps;
+    for (RequestId id = 0; id < 4; ++id) {
+      auto s = engine.Find(id)->in_decode ? engine.PrepareDecode(id)
+                                          : engine.PreparePrefillChunk(id, 4);
+      ASSERT_TRUE(s.ok()) << s.status().ToString();
+      steps.push_back(std::move(*s));
+      ++prepared;
+    }
+    const bool poisoned = iter == 3;
+    if (poisoned) steps[2].token = Cfg().vocab_size;  // out of vocabulary
+    const Status st = engine.ExecuteSteps(&steps);
+    EXPECT_EQ(st.IsInvalidArgument(), poisoned) << st.ToString();
+    for (size_t i = 0; i < steps.size(); ++i) {
+      EXPECT_TRUE(steps[i].computed);
+      EXPECT_EQ(steps[i].compute_status.ok(), !(poisoned && i == 2));
+    }
+    if (poisoned) ASSERT_TRUE(engine.RemoveRequest(2).ok());
+    if (poisoned) break;
+  }
+  // The poisoned step's batch-mates advanced.
+  EXPECT_EQ(engine.Find(3)->cached_tokens, 10);
+  const int64_t decode =
+      registry.GetCounter("aptserve_engine_steps_prepared_total",
+                          "kind=\"decode\"")->value();
+  const int64_t prefill =
+      registry.GetCounter("aptserve_engine_steps_prepared_total",
+                          "kind=\"prefill\"")->value();
+  const int64_t computed =
+      registry.GetCounter("aptserve_engine_steps_computed_total", "")->value();
+  const int64_t finished =
+      registry.GetCounter("aptserve_engine_steps_finished_total", "")->value();
+  EXPECT_EQ(decode + prefill, prepared);
+  EXPECT_GT(decode, 0);
+  EXPECT_GT(prefill, 0);
+  EXPECT_EQ(computed, prepared);
+  EXPECT_EQ(finished, prepared);
 }
 
 TEST(InferenceEngineTest, PrefillThenDecode) {

@@ -15,6 +15,7 @@
 #include "engine/ops.h"
 #include "engine/transformer.h"
 #include "runtime/thread_pool.h"
+#include "tests/forward_test_util.h"
 
 namespace aptserve {
 namespace {
@@ -108,7 +109,6 @@ TEST_P(ParallelOpsTest, LayerNormBatchMatchesLayerNormExactly) {
 
 TEST_P(ParallelOpsTest, FusedLayerNormMatMatMatchesUnfusedExactly) {
   Rng rng(14);
-  // rows=257 also exercises the normalize-once row-parallel branch.
   for (int32_t batch : {1, 3, 33}) {
     for (int32_t rows : {1, 33, 257}) {
       const int32_t cols = 31;
@@ -155,6 +155,92 @@ TEST_P(ParallelOpsTest, FusedMatMatActMatchesUnfusedExactly) {
       ASSERT_EQ(want, got) << "relu=" << use_relu << " batch=" << batch;
     }
   }
+}
+
+// Most shapes above are too small to split even on a pool
+// (ops::ParallelTasks); these carry enough work to, pinning every split
+// branch: MatMat/FusedMatMatAct over W rows and over the batch,
+// LayerNormBatch over the batch, and FusedLayerNormMatMat's
+// normalize-once and per-row branches.
+TEST_P(ParallelOpsTest, SplitShapesMatchUnblockedExactly) {
+  struct Shape {
+    int32_t batch, rows, cols;
+  };
+  auto expect_split = [&](int64_t work) {
+    if (GetParam()) {
+      ASSERT_GT(ops::ParallelTasks(pool(), work), 1);
+    }
+  };
+  Rng rng(16);
+  for (const Shape& s : {Shape{2, 1024, 128}, Shape{64, 96, 64}}) {
+    expect_split(static_cast<int64_t>(s.batch) * s.rows * s.cols);
+    const auto w = RandomVec(static_cast<int64_t>(s.rows) * s.cols, &rng);
+    const auto x = RandomVec(static_cast<int64_t>(s.batch) * s.cols, &rng);
+    std::vector<float> want(static_cast<int64_t>(s.batch) * s.rows);
+    for (int32_t b = 0; b < s.batch; ++b) {
+      ops::MatVec(w.data(), x.data() + static_cast<int64_t>(b) * s.cols,
+                  want.data() + static_cast<int64_t>(b) * s.rows, s.rows,
+                  s.cols);
+    }
+    std::vector<float> got(want.size(), -1.0f);
+    ops::MatMat(w.data(), x.data(), got.data(), s.batch, s.rows, s.cols,
+                pool());
+    ASSERT_EQ(want, got) << "MatMat batch=" << s.batch;
+    ops::Relu(want.data(), static_cast<int32_t>(want.size()));
+    ops::FusedMatMatAct(w.data(), x.data(), got.data(), s.batch, s.rows,
+                        s.cols, /*use_relu=*/true, pool());
+    ASSERT_EQ(want, got) << "FusedMatMatAct batch=" << s.batch;
+  }
+
+  {
+    const int32_t batch = 1024, n = 130;
+    expect_split(static_cast<int64_t>(batch) * n);
+    const auto x = RandomVec(static_cast<int64_t>(batch) * n, &rng);
+    const auto gain = RandomVec(n, &rng);
+    const auto bias = RandomVec(n, &rng);
+    std::vector<float> want(x.size()), got(x.size(), -1.0f);
+    for (int32_t b = 0; b < batch; ++b) {
+      ops::LayerNorm(x.data() + static_cast<int64_t>(b) * n, gain.data(),
+                     bias.data(), want.data() + static_cast<int64_t>(b) * n,
+                     n);
+    }
+    ops::LayerNormBatch(x.data(), gain.data(), bias.data(), got.data(), batch,
+                        n, pool());
+    ASSERT_EQ(want, got);
+  }
+
+  for (const Shape& s : {Shape{1, 4096, 33}, Shape{64, 64, 33}}) {
+    expect_split(static_cast<int64_t>(s.batch) * s.rows * s.cols);
+    const auto x = RandomVec(static_cast<int64_t>(s.batch) * s.cols, &rng);
+    const auto gain = RandomVec(s.cols, &rng);
+    const auto bias = RandomVec(s.cols, &rng);
+    const auto w = RandomVec(static_cast<int64_t>(s.rows) * s.cols, &rng);
+    std::vector<float> ln(s.cols);
+    std::vector<float> want(static_cast<int64_t>(s.batch) * s.rows);
+    for (int32_t b = 0; b < s.batch; ++b) {
+      ops::LayerNorm(x.data() + static_cast<int64_t>(b) * s.cols, gain.data(),
+                     bias.data(), ln.data(), s.cols);
+      ops::MatVec(w.data(), ln.data(),
+                  want.data() + static_cast<int64_t>(b) * s.rows, s.rows,
+                  s.cols);
+    }
+    std::vector<float> got(want.size(), -1.0f);
+    ops::FusedLayerNormMatMat(x.data(), gain.data(), bias.data(), w.data(),
+                              got.data(), s.batch, s.rows, s.cols, pool());
+    ASSERT_EQ(want, got) << "FusedLayerNormMatMat batch=" << s.batch;
+  }
+}
+
+TEST(ParallelTasksTest, SplitsOnlyWorkThatPaysForItsTasks) {
+  EXPECT_EQ(ops::ParallelTasks(nullptr, int64_t{1} << 40), 1);
+  runtime::ThreadPool one(Threads(1));
+  EXPECT_EQ(ops::ParallelTasks(&one, 100 * ops::kMinTaskWork), 1);
+  runtime::ThreadPool four(Threads(4));
+  EXPECT_EQ(ops::ParallelTasks(&four, 0), 1);
+  EXPECT_EQ(ops::ParallelTasks(&four, 2 * ops::kMinTaskWork - 1), 1);
+  EXPECT_EQ(ops::ParallelTasks(&four, 2 * ops::kMinTaskWork), 2);
+  EXPECT_EQ(ops::ParallelTasks(&four, 3 * ops::kMinTaskWork + 1), 3);
+  EXPECT_EQ(ops::ParallelTasks(&four, 100 * ops::kMinTaskWork), 4);
 }
 
 INSTANTIATE_TEST_SUITE_P(SerialAndParallel, ParallelOpsTest,
@@ -208,14 +294,14 @@ TEST(ParallelTransformerTest, CachedPathsBitIdenticalAcrossThreadCounts) {
         const int32_t half = n / 2;
         std::vector<int32_t> head(tokens.begin(), tokens.begin() + half);
         EXPECT_TRUE(
-            model.PrefillCached(head, 0, *map, &storage, &logits, p).ok());
+            ForwardSpan(model, head, 0, *map, &storage, &logits, p).ok());
         EXPECT_TRUE(
-            model.PrefillCached(tokens, half, *map, &storage, &logits, p)
+            ForwardSpan(model, tokens, half, *map, &storage, &logits, p)
                 .ok());
       } else {
         for (int32_t pos = 0; pos < n; ++pos) {
           EXPECT_TRUE(
-              model.CachedStep(tokens[pos], pos, *map, &storage, &logits, p)
+              ForwardToken(model, tokens[pos], pos, *map, &storage, &logits, p)
                   .ok());
         }
       }

@@ -1,7 +1,7 @@
-// Equivalence tests for the batched prefill pass (PrefillCached) and the
-// engine's chunked prefill: any chunking of the prefill must produce
-// exactly the same cache contents and logits as the one-token-at-a-time
-// CachedStep loop, for both cache types.
+// Equivalence tests for the batched prefill pass (a multi-position
+// ForwardBatch item) and the engine's chunked prefill: any chunking of the
+// prefill must produce exactly the same cache contents and logits as the
+// one-token-at-a-time decode loop, for both cache types.
 #include <gtest/gtest.h>
 
 #include "cache/block_pool.h"
@@ -9,6 +9,7 @@
 #include "engine/block_storage.h"
 #include "engine/inference_engine.h"
 #include "engine/transformer.h"
+#include "tests/forward_test_util.h"
 
 namespace aptserve {
 namespace {
@@ -49,13 +50,12 @@ TEST_P(PrefillEquivalenceTest, BatchedMatchesStepLoop) {
   TransformerModel model(ModelWeights::Random(cfg, 31));
   const auto tokens = MakeTokens(24, 5, cfg.vocab_size);
 
-  // Reference: token-by-token CachedStep.
+  // Reference: token-by-token decode steps.
   CacheRig ref(cfg, type, 24);
   std::vector<float> ref_logits;
   for (int32_t pos = 0; pos < 24; ++pos) {
-    ASSERT_TRUE(model
-                    .CachedStep(tokens[pos], pos, ref.map(), &ref.storage,
-                                &ref_logits)
+    ASSERT_TRUE(ForwardToken(model, tokens[pos], pos, ref.map(), &ref.storage,
+                             &ref_logits)
                     .ok());
   }
 
@@ -65,10 +65,10 @@ TEST_P(PrefillEquivalenceTest, BatchedMatchesStepLoop) {
   if (split > 0) {
     std::vector<int32_t> first(tokens.begin(), tokens.begin() + split);
     ASSERT_TRUE(
-        model.PrefillCached(first, 0, bat.map(), &bat.storage, &logits).ok());
+        ForwardSpan(model, first, 0, bat.map(), &bat.storage, &logits).ok());
   }
   ASSERT_TRUE(
-      model.PrefillCached(tokens, split, bat.map(), &bat.storage, &logits)
+      ForwardSpan(model, tokens, split, bat.map(), &bat.storage, &logits)
           .ok());
 
   ASSERT_EQ(logits.size(), ref_logits.size());
@@ -82,9 +82,9 @@ TEST_P(PrefillEquivalenceTest, BatchedMatchesStepLoop) {
   ASSERT_TRUE(ref.assigner.Append(1, 1).ok());
   ASSERT_TRUE(bat.assigner.Append(1, 1).ok());
   ASSERT_TRUE(
-      model.CachedStep(7, 24, ref.map(), &ref.storage, &next_ref).ok());
+      ForwardToken(model, 7, 24, ref.map(), &ref.storage, &next_ref).ok());
   ASSERT_TRUE(
-      model.CachedStep(7, 24, bat.map(), &bat.storage, &next_bat).ok());
+      ForwardToken(model, 7, 24, bat.map(), &bat.storage, &next_bat).ok());
   for (size_t i = 0; i < next_ref.size(); ++i) {
     EXPECT_NEAR(next_bat[i], next_ref[i], kTol);
   }
@@ -95,21 +95,23 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(CacheType::kKV, CacheType::kHidden),
                        ::testing::Values(0, 1, 7, 12, 23)));
 
-TEST(PrefillCachedTest, InputValidation) {
+TEST(ForwardBatchTest, SpanValidation) {
   const ModelConfig cfg = ModelConfig::Tiny();
   TransformerModel model(ModelWeights::Random(cfg, 31));
   CacheRig rig(cfg, CacheType::kKV, 8);
   std::vector<float> logits;
-  EXPECT_TRUE(model.PrefillCached({}, 0, rig.map(), &rig.storage, &logits)
-                  .IsInvalidArgument());
-  EXPECT_TRUE(model.PrefillCached({0, 1}, 2, rig.map(), &rig.storage, &logits)
-                  .IsInvalidArgument());
-  EXPECT_TRUE(model.PrefillCached({0, 1}, -1, rig.map(), &rig.storage,
-                                  &logits)
-                  .IsInvalidArgument());
+  const std::vector<int32_t> two = {0, 1};
+  auto check = [&](int32_t start, int32_t count) {
+    ForwardItem item{two.data(), start, count, &rig.map(), &logits};
+    model.ForwardBatch(&item, 1, &rig.storage);
+    return item.status;
+  };
+  EXPECT_TRUE(check(0, 0).IsInvalidArgument());   // empty span
+  EXPECT_TRUE(check(-1, 2).IsInvalidArgument());  // negative start
+  EXPECT_TRUE(check(cfg.max_seq_len - 1, 2).IsInvalidArgument());
   // Map covers only 8 tokens.
   auto tokens = MakeTokens(12, 1, cfg.vocab_size);
-  EXPECT_TRUE(model.PrefillCached(tokens, 0, rig.map(), &rig.storage, &logits)
+  EXPECT_TRUE(ForwardSpan(model, tokens, 0, rig.map(), &rig.storage, &logits)
                   .IsFailedPrecondition());
 }
 

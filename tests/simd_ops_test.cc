@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -122,6 +123,78 @@ TEST(SimdDispatchTest, MatVecTransposedBitIdentical) {
     ops::scalar::MatVecTransposed(w.data(), x.data(), want.data(), rows, cols);
     ops::MatVecTransposed(w.data(), x.data(), got.data(), rows, cols);
     ExpectExact(want.data(), got.data(), cols);
+  }
+}
+
+void ExpectSameBits(const float* want, const float* got, int32_t n) {
+  for (int32_t i = 0; i < n; ++i) {
+    uint32_t w = 0, g = 0;
+    std::memcpy(&w, &want[i], sizeof(w));
+    std::memcpy(&g, &got[i], sizeof(g));
+    ASSERT_EQ(w, g) << "element " << i << " of " << n << ": " << want[i]
+                    << " vs " << got[i];
+  }
+}
+
+TEST(SimdDispatchTest, ScoreKeysBitIdenticalToDot) {
+  // ScoreKeys must equal the per-key Dot * scale bit for bit: the AVX2
+  // path rebuilds each key's Dot accumulator and reduces eight keys at
+  // once through HSum's add tree, then runs Dot's scalar tail. Key counts
+  // cover empty, partial and full 8-key groups plus remainders; lengths
+  // cover the 32-float main loop, 8-float tails and a scalar tail (36);
+  // strides wider than the length skip the rest of each key row.
+  Rng rng(21);
+  const int32_t kKeyCounts[] = {0,  1,  2,  3,  4,  5,  6,  7,  8,  9,  10,
+                                11, 12, 13, 14, 15, 16, 17, 63, 64, 65, 257};
+  const int32_t kLens[] = {8, 16, 24, 32, 36, 64, 128};
+  const float scale = 0.1767767f;
+  for (int32_t len : kLens) {
+    for (int32_t pad : {0, 5, 96}) {
+      const int64_t stride = len + pad;
+      for (int32_t n_keys : kKeyCounts) {
+        const std::vector<float> q = RandomVec(&rng, len);
+        const std::vector<float> keys =
+            RandomVec(&rng, static_cast<int32_t>(n_keys * stride + 1));
+        std::vector<float> want(n_keys + 1), got(n_keys + 1, -7.0f);
+        for (int32_t j = 0; j < n_keys; ++j) {
+          want[j] = ops::Dot(q.data(), keys.data() + j * stride, len) * scale;
+        }
+        want[n_keys] = -7.0f;  // untouched past the last key
+        ops::ScoreKeys(q.data(), keys.data(), stride, n_keys, len, scale,
+                       got.data());
+        ExpectSameBits(want.data(), got.data(), n_keys + 1);
+      }
+    }
+  }
+}
+
+TEST(SimdDispatchTest, WeightedSumBitIdentical) {
+  // The vector path keeps four 8-lane running sums in registers across the
+  // rows; each element still sees one multiply and one add per row, in row
+  // order from zero — the scalar reference, which is the attention loop
+  // `o[k] += a * v[k]` over the value rows.
+  Rng rng(23);
+  for (int32_t len : {1, 7, 8, 12, 16, 30, 32, 36, 64, 100}) {
+    for (int32_t n_rows : {0, 1, 2, 9, 64, 257}) {
+      const int64_t stride = len + 3;
+      const std::vector<float> rows =
+          RandomVec(&rng, static_cast<int32_t>(n_rows * stride + 1));
+      const std::vector<float> w = RandomVec(&rng, n_rows + 1);
+      std::vector<float> loop(len + 1, 0.0f);
+      for (int32_t j = 0; j < n_rows; ++j) {
+        for (int32_t k = 0; k < len; ++k) {
+          loop[k] += w[j] * rows[j * stride + k];
+        }
+      }
+      loop[len] = -7.0f;  // untouched past `len`
+      std::vector<float> want(len + 1, -7.0f), got(len + 1, -7.0f);
+      ops::scalar::WeightedSum(w.data(), rows.data(), stride, n_rows, len,
+                               want.data());
+      ops::WeightedSum(w.data(), rows.data(), stride, n_rows, len,
+                       got.data());
+      ExpectSameBits(loop.data(), want.data(), len + 1);
+      ExpectSameBits(want.data(), got.data(), len + 1);
+    }
   }
 }
 

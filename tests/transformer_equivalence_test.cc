@@ -14,6 +14,7 @@
 #include "cache/hybrid_assigner.h"
 #include "engine/block_storage.h"
 #include "engine/transformer.h"
+#include "tests/forward_test_util.h"
 
 namespace aptserve {
 namespace {
@@ -32,8 +33,8 @@ std::vector<int32_t> MakeTokens(int32_t n, uint64_t seed, int32_t vocab) {
   return t;
 }
 
-/// Runs the full sequence through CachedStep with the given cache type and
-/// returns the logits at the last position.
+/// Runs the full sequence one decode step at a time with the given cache
+/// type and returns the logits at the last position.
 std::vector<float> RunCached(const TransformerModel& model, CacheType type,
                              const std::vector<int32_t>& tokens,
                              int32_t block_size = 4) {
@@ -50,8 +51,8 @@ std::vector<float> RunCached(const TransformerModel& model, CacheType type,
   const CacheMap* map = assigner.Find(1);
   std::vector<float> logits;
   for (size_t pos = 0; pos < tokens.size(); ++pos) {
-    Status st = model.CachedStep(tokens[pos], static_cast<int32_t>(pos), *map,
-                                 &storage, &logits);
+    Status st = ForwardToken(model, tokens[pos], static_cast<int32_t>(pos),
+                             *map, &storage, &logits);
     EXPECT_TRUE(st.ok()) << st.ToString();
   }
   return logits;
@@ -103,9 +104,8 @@ TEST(EquivalenceTest, GreedyContinuationsMatchTokenByToken) {
     EXPECT_TRUE(assigner.CreateFilled(1, type, 9).ok());
     std::vector<float> logits;
     for (int32_t pos = 0; pos < 9; ++pos) {
-      EXPECT_TRUE(model
-                      .CachedStep(tokens[pos], pos, *assigner.Find(1),
-                                  &storage, &logits)
+      EXPECT_TRUE(ForwardToken(model, tokens[pos], pos, *assigner.Find(1),
+                               &storage, &logits)
                       .ok());
     }
     std::vector<int32_t> out;
@@ -118,9 +118,8 @@ TEST(EquivalenceTest, GreedyContinuationsMatchTokenByToken) {
       tokens.push_back(best);
       const int32_t pos = static_cast<int32_t>(tokens.size()) - 1;
       EXPECT_TRUE(assigner.Append(1, 1).ok());
-      EXPECT_TRUE(model
-                      .CachedStep(tokens[pos], pos, *assigner.Find(1),
-                                  &storage, &logits)
+      EXPECT_TRUE(ForwardToken(model, tokens[pos], pos, *assigner.Find(1),
+                               &storage, &logits)
                       .ok());
     }
     return out;
@@ -151,7 +150,7 @@ TEST(TransformerTest, RejectsBadInput) {
   EXPECT_TRUE(model.ForwardFull(too_long).status().IsInvalidArgument());
 }
 
-TEST(TransformerTest, CachedStepRequiresAllocatedMap) {
+TEST(TransformerTest, DecodeStepRequiresAllocatedMap) {
   const ModelConfig cfg = ModelConfig::Tiny();
   TransformerModel model(ModelWeights::Random(cfg, 1));
   BlockPool pool(8, 4);
@@ -160,7 +159,8 @@ TEST(TransformerTest, CachedStepRequiresAllocatedMap) {
   ASSERT_TRUE(assigner.CreateFilled(1, CacheType::kKV, 2).ok());
   std::vector<float> logits;
   // Position 2 is beyond the allocated 2 tokens.
-  Status st = model.CachedStep(0, 2, *assigner.Find(1), &storage, &logits);
+  Status st =
+      ForwardToken(model, 0, 2, *assigner.Find(1), &storage, &logits);
   EXPECT_TRUE(st.IsFailedPrecondition());
 }
 
