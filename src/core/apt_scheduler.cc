@@ -106,6 +106,8 @@ BatchPlan AptScheduler::PlanPrefill(const SchedulerInput& input,
   const int32_t capacity =
       std::max(0, input.pool->num_free() - watermark);
   const GreedySolution sol = solver.Solve(candidates, capacity);
+  plan.items.reserve(std::min(input.waiting.size(),
+                              static_cast<size_t>(config_.max_batch)));
   int32_t batched = 0;
   int64_t prefill_tokens = 0;
   for (size_t i = 0; i < input.waiting.size(); ++i) {
@@ -135,6 +137,8 @@ BatchPlan AptScheduler::PlanPrefill(const SchedulerInput& input,
 BatchPlan AptScheduler::PlanDecode(const SchedulerInput& input,
                                    const GreedySolver& solver) const {
   BatchPlan plan;
+  plan.items.reserve(std::min(input.running.size(),
+                              static_cast<size_t>(config_.max_batch)));
   // Fast path: if this iteration's cache growth fits in the free blocks,
   // every running request decodes — evicting earlier than physically
   // necessary wastes a full re-prefill on a request that may well finish

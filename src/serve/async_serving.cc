@@ -348,6 +348,7 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
   result.prefill_computed_per_instance.assign(n, 0);
   result.prefill_skipped_per_instance.assign(n, 0);
   result.prefix_per_instance.resize(n);
+  result.records_per_instance.resize(n);
   result.rejected_requests = rejected.load();
   result.deprioritized_requests = deprioritized.load();
   out.arrival_queue_high_water_per_instance.assign(n, 0);
@@ -378,6 +379,7 @@ StatusOr<AsyncServingResult> RunAsyncFleet(
     result.tokens_generated += r.tokens_generated;
     AddPrefixStats(r.prefix, &result.prefix);
     wall.Merge(r.wall_metrics);
+    result.records_per_instance[i] = std::move(r.records);
   }
   result.combined =
       MergeReports(result.per_instance, result.requests_per_instance);

@@ -529,6 +529,7 @@ StatusOr<FleetResult> FleetController::Run(
   result.prefill_computed_per_instance.assign(total_instances, 0);
   result.prefill_skipped_per_instance.assign(total_instances, 0);
   result.prefix_per_instance.resize(total_instances);
+  result.records_per_instance.resize(total_instances);
   result.rejected_requests = total_rejected;
   result.deprioritized_requests = total_deprioritized;
 
@@ -541,7 +542,7 @@ StatusOr<FleetResult> FleetController::Run(
     // An instance that never saw a request reports all-zeros, exactly like
     // the classic runner's skipped empty shard.
     if (inst.loop->NumRegistered() > 0) {
-      APT_ASSIGN_OR_RETURN(const ServingLoopResult r, inst.loop->Finish());
+      APT_ASSIGN_OR_RETURN(ServingLoopResult r, inst.loop->Finish());
       result.per_instance[i] = r.report;
       result.requests_per_instance[i] =
           static_cast<int32_t>(r.records.size());
@@ -552,6 +553,7 @@ StatusOr<FleetResult> FleetController::Run(
       result.prefill_tokens_skipped += r.prefill_tokens_skipped;
       result.tokens_generated += r.tokens_generated;
       AddPrefixStats(r.prefix, &result.prefix);
+      result.records_per_instance[i] = std::move(r.records);
     }
     const double end = inst.retire_time >= 0 ? inst.retire_time : fleet_end;
     fm.instance_seconds += std::max(0.0, end - inst.add_time);

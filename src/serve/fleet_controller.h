@@ -29,6 +29,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/length_predictor.h"
@@ -71,6 +72,11 @@ struct MultiInstanceResult {
   PrefixStats prefix;
   std::vector<PrefixStats> prefix_per_instance;
   int64_t tokens_generated = 0;
+  /// Per-request latency records of the requests each instance finished
+  /// (moved out of its serving loop; empty for an instance that never saw
+  /// a request).
+  std::vector<std::unordered_map<RequestId, RequestRecord>>
+      records_per_instance;
   /// Deterministic routing decision-cost counters for the whole run
   /// (intra-cell router probes plus, for a hierarchical fleet, the front
   /// tier's cell counters folded into the cell_* fields).

@@ -32,8 +32,11 @@ Status ServingLoopState::Start(const std::vector<Request>& trace,
     if (r.prompt_len <= 0 || r.output_len <= 0) {
       return Status::InvalidArgument("request lengths must be positive");
     }
+    if (r.id == kInvalidRequestId) {
+      return Status::InvalidArgument("request id must be valid");
+    }
     reqs.push_back(sr);
-    metrics_.RegisterRequest(r);
+    metrics_.RegisterRequest(r);  // trace order: the report's sum order
   }
   std::sort(reqs.begin(), reqs.end(),
             [](const SimRequest& a, const SimRequest& b) {
@@ -44,10 +47,11 @@ Status ServingLoopState::Start(const std::vector<Request>& trace,
   for (const SimRequest& sr : reqs) {
     auto slot = std::make_unique<Slot>();
     slot->sr = sr;
+    slot->record = metrics_.Find(sr.spec.id);
     slot->available_at = sr.spec.arrival;
     slot->obs_enqueued_at = sr.spec.arrival;
     slot->seq = next_seq_++;
-    index_[sr.spec.id] = slot.get();
+    index_.Put(sr.spec.id, slot.get());
     pending_.push_back(slot.get());  // sorted input => sorted pending
     slots_.push_back(std::move(slot));
   }
@@ -76,7 +80,10 @@ Status ServingLoopState::Register(const Request& r, double available_at,
   if (r.prompt_len <= 0 || r.output_len <= 0) {
     return Status::InvalidArgument("request lengths must be positive");
   }
-  if (index_.count(r.id)) {
+  if (r.id == kInvalidRequestId) {
+    return Status::InvalidArgument("request id must be valid");
+  }
+  if (index_.Contains(r.id)) {
     return Status::AlreadyExists("request " + std::to_string(r.id) +
                                  " already registered with this instance");
   }
@@ -85,9 +92,9 @@ Status ServingLoopState::Register(const Request& r, double available_at,
   slot->available_at = available_at;
   slot->seq = next_seq_++;
   Slot* raw = slot.get();
-  metrics_.RegisterRequest(r);
+  raw->record = metrics_.RegisterRequest(r);
   if (admit_backend) APT_RETURN_NOT_OK(backend_->Admit(raw->sr));
-  index_[r.id] = raw;
+  index_.Put(r.id, raw);
   InsertPending(raw);
   slots_.push_back(std::move(slot));
   return Status::OK();
@@ -98,7 +105,7 @@ Status ServingLoopState::Inject(const Request& r, double available_at,
   APT_CHECK_MSG(started_ && !finished_run_, "Inject outside a live run");
   APT_RETURN_NOT_OK(
       Register(r, std::max(available_at, r.arrival), /*admit_backend=*/true));
-  Slot* slot = index_.at(r.id);
+  Slot* slot = *index_.Find(r.id);
   if (wall_clock_ != nullptr) {
     wall_metrics_.OnArrival(r.id, wall_arrival);
     slot->obs_enqueued_at = wall_arrival;
@@ -155,12 +162,12 @@ std::vector<std::pair<RequestId, double>> ServingLoopState::TakeRecentFinishes()
 
 StatusOr<MigratedRequest> ServingLoopState::Extract(RequestId id) {
   APT_CHECK_MSG(started_ && !finished_run_, "Extract outside a live run");
-  auto it = index_.find(id);
-  if (it == index_.end()) {
+  Slot* const* found = index_.Find(id);
+  if (found == nullptr) {
     return Status::NotFound("request " + std::to_string(id) +
                             " is not live on this instance");
   }
-  Slot* slot = it->second;
+  Slot* slot = *found;
   SimRequest& sr = slot->sr;
   if (sr.phase != RequestPhase::kWaiting || sr.swapped) {
     return Status::FailedPrecondition(
@@ -178,7 +185,10 @@ StatusOr<MigratedRequest> ServingLoopState::Extract(RequestId id) {
   m.conversions = sr.conversions;
   m.available_at = slot->available_at;
   APT_ASSIGN_OR_RETURN(m.image, backend_->ExportRequest(sr));
-  m.record = metrics_.ExtractRecord(id, &m.has_last_token, &m.last_token);
+  // The previous-token time travels in last_token_time above: the record
+  // carries only the history.
+  m.record = metrics_.ExtractRecord(id);
+  slot->record = nullptr;
   if (wall_clock_ != nullptr) {
     m.has_wall_record = true;
     m.wall_record = wall_metrics_.ExtractRecord(id);
@@ -193,7 +203,7 @@ StatusOr<MigratedRequest> ServingLoopState::Extract(RequestId id) {
   }
   slot->migrated_out = true;
   ++migrated_out_;
-  index_.erase(it);
+  index_.Erase(id);
   active_.erase(std::remove(active_.begin(), active_.end(), slot),
                 active_.end());
   pending_.erase(std::remove(pending_.begin(), pending_.end(), slot),
@@ -205,7 +215,7 @@ StatusOr<MigrationImport> ServingLoopState::Receive(
     MigratedRequest m, double base_available_at,
     const std::function<double(const MigrationImport&)>& transfer_delay) {
   APT_CHECK_MSG(started_ && !finished_run_, "Receive outside a live run");
-  if (index_.count(m.spec.id)) {
+  if (index_.Contains(m.spec.id)) {
     return Status::AlreadyExists("request " + std::to_string(m.spec.id) +
                                  " already live on this instance");
   }
@@ -230,7 +240,7 @@ StatusOr<MigrationImport> ServingLoopState::Receive(
     sr.cached_tokens = 0;
     sr.prefill_progress = 0;
   }
-  metrics_.AdoptRecord(std::move(m.record), m.has_last_token, m.last_token);
+  slot->record = metrics_.AdoptRecord(std::move(m.record));
   if (wall_clock_ != nullptr && m.has_wall_record) {
     wall_metrics_.AdoptRecord(sr.spec.id, m.wall_record);
   }
@@ -248,7 +258,7 @@ StatusOr<MigrationImport> ServingLoopState::Receive(
                    static_cast<double>(import.copied_tokens));
   }
   slot->seq = next_seq_++;
-  index_[sr.spec.id] = slot.get();
+  index_.Put(sr.spec.id, slot.get());
   InsertPending(slot.get());
   slots_.push_back(std::move(slot));
   return import;
@@ -303,12 +313,14 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
     pending_.pop_front();
   }
 
-  // 2. Build queues.
-  SchedulerInput input;
+  // 2. Build queues (into the reused scratch views).
+  SchedulerInput& input = input_;
   input.now = now_;
   input.pool = backend_->pool();
   input.assigner = backend_->assigner();
   input.cost_model = backend_->cost_model();
+  input.waiting.clear();
+  input.running.clear();
   for (Slot* s : active_) {
     SimRequest& sr = s->sr;
     if (sr.phase == RequestPhase::kWaiting) {
@@ -340,11 +352,11 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
 
   // 4a. Preemptions / conversions / swap-outs.
   for (const PreemptionItem& p : plan.preempt) {
-    auto it = index_.find(p.id);
-    if (it == index_.end()) {
+    Slot* const* found = index_.Find(p.id);
+    if (found == nullptr) {
       return Status::Internal("scheduler preempted unknown request");
     }
-    SimRequest& sr = it->second->sr;
+    SimRequest& sr = (*found)->sr;
     // Preemption targets are running requests or waiting requests that
     // hold a partial (chunked-prefill) cache; both free their blocks and
     // restart their prefill pass later.
@@ -398,24 +410,20 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
     sr.prefill_progress = 0;
   }
 
-  // 4b. Execute scheduled items with memory allocation.
-  enum class StepKind { kDecode, kPrefill, kSwapIn };
-  struct Applied {
-    SimRequest* req;
-    StepKind kind;
-    int32_t chunk = 0;  // prefill only
-    bool token = false;
-  };
-  std::vector<Applied> applied;
+  // 4b. Execute scheduled items with memory allocation. Each item's id is
+  // resolved once here; everything after works on the carried slot.
+  std::vector<Applied>& applied = applied_;
+  applied.clear();
   bool hit_memory_wall = false;
   int32_t accepted = 0;
   for (const ScheduledItem& item : plan.items) {
     if (accepted >= config_.max_batch_size) break;
-    auto it = index_.find(item.id);
-    if (it == index_.end()) {
+    Slot* const* found = index_.Find(item.id);
+    if (found == nullptr) {
       return Status::Internal("scheduler scheduled unknown request");
     }
-    SimRequest& sr = it->second->sr;
+    Slot* slot = *found;
+    SimRequest& sr = slot->sr;
     if (sr.phase == RequestPhase::kFinished) {
       return Status::Internal("scheduler scheduled a finished request");
     }
@@ -446,7 +454,7 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
         hit_memory_wall = true;
         continue;
       }
-      applied.push_back({&sr, StepKind::kDecode, 0, out.token});
+      applied.push_back({slot, StepKind::kDecode, 0, out.token});
       ++accepted;
     } else {
       // Prefill chunk (or swap-in for a swapped request).
@@ -464,7 +472,7 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
         sr.swapped = false;
         sr.phase = RequestPhase::kRunning;
         trace_.Instant(obs::TraceOp::kSwapIn, obs_iter_start, item.id);
-        applied.push_back({&sr, StepKind::kSwapIn, 0, false});
+        applied.push_back({slot, StepKind::kSwapIn, 0, false});
         ++accepted;
         continue;
       }
@@ -500,7 +508,7 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
       const int32_t computed = out.computed > 0 ? out.computed : chunk;
       result_.prefill_tokens_computed += computed;
       result_.prefill_tokens_skipped += out.prefix_skipped;
-      applied.push_back({&sr, StepKind::kPrefill,
+      applied.push_back({slot, StepKind::kPrefill,
                          computed + out.prefix_skipped, out.token});
       ++accepted;
     }
@@ -574,22 +582,24 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
               static_cast<double>(applied.size()),
               static_cast<double>(decode_steps));
   for (const Applied& a : applied) {
-    SimRequest& sr = *a.req;
+    Slot* slot = a.slot;
+    SimRequest& sr = slot->sr;
     if (a.kind == StepKind::kSwapIn) continue;  // swap-in emits no token
     if (a.kind == StepKind::kDecode) {
       sr.cached_tokens += 1;  // mirror of the backend's cache growth
       ++sr.generated;
-      metrics_.OnToken(sr.spec.id, now_);
+      slot->record->OnToken(now_, sr.last_token_time);
       ++result_.tokens_generated;
       sr.last_token_time = now_;
       if (obs_.tokens != nullptr) obs_.tokens->Inc();
-      trace_.Instant(obs::TraceOp::kDecodeStep, obs_iter_end, sr.spec.id,
-                     static_cast<double>(sr.generated));
+      if (trace_) {  // checked inline: this runs once per decoded token
+        trace_.Instant(obs::TraceOp::kDecodeStep, obs_iter_end, sr.spec.id,
+                       static_cast<double>(sr.generated));
+      }
     } else {
       sr.prefill_progress += a.chunk;
       sr.cached_tokens += a.chunk;
       if (trace_) {
-        Slot* slot = index_.at(sr.spec.id);
         if (!slot->obs_first_run) {
           // First scheduled work closes the queue-wait span, which started
           // back when the request joined this instance's queue.
@@ -607,7 +617,7 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
       if (!completes) continue;  // more chunks
       sr.phase = RequestPhase::kRunning;
       ++sr.generated;
-      metrics_.OnToken(sr.spec.id, now_);
+      slot->record->OnToken(now_, sr.last_token_time);
       ++result_.tokens_generated;
       sr.has_first_token = true;
       sr.last_token_time = now_;
@@ -616,11 +626,11 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
     if (wall_clock_ != nullptr) wall_metrics_.OnToken(sr.spec.id, wall_now);
     if (sr.IsFinished()) {
       sr.phase = RequestPhase::kFinished;
-      metrics_.OnFinish(sr.spec.id, now_);
+      RequestRecord& rec = *slot->record;
+      rec.finish_time = now_;
       APT_RETURN_NOT_OK(backend_->OnFinish(sr));
       ++finished_;
       any_finished = true;
-      const RequestRecord& rec = metrics_.records().at(sr.spec.id);
       finish_log_.emplace_back(now_, rec.MeetsTtft(slo_));
       trace_.Instant(obs::TraceOp::kCompletion, obs_iter_end, sr.spec.id,
                      rec.ttft, now_ - sr.spec.arrival);
@@ -659,7 +669,7 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
       }
       const bool scheduled_now =
           std::any_of(applied.begin(), applied.end(),
-                      [&sr](const Applied& a) { return a.req == &sr; });
+                      [s](const Applied& a) { return a.slot == s; });
       if (!scheduled_now) {
         at_limit = true;
         break;
@@ -695,7 +705,7 @@ StatusOr<ServingLoopResult> ServingLoopState::Finish() {
     obs_.prefix_hit_tokens->Inc(result_.prefix.matched_tokens);
   }
   result_.report = metrics_.Report(slo_);
-  result_.records = metrics_.records();
+  result_.records = metrics_.TakeRecords();  // moved: the state is done
   result_.wall_metrics = std::move(wall_metrics_);
   return std::move(result_);
 }

@@ -18,6 +18,13 @@
 // injecting live-routed arrivals mid-run (Inject) and moving queued or
 // preempted requests between instances with their cache state
 // (Extract/Receive — live migration).
+//
+// Per-step cost: Step() reuses its scratch (the scheduler's queue views and
+// the applied-item list keep their capacity), resolves each scheduled
+// request's id once and carries the slot from there, and stamps tokens
+// into the slot's cached metrics record. SimRequest::last_token_time is
+// the one copy of the previous-token time; it migrates with the request.
+// Finish() moves the records out rather than copying them.
 #pragma once
 
 #include <deque>
@@ -26,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_id_map.h"
 #include "common/status.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace_recorder.h"
@@ -96,6 +104,8 @@ struct MigratedRequest {
   int32_t cached_tokens = 0;
   int32_t prefill_progress = 0;
   bool has_first_token = false;
+  /// The inter-token clock: the destination's first TBT gap is measured
+  /// from it (the record below carries history only).
   TimePoint last_token_time = 0.0;
   int32_t preemptions = 0;
   int32_t conversions = 0;
@@ -103,8 +113,6 @@ struct MigratedRequest {
   double available_at = 0.0;
   MigrationImage image;
   RequestRecord record;
-  bool has_last_token = false;
-  TimePoint last_token = 0.0;
   /// Wall-clock stamps (async mode only), so real TTFT/TBT survive the hop.
   bool has_wall_record = false;
   WallRequestRecord wall_record;
@@ -235,6 +243,9 @@ class ServingLoopState {
 
   struct Slot {
     SimRequest sr;
+    /// This request's metrics record (a stable map node of metrics_),
+    /// resolved once at registration and re-pointed on Receive.
+    RequestRecord* record = nullptr;
     double available_at = 0.0;
     uint64_t seq = 0;
     bool migrated_out = false;
@@ -281,7 +292,8 @@ class ServingLoopState {
   double ObsNow() const { return wall_clock_ ? wall_clock_->Now() : now_; }
 
   std::vector<std::unique_ptr<Slot>> slots_;
-  std::unordered_map<RequestId, Slot*> index_;
+  /// Live requests by id (finished ones stay; migrated-out ones leave).
+  FlatIdMap<Slot*> index_;
   /// Not-yet-available requests, sorted by (available_at, seq).
   std::deque<Slot*> pending_;
   /// Admitted, unfinished requests in admission order (the scheduler's
@@ -289,6 +301,19 @@ class ServingLoopState {
   std::vector<Slot*> active_;
   /// (finish time, met TTFT) log feeding TtftFinishesSince.
   std::vector<std::pair<double, bool>> finish_log_;
+
+  /// Per-step scratch, cleared (capacity kept) at the start of each use so
+  /// a warm Step allocates nothing of its own: the scheduler's queue views
+  /// and the items the iteration applied, each carrying its resolved slot.
+  enum class StepKind { kDecode, kPrefill, kSwapIn };
+  struct Applied {
+    Slot* slot;
+    StepKind kind;
+    int32_t chunk = 0;  // prefill only
+    bool token = false;
+  };
+  SchedulerInput input_;
+  std::vector<Applied> applied_;
 
   double now_ = 0.0;
   size_t finished_ = 0;

@@ -7,34 +7,28 @@
 namespace aptserve {
 
 double RequestRecord::P99Tbt() const {
-  std::vector<double> scratch = tbt_samples;
-  return SelectQuantile(&scratch, 0.99);
+  std::vector<double> scratch;
+  return P99Tbt(&scratch);
 }
 
-void MetricsCollector::RegisterRequest(const Request& spec) {
-  RequestRecord rec;
+double RequestRecord::P99Tbt(std::vector<double>* scratch) const {
+  scratch->assign(tbt_samples.begin(), tbt_samples.end());
+  return SelectQuantile(scratch, 0.99);
+}
+
+RequestRecord* MetricsCollector::RegisterRequest(const Request& spec) {
+  RequestRecord& rec = records_[spec.id];
+  rec = RequestRecord{};
   rec.spec = spec;
-  records_[spec.id] = std::move(rec);
+  // Room for every gap the request can produce: token stamps never
+  // reallocate.
+  if (spec.output_len > 1) rec.tbt_samples.reserve(spec.output_len - 1);
+  return &rec;
 }
 
-void MetricsCollector::OnToken(RequestId id, TimePoint now) {
+RequestRecord* MetricsCollector::Find(RequestId id) {
   auto it = records_.find(id);
-  APT_CHECK_MSG(it != records_.end(), "token for unregistered request");
-  RequestRecord& rec = it->second;
-  auto last = last_token_.find(id);
-  if (rec.ttft < 0) {
-    rec.ttft = now - rec.spec.arrival;
-  } else {
-    APT_CHECK(last != last_token_.end());
-    rec.tbt_samples.push_back(now - last->second);
-  }
-  last_token_[id] = now;
-}
-
-void MetricsCollector::OnFinish(RequestId id, TimePoint now) {
-  auto it = records_.find(id);
-  APT_CHECK_MSG(it != records_.end(), "finish for unregistered request");
-  it->second.finish_time = now;
+  return it == records_.end() ? nullptr : &it->second;
 }
 
 void MetricsCollector::OnIteration(double seconds, int32_t batch_size,
@@ -133,26 +127,18 @@ const char* FleetScaleEventKindName(FleetScaleEvent::Kind kind) {
   return "?";
 }
 
-RequestRecord MetricsCollector::ExtractRecord(RequestId id,
-                                              bool* has_last_token,
-                                              TimePoint* last_token) {
+RequestRecord MetricsCollector::ExtractRecord(RequestId id) {
   auto it = records_.find(id);
   APT_CHECK_MSG(it != records_.end(), "extracting an unregistered request");
   RequestRecord record = std::move(it->second);
   records_.erase(it);
-  auto last = last_token_.find(id);
-  *has_last_token = last != last_token_.end();
-  *last_token = *has_last_token ? last->second : 0.0;
-  last_token_.erase(id);
   return record;
 }
 
-void MetricsCollector::AdoptRecord(RequestRecord record, bool has_last_token,
-                                   TimePoint last_token) {
-  const RequestId id = record.spec.id;
-  APT_CHECK_MSG(records_.count(id) == 0, "adopting a duplicate request");
-  records_[id] = std::move(record);
-  if (has_last_token) last_token_[id] = last_token;
+RequestRecord* MetricsCollector::AdoptRecord(RequestRecord record) {
+  auto [it, inserted] = records_.emplace(record.spec.id, std::move(record));
+  APT_CHECK_MSG(inserted, "adopting a duplicate request");
+  return &it->second;
 }
 
 SloReport MetricsCollector::Report(const SloSpec& slo) const {
@@ -161,6 +147,9 @@ SloReport MetricsCollector::Report(const SloSpec& slo) const {
   int64_t meets_both = 0, meets_ttft = 0, meets_tbt = 0;
   int64_t eligible = 0;
   SampleSet ttft_mean_acc;
+  r.ttfts.Reserve(records_.size());
+  ttft_mean_acc.Reserve(records_.size());
+  std::vector<double> scratch;  // one P99 selection buffer for every record
   for (const auto& [id, rec] : records_) {
     (void)id;
     // Latency samples cover every served request; attainment counts only
@@ -169,7 +158,8 @@ SloReport MetricsCollector::Report(const SloSpec& slo) const {
       r.ttfts.Add(rec.ttft);
       ttft_mean_acc.Add(rec.ttft);
     }
-    const double p99_tbt = rec.P99Tbt();  // once: it selects over every gap
+    // Once: it selects over every gap.
+    const double p99_tbt = rec.P99Tbt(&scratch);
     if (!rec.tbt_samples.empty()) r.p99_tbts.Add(p99_tbt);
     if (rec.spec.best_effort) {
       ++r.best_effort_requests;

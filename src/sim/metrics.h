@@ -1,5 +1,12 @@
 // Serving metrics: per-request TTFT / TBT records, SLO attainment, and the
 // system-level "time at batch-size limit" ratio of paper Figure 2.
+//
+// Per-token cost contract (the serving loop calls into this on every
+// emitted token): the loop resolves a request's RequestRecord once, keeps
+// the pointer, and stamps tokens straight into it. The collector keeps no
+// clock of its own — the previous-token time a TBT gap is measured from is
+// owned by the caller (SimRequest::last_token_time), which is also what
+// travels with a migrating request.
 #pragma once
 
 #include <unordered_map>
@@ -25,8 +32,22 @@ struct RequestRecord {
   std::vector<double> tbt_samples;   ///< gaps between consecutive tokens.
   TimePoint finish_time = -1.0;
 
+  /// Records a token emitted at `now`. The first token sets TTFT; later
+  /// ones append the TBT gap `now - prev_token`, where `prev_token` is the
+  /// caller's time of the request's previous token (ignored for the first).
+  void OnToken(TimePoint now, TimePoint prev_token) {
+    if (ttft < 0) {
+      ttft = now - spec.arrival;
+    } else {
+      tbt_samples.push_back(now - prev_token);
+    }
+  }
+
   /// 99th-percentile gap between consecutive tokens; 0 without gaps.
   double P99Tbt() const;
+  /// P99Tbt() selecting through `scratch` (reused across records; its
+  /// contents are overwritten).
+  double P99Tbt(std::vector<double>* scratch) const;
   /// Effective deadlines: the request's own SLO when set (>= 0), else the
   /// run-level spec. A deadline exactly met (ttft == bound) counts as met.
   double TtftBound(const SloSpec& slo) const {
@@ -206,13 +227,13 @@ class WallClockMetrics {
 
 class MetricsCollector {
  public:
-  void RegisterRequest(const Request& spec);
+  /// Registers `spec` and returns its record. Records are nodes of a
+  /// node-based map, so the pointer stays valid, whatever else is
+  /// registered or extracted, until this record itself is extracted.
+  RequestRecord* RegisterRequest(const Request& spec);
 
-  /// Records a token for `id` at time `now`. The first token sets TTFT;
-  /// later tokens append a TBT sample measured from the previous token.
-  void OnToken(RequestId id, TimePoint now);
-
-  void OnFinish(RequestId id, TimePoint now);
+  /// The record of `id`; null when it is not registered here.
+  RequestRecord* Find(RequestId id);
 
   /// Accounts one iteration of duration `seconds` executing `batch_size`
   /// scheduled items; `at_batch_limit` marks iterations during which the
@@ -224,22 +245,25 @@ class MetricsCollector {
 
   /// Removes and returns the request's record for live migration-out; the
   /// destination collector re-adopts it so TTFT/TBT history survives the
-  /// move. `has_last_token`/`last_token` carry the inter-token clock.
-  RequestRecord ExtractRecord(RequestId id, bool* has_last_token,
-                              TimePoint* last_token);
+  /// move. Pointers to the record are invalidated.
+  RequestRecord ExtractRecord(RequestId id);
 
-  /// Adopts a migrated-in record (the counterpart of ExtractRecord).
-  void AdoptRecord(RequestRecord record, bool has_last_token,
-                   TimePoint last_token);
+  /// Adopts a migrated-in record (the counterpart of ExtractRecord) and
+  /// returns its new address.
+  RequestRecord* AdoptRecord(RequestRecord record);
 
   SloReport Report(const SloSpec& slo) const;
   const std::unordered_map<RequestId, RequestRecord>& records() const {
     return records_;
   }
+  /// Moves every record out (iteration order preserved); the collector is
+  /// left without records.
+  std::unordered_map<RequestId, RequestRecord> TakeRecords() {
+    return std::move(records_);
+  }
 
  private:
   std::unordered_map<RequestId, RequestRecord> records_;
-  std::unordered_map<RequestId, TimePoint> last_token_;
   double total_time_ = 0.0;
   double batch_limit_time_ = 0.0;
   int64_t iterations_ = 0;

@@ -2,8 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 namespace aptserve {
 namespace {
+
+/// Stamps tokens on `rec` at `times`, handing each token its predecessor's
+/// time as the previous-token time, the way the serving loop does.
+void Emit(RequestRecord* rec, std::initializer_list<TimePoint> times) {
+  TimePoint prev = 0.0;
+  for (TimePoint t : times) {
+    rec->OnToken(t, prev);
+    prev = t;
+  }
+}
 
 Request Req(RequestId id, TimePoint arrival) {
   Request r;
@@ -50,11 +62,12 @@ TEST(RequestRecordTest, NoFirstTokenFailsTtft) {
 
 TEST(MetricsCollectorTest, TokenTimelineProducesTtftAndTbt) {
   MetricsCollector mc;
-  mc.RegisterRequest(Req(1, 10.0));
-  mc.OnToken(1, 10.5);  // TTFT = 0.5
-  mc.OnToken(1, 10.7);  // TBT = 0.2
-  mc.OnToken(1, 11.7);  // TBT = 1.0
-  mc.OnFinish(1, 11.7);
+  RequestRecord* registered = mc.RegisterRequest(Req(1, 10.0));
+  // TTFT = 0.5, then TBT gaps 0.2 and 1.0.
+  Emit(registered, {10.5, 10.7, 11.7});
+  registered->finish_time = 11.7;
+  EXPECT_EQ(mc.Find(1), registered);
+  EXPECT_EQ(mc.Find(2), nullptr);
   const auto& rec = mc.records().at(1);
   EXPECT_DOUBLE_EQ(rec.ttft, 0.5);
   ASSERT_EQ(rec.tbt_samples.size(), 2u);
@@ -67,15 +80,9 @@ TEST(MetricsCollectorTest, ReportAggregates) {
   SloSpec slo{1.0, 1.0};
   MetricsCollector mc;
   // Request 1 meets both; request 2 misses TTFT; request 3 misses TBT.
-  mc.RegisterRequest(Req(1, 0.0));
-  mc.OnToken(1, 0.5);
-  mc.OnToken(1, 0.6);
-  mc.RegisterRequest(Req(2, 0.0));
-  mc.OnToken(2, 3.0);
-  mc.OnToken(2, 3.1);
-  mc.RegisterRequest(Req(3, 0.0));
-  mc.OnToken(3, 0.5);
-  mc.OnToken(3, 4.0);
+  Emit(mc.RegisterRequest(Req(1, 0.0)), {0.5, 0.6});
+  Emit(mc.RegisterRequest(Req(2, 0.0)), {3.0, 3.1});
+  Emit(mc.RegisterRequest(Req(3, 0.0)), {0.5, 4.0});
   auto rep = mc.Report(slo);
   EXPECT_NEAR(rep.slo_attainment, 1.0 / 3.0, 1e-12);
   EXPECT_NEAR(rep.ttft_attainment, 2.0 / 3.0, 1e-12);
@@ -85,8 +92,7 @@ TEST(MetricsCollectorTest, ReportAggregates) {
 
 TEST(MetricsCollectorTest, BatchLimitRatio) {
   MetricsCollector mc;
-  mc.RegisterRequest(Req(1, 0.0));
-  mc.OnToken(1, 1.0);
+  Emit(mc.RegisterRequest(Req(1, 0.0)), {1.0});
   mc.OnIteration(2.0, 4, false);
   mc.OnIteration(1.0, 8, true);
   mc.OnIteration(1.0, 8, true);
@@ -99,8 +105,7 @@ TEST(MetricsCollectorTest, BatchLimitRatio) {
 
 TEST(MetricsCollectorTest, PreemptionAndConversionCounts) {
   MetricsCollector mc;
-  mc.RegisterRequest(Req(1, 0.0));
-  mc.OnToken(1, 0.1);
+  Emit(mc.RegisterRequest(Req(1, 0.0)), {0.1});
   mc.OnPreemption();
   mc.OnPreemption();
   mc.OnConversion();
@@ -132,10 +137,10 @@ TEST(JainFairnessTest, EmptyIsZero) {
 
 TEST(JainFairnessTest, ReportedInSloReport) {
   MetricsCollector mc;
-  mc.RegisterRequest(Req(1, 0.0));
-  mc.RegisterRequest(Req(2, 0.0));
-  mc.OnToken(1, 1.0);   // TTFT 1
-  mc.OnToken(2, 1.0);   // TTFT 1
+  RequestRecord* first = mc.RegisterRequest(Req(1, 0.0));
+  RequestRecord* second = mc.RegisterRequest(Req(2, 0.0));
+  Emit(first, {1.0});   // TTFT 1
+  Emit(second, {1.0});  // TTFT 1
   auto rep = mc.Report(SloSpec{});
   EXPECT_DOUBLE_EQ(rep.jain_fairness_ttft, 1.0);
 }
@@ -187,10 +192,8 @@ TEST(RequestRecordTest, DeadlineExactlyMetCounts) {
 TEST(MetricsCollectorTest, GoodputCountsSloMetPerServingSecond) {
   SloSpec slo{1.0, 1.0};
   MetricsCollector mc;
-  mc.RegisterRequest(Req(1, 0.0));
-  mc.OnToken(1, 0.5);  // meets
-  mc.RegisterRequest(Req(2, 0.0));
-  mc.OnToken(2, 3.0);  // misses TTFT
+  Emit(mc.RegisterRequest(Req(1, 0.0)), {0.5});  // meets
+  Emit(mc.RegisterRequest(Req(2, 0.0)), {3.0});  // misses TTFT
   mc.OnIteration(2.0, 2, false);
   mc.OnIteration(2.0, 2, false);
   auto rep = mc.Report(slo);
@@ -201,8 +204,7 @@ TEST(MetricsCollectorTest, GoodputCountsSloMetPerServingSecond) {
 
 TEST(MetricsCollectorTest, GoodputZeroWithoutServingTime) {
   MetricsCollector mc;
-  mc.RegisterRequest(Req(1, 0.0));
-  mc.OnToken(1, 0.1);
+  Emit(mc.RegisterRequest(Req(1, 0.0)), {0.1});
   auto rep = mc.Report(SloSpec{1.0, 1.0});
   EXPECT_DOUBLE_EQ(rep.goodput_rps, 0.0);
 }
@@ -211,12 +213,10 @@ TEST(MetricsCollectorTest, BestEffortExcludedFromAttainmentAndGoodput) {
   SloSpec slo{1.0, 1.0};
   MetricsCollector mc;
   Request fast = Req(1, 0.0);
-  mc.RegisterRequest(fast);
-  mc.OnToken(1, 0.5);  // meets, eligible
+  Emit(mc.RegisterRequest(fast), {0.5});  // meets, eligible
   Request be = Req(2, 0.0);
   be.best_effort = true;
-  mc.RegisterRequest(be);
-  mc.OnToken(2, 0.1);  // would meet, but best-effort
+  Emit(mc.RegisterRequest(be), {0.1});  // would meet, but best-effort
   mc.OnIteration(1.0, 2, false);
   auto rep = mc.Report(slo);
   EXPECT_EQ(rep.eligible_requests, 1);

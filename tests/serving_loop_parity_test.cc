@@ -333,7 +333,7 @@ StatusOr<LegacyResult> LegacySimulatorRun(
       if (a.chunk == 0) {
         sr.cached_tokens += 1;
         ++sr.generated;
-        metrics.OnToken(sr.spec.id, now);
+        metrics.Find(sr.spec.id)->OnToken(now, sr.last_token_time);
         sr.last_token_time = now;
       } else {
         sr.prefill_progress += a.chunk;
@@ -341,13 +341,13 @@ StatusOr<LegacyResult> LegacySimulatorRun(
         if (sr.prefill_progress < sr.PrefillTarget()) continue;
         sr.phase = RequestPhase::kRunning;
         ++sr.generated;
-        metrics.OnToken(sr.spec.id, now);
+        metrics.Find(sr.spec.id)->OnToken(now, sr.last_token_time);
         sr.has_first_token = true;
         sr.last_token_time = now;
       }
       if (sr.IsFinished()) {
         sr.phase = RequestPhase::kFinished;
-        metrics.OnFinish(sr.spec.id, now);
+        metrics.Find(sr.spec.id)->finish_time = now;
         APT_RETURN_NOT_OK(assigner.Release(sr.spec.id));
         ++finished;
       }
