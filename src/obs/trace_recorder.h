@@ -113,7 +113,7 @@ class TraceRecorder {
   explicit TraceRecorder(size_t shard_capacity = size_t{1} << 14);
 
   /// Creates a shard for `track` and returns a sink bound to it. Not a
-  /// hot-path call — the serial setup paths (controller spawn, feeder
+  /// hot-path call — the serial setup paths (controller spawn, router
   /// start) acquire sinks once and hand them to the layers.
   TraceSink MakeSink(int32_t track);
 

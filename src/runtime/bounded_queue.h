@@ -14,7 +14,7 @@ namespace aptserve::runtime {
 /// Bounded multi-producer single/multi-consumer blocking queue — the fabric
 /// between the async serving controller and its per-instance workers.
 /// Push blocks when the queue is at capacity (backpressure toward the
-/// arrival feeder), Pop blocks until an item or Close() arrives. Close()
+/// routing controller), Pop blocks until an item or Close() arrives. Close()
 /// wakes everyone: producers fail fast, consumers drain what is left and
 /// then see std::nullopt. All operations are linearizable under one mutex —
 /// this queue carries requests (milliseconds apart), not tokens, so a lock

@@ -1,19 +1,19 @@
 // Async wall-clock serving: continuous batching without epoch barriers.
 //
-// The deterministic modes advance the whole fleet on virtual-time window
-// barriers (FleetController interleaves per-instance epochs in one loop).
-// This mode turns the same machinery into a real server: one long-lived
-// worker thread per instance owns that instance's ServingLoopState and
-// spins its iteration loop continuously, pulling newly arrived requests
-// from a bounded MPSC arrival queue and admitting them mid-run through the
-// Inject seam — no barrier anywhere on the hot path. A feeder thread
-// replays the trace in real time (scaled by `replay_speedup`), routing
-// each request at its wall release instant with the same incremental
-// Router::RouteOne the virtual static fleet uses, in the same arrival
-// order — so routing decisions are bit-identical across modes. Completions
-// and queue-shedding migrations flow back to the controller over the same
-// bounded-queue fabric (an MPSC event queue), and cache-carrying
-// MigratedRequests hop between workers as queue messages.
+// The deterministic mode advances the whole fleet on virtual-time window
+// barriers. This mode serves the same fleet as a real server, through the
+// same FleetController loop with its wall executor: one long-lived worker
+// thread per instance owns that instance's ServingLoopState and spins its
+// iteration loop continuously, pulling newly arrived requests from a
+// bounded MPSC arrival queue and admitting them mid-run through the Inject
+// seam — no barrier anywhere on the hot path. The controller replays the
+// trace in real time (scaled by `replay_speedup`), routing each request
+// once it is due with the same routing code the virtual fleet runs, flat
+// or hierarchical, in the same arrival order — so routing decisions are
+// bit-identical across modes. Completions and queue-shedding migrations
+// flow back to the controller over one bounded MPSC event queue, and
+// cache-carrying MigratedRequests hop between workers as queue messages.
+// Elastic scaling and planner migration stay virtual-time only.
 //
 // Determinism contract (see DESIGN.md "Async serving"): the virtual-time
 // mode stays the pinned bit-for-bit reference; the async mode guarantees
@@ -24,7 +24,7 @@
 // request's own tokens, (b) sampling is counter-based per (seed, request,
 // position) with no shared RNG stream, and (c) routing replays the exact
 // virtual-mode assignment. The differential test in async_serving_test.cc
-// enforces it across seeds, thread counts, and sampling modes.
+// enforces it across seeds, thread counts, sampling modes and topologies.
 //
 // Wall-clock TTFT/TBT are measured for real against a monotonic Clock
 // (runtime/clock.h) threaded through the serving loops' wall seam; the
@@ -45,8 +45,8 @@
 namespace aptserve {
 
 struct AsyncServingConfig {
-  /// Per-instance arrival queue capacity; the feeder's Push blocks when an
-  /// instance is this far behind (backpressure instead of unbounded RAM).
+  /// Per-instance arrival queue capacity; the controller's Push blocks when
+  /// an instance is this far behind (backpressure instead of unbounded RAM).
   size_t queue_capacity = 256;
   /// Trace replay acceleration: a request with virtual arrival t is
   /// released to the router at wall time t / replay_speedup after start.
@@ -57,21 +57,19 @@ struct AsyncServingConfig {
   /// currently coolest instance over the queue fabric — live load shedding
   /// on the wall-clock path.
   int32_t shed_queue_depth = 0;
-  /// How long an idle (drained) worker blocks on its arrival queue before
-  /// re-checking for shutdown, in wall seconds.
-  double idle_poll_s = 0.0005;
   /// Safety valve: abort when the run exceeds this much wall time.
   double max_wall_seconds = 300.0;
 
   // ---- Observability -------------------------------------------------------
   /// Optional, borrowed. Workers emit lifecycle events on per-instance
-  /// tracks (wall-clock frame), the feeder routes through a traced router
-  /// state stamped by the replay clock, and sheds carry flow arrows to
-  /// their re-route. Purely observational: token streams are bit-identical
-  /// with or without a recorder attached.
+  /// tracks (wall-clock frame), the controller routes through a traced
+  /// router state (and cell tracks) stamped by the wall clock, and sheds
+  /// carry flow arrows to their re-route. Purely observational: token
+  /// streams are bit-identical with or without a recorder attached.
   obs::TraceRecorder* trace = nullptr;
   /// Optional, borrowed. Gains per-instance arrival-queue high-water
-  /// gauges and shed counters on top of the serving-loop metrics.
+  /// gauges and shed counters on top of the serving-loop, router and fleet
+  /// metrics the virtual run exports.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -83,7 +81,8 @@ struct AsyncServingResult {
   /// against the monotonic clock; per-request history survives shedding
   /// migrations).
   WallLatencyReport wall;
-  /// Wall seconds from the first request release to full drain.
+  /// Wall seconds from the start of the run (its clock starts before the
+  /// fleet is built) to full drain.
   double wall_duration_s = 0.0;
   /// Shedding migrations executed over the queue fabric.
   int64_t shed_migrations = 0;

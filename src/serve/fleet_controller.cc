@@ -1,11 +1,17 @@
 #include "serve/fleet_controller.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/logging.h"
+#include "runtime/bounded_queue.h"
+#include "runtime/clock.h"
 #include "runtime/thread_pool.h"
+#include "serve/async_serving.h"
 
 namespace aptserve {
 
@@ -36,6 +42,416 @@ struct Instance {
 
   bool Alive() const { return state != State::kRetired; }
   bool Routable() const { return state == State::kLive; }
+};
+
+using Fleet = std::vector<std::unique_ptr<Instance>>;
+
+}  // namespace
+
+/// How the fleet advances between controller decisions — the only part of
+/// the controller loop that depends on the clock.
+class FleetExecutor {
+ public:
+  FleetExecutor() = default;
+  FleetExecutor(const FleetExecutor&) = delete;
+  FleetExecutor& operator=(const FleetExecutor&) = delete;
+  virtual ~FleetExecutor() = default;
+
+  /// Called once the initial fleet is built and started.
+  virtual void Start(Fleet& /*fleet*/) {}
+  /// Arrivals before this virtual-frame instant are routed next.
+  virtual double WindowEnd(double window_start) = 0;
+  /// Hands a routed request to its instance.
+  virtual Status Inject(Instance& inst, Request routed) = 0;
+  /// Advances the fleet to `window_end`. `next_arrival` is the first
+  /// unrouted arrival (infinity once all are routed). True = run complete.
+  virtual StatusOr<bool> Advance(Fleet& fleet, double window_end,
+                                 double next_arrival) = 0;
+  /// Stops whatever runs beside the controller; afterwards the instances'
+  /// loops belong to the controller thread again. Idempotent.
+  virtual void Stop() {}
+
+  /// The run's observability (either may be null) and, in wall time, the
+  /// clock that stamps it (null: events carry virtual time).
+  obs::TraceRecorder* trace = nullptr;
+  obs::MetricsRegistry* metrics = nullptr;
+  const runtime::Clock* clock = nullptr;
+  /// Per-instance wall stamps merged at assembly (empty in virtual time).
+  WallClockMetrics wall_metrics;
+};
+
+namespace {
+
+/// Virtual time, the pinned bit-for-bit reference: every instance steps its
+/// own epoch to the window barrier, in parallel on the fleet thread pool
+/// when the runtime allows. A static fleet runs one infinite window.
+class VirtualExecutor final : public FleetExecutor {
+ public:
+  VirtualExecutor(const FleetConfig& config, int32_t max_instances)
+      : config_(config) {
+    trace = config.trace;
+    metrics = config.metrics;
+    const int32_t threads =
+        std::min(config.runtime.ResolvedNumThreads(), max_instances);
+    if (threads > 1) {
+      RuntimeConfig fleet_runtime = config.runtime;
+      fleet_runtime.num_threads = threads;
+      pool_ = std::make_unique<runtime::ThreadPool>(fleet_runtime);
+    }
+  }
+
+  double WindowEnd(double window_start) override {
+    return config_.IsElastic() ? window_start + config_.tick_interval_s
+                               : std::numeric_limits<double>::infinity();
+  }
+
+  Status Inject(Instance& inst, Request routed) override {
+    // No wall clock is attached, so the wall stamp is unread.
+    return inst.loop->Inject(routed, routed.arrival, routed.arrival);
+  }
+
+  StatusOr<bool> Advance(Fleet& fleet, double window_end,
+                         double next_arrival) override {
+    const int32_t n_now = static_cast<int32_t>(fleet.size());
+    if (pool_ != nullptr) {
+      pool_->ParallelForEach(0, n_now, 1, [&](int64_t i) {
+        StepUntil(*fleet[i], window_end);
+      });
+    } else {
+      for (int32_t i = 0; i < n_now; ++i) {
+        StepUntil(*fleet[i], window_end);
+        if (!fleet[i]->status.ok()) break;  // fail fast, as before
+      }
+    }
+    // First failure in instance order, matching the classic runner.
+    for (const auto& inst : fleet) {
+      if (!inst->status.ok()) return inst->status;
+    }
+    if (!config_.IsElastic()) return true;
+    bool done = next_arrival == std::numeric_limits<double>::infinity();
+    for (const auto& inst : fleet) done = done && inst->loop->AllServed();
+    return done;
+  }
+
+ private:
+  void StepUntil(Instance& inst, double t_end) const {
+    if (!inst.Alive() || !inst.status.ok()) return;
+    while (inst.loop->now() < t_end) {
+      if (inst.loop->AllServed()) break;  // parked; the cap cannot apply
+      if (inst.loop->iterations() >= config_.loop.max_iterations) {
+        inst.status = Status::Internal(
+            "serving loop hit the iteration cap with " +
+            std::to_string(inst.loop->NumUnfinished()) +
+            " unfinished requests");
+        return;
+      }
+      auto progress = inst.loop->Step();
+      if (!progress.ok()) {
+        inst.status = progress.status();
+        return;
+      }
+      if (*progress == ServingLoopState::Progress::kDrained) break;
+    }
+  }
+
+  const FleetConfig& config_;
+  std::unique_ptr<runtime::ThreadPool> pool_;
+};
+
+/// What travels controller -> worker over an arrival queue: a freshly
+/// routed request, or a shed request migrating in with its cache state.
+struct AsyncCommand {
+  enum class Kind { kInject, kReceive };
+  Kind kind = Kind::kInject;
+  Request request;            ///< kInject
+  double wall_arrival = 0.0;  ///< kInject: the request's due instant
+  MigratedRequest migrated;   ///< kReceive
+};
+
+/// What travels worker -> controller over the event queue.
+struct AsyncEvent {
+  enum class Kind { kFinished, kShed, kError };
+  Kind kind = Kind::kFinished;
+  int32_t instance = -1;
+  MigratedRequest migrated;  ///< kShed
+  Status error = Status::OK();
+};
+
+/// How long a drained worker blocks on its arrival queue before re-checking
+/// for shutdown.
+constexpr std::chrono::microseconds kIdlePark{500};
+
+/// Wall time: one worker thread per instance owns that instance's serving
+/// loop outright and batches continuously, admitting routed requests
+/// mid-run through the Inject seam — no barrier on the hot path. Injections
+/// reach the workers over bounded arrival queues (a full queue blocks the
+/// controller: backpressure); completions, sheds and errors come back over
+/// one event queue, which Advance pumps until the next arrival is due.
+class WallExecutor final : public FleetExecutor {
+ public:
+  WallExecutor(const AsyncServingConfig& async, size_t trace_size,
+               int64_t max_iterations, const CostModel* migration_cost_model)
+      : async_(async),
+        max_iterations_(max_iterations),
+        // Sized so worker event pushes always complete while the controller
+        // is blocked handing a request to a full arrival queue (every
+        // request finishes once; sheds are drained continuously).
+        events_(2 * trace_size + 256),
+        migration_cost_model_(migration_cost_model) {
+    trace = async.trace;
+    metrics = async.metrics;
+    clock = &clock_;
+  }
+  ~WallExecutor() override { Stop(); }
+
+  void Start(Fleet& fleet) override {
+    sheds_per_instance_.assign(fleet.size(), 0);
+    for (auto& inst : fleet) {
+      inst->loop->AttachWallClock(&clock_);
+      Worker& w = *workers_.emplace_back(
+          std::make_unique<Worker>(inst.get(), async_.queue_capacity));
+      w.thread = std::thread([this, &w] { WorkerMain(w); });
+    }
+  }
+
+  double WindowEnd(double /*window_start*/) override {
+    return clock_.Now() * async_.replay_speedup;
+  }
+
+  Status Inject(Instance& inst, Request routed) override {
+    AsyncCommand cmd;
+    // Stamp the due instant, not the push: time spent behind a blocking
+    // Push to a full queue (or behind controller lag) is arrival-to-token
+    // latency the request really waited.
+    cmd.wall_arrival = routed.arrival / async_.replay_speedup;
+    cmd.request = std::move(routed);
+    ++routed_;
+    return Send(inst.id, std::move(cmd));
+  }
+
+  StatusOr<bool> Advance(Fleet& /*fleet*/, double /*window_end*/,
+                         double next_arrival) override {
+    while (true) {
+      if (next_arrival == std::numeric_limits<double>::infinity() &&
+          finished_ == routed_) {
+        wall_end_ = clock_.Now();
+        return true;
+      }
+      const double now = clock_.Now();
+      if (now > async_.max_wall_seconds) {
+        return Status::Internal(
+            "async serving exceeded the wall-time valve (" +
+            std::to_string(async_.max_wall_seconds) + "s)");
+      }
+      const double lag =
+          (next_arrival - now * async_.replay_speedup) / async_.replay_speedup;
+      if (lag <= 0) return false;  // the next arrival is due: route it
+      auto ev = events_.PopFor(std::chrono::duration_cast<
+                               std::chrono::nanoseconds>(
+          std::chrono::duration<double>(std::min(lag, 0.001))));
+      if (!ev.has_value()) continue;
+      switch (ev->kind) {
+        case AsyncEvent::Kind::kFinished:
+          ++finished_;
+          break;
+        case AsyncEvent::Kind::kError:
+          return ev->error;
+        case AsyncEvent::Kind::kShed:
+          APT_RETURN_NOT_OK(Forward(std::move(*ev)));
+          break;
+      }
+    }
+  }
+
+  /// Shutdown: the abort flag plus closing the fabric wake every parked or
+  /// blocked thread; workers exit even with unfinished requests aboard on
+  /// the error path.
+  void Stop() override {
+    abort_.store(true, std::memory_order_release);
+    for (auto& w : workers_) w->arrivals.Close();
+    events_.Close();
+    for (auto& w : workers_) {
+      if (w->thread.joinable()) w->thread.join();
+    }
+  }
+
+  /// The wall readouts around the fleet result (call after Stop).
+  AsyncServingResult Result(MultiInstanceResult serve) const {
+    AsyncServingResult out;
+    out.serve = std::move(serve);
+    out.wall = wall_metrics.Report();
+    out.wall_duration_s = wall_end_;
+    out.sheds_per_instance = sheds_per_instance_;
+    for (size_t i = 0; i < workers_.size(); ++i) {
+      out.shed_migrations += sheds_per_instance_[i];
+      const size_t high_water = workers_[i]->arrivals.high_water();
+      out.arrival_queue_high_water_per_instance.push_back(high_water);
+      out.arrival_queue_high_water =
+          std::max(out.arrival_queue_high_water, high_water);
+      if (metrics != nullptr) {
+        const std::string label = "instance=\"" + std::to_string(i) + "\"";
+        metrics->GetGauge("aptserve_async_arrival_queue_high_water", label)
+            ->SetMax(static_cast<double>(high_water));
+        metrics->GetCounter("aptserve_async_sheds_total", label)
+            ->Inc(sheds_per_instance_[i]);
+      }
+    }
+    return out;
+  }
+
+ private:
+  /// One worker: a thread that owns its instance's loop end to end (no
+  /// cross-thread access to the loop, ever — all communication is queue
+  /// messages and the published depth atomic).
+  struct Worker {
+    Worker(Instance* inst, size_t capacity) : inst(inst), arrivals(capacity) {}
+    Instance* inst;
+    runtime::BoundedQueue<AsyncCommand> arrivals;
+    /// Waiting-queue depth the worker publishes each iteration — the shed
+    /// target picker reads it without touching the loop.
+    std::atomic<int32_t> waiting_depth{0};
+    std::thread thread;
+  };
+
+  /// Blocking push: a full queue is backpressure, not an error. A closed
+  /// queue means its worker failed; its error event is already queued.
+  Status Send(int32_t instance, AsyncCommand cmd) {
+    if (workers_[instance]->arrivals.Push(std::move(cmd))) return Status::OK();
+    while (auto ev = events_.TryPop()) {
+      if (ev->kind == AsyncEvent::Kind::kError) return ev->error;
+    }
+    return Status::Internal("instance arrival queue closed mid-run");
+  }
+
+  /// Hands a shed request to the coolest published depth, lowest id on
+  /// ties; a lone instance receives its own shed back (re-injection, still
+  /// well-formed). Blocking is deadlock-free: the destination drains its
+  /// arrival queue every iteration and cannot fill the event queue.
+  Status Forward(AsyncEvent ev) {
+    int32_t dst = ev.instance;
+    int32_t best_depth = std::numeric_limits<int32_t>::max();
+    for (size_t i = 0; i < workers_.size(); ++i) {
+      if (static_cast<int32_t>(i) == ev.instance) continue;
+      const int32_t d =
+          workers_[i]->waiting_depth.load(std::memory_order_acquire);
+      if (d < best_depth) {
+        best_depth = d;
+        dst = static_cast<int32_t>(i);
+      }
+    }
+    ++sheds_per_instance_[ev.instance];
+    AsyncCommand cmd;
+    cmd.kind = AsyncCommand::Kind::kReceive;
+    cmd.migrated = std::move(ev.migrated);
+    return Send(dst, std::move(cmd));
+  }
+
+  /// One instance's continuous batching loop.
+  void WorkerMain(Worker& self) {
+    ServingLoopState& loop = *self.inst->loop;
+    const int32_t me = self.inst->id;
+    const auto post = [&](AsyncEvent ev) {
+      ev.instance = me;
+      return events_.Push(std::move(ev));
+    };
+    const auto fail = [&](Status s) {
+      AsyncEvent ev;
+      ev.kind = AsyncEvent::Kind::kError;
+      ev.error = std::move(s);
+      (void)post(std::move(ev));
+      self.arrivals.Close();  // wakes a controller blocked in Send
+    };
+    const auto apply = [&](AsyncCommand cmd) -> Status {
+      if (cmd.kind == AsyncCommand::Kind::kInject) {
+        return loop.Inject(cmd.request, cmd.request.arrival, cmd.wall_arrival);
+      }
+      // Shed migration in: schedulable at the later of the source-frame
+      // availability and this instance's own clock, plus the priced
+      // interconnect delay over post-dedupe bytes.
+      const double base = std::max(cmd.migrated.available_at, loop.now());
+      const auto delay = [&](const MigrationImport& import) {
+        return migration_cost_model_ != nullptr
+                   ? migration_cost_model_->MigrationSeconds(import.bytes)
+                   : 0.0;
+      };
+      return loop.Receive(std::move(cmd.migrated), base, delay).status();
+    };
+
+    int64_t reported = 0;  // finishes already posted to the controller
+    while (!abort_.load(std::memory_order_acquire)) {
+      // 1. Admit everything that arrived since the last iteration — the
+      // mid-step Inject seam, no barrier between admission and execution.
+      bool applied_any = false;
+      for (AsyncCommand& cmd : self.arrivals.DrainNow()) {
+        if (Status s = apply(std::move(cmd)); !s.ok()) return fail(s);
+        applied_any = true;
+      }
+
+      // 2. Fuse the timelines and run one iteration.
+      loop.SyncClock(clock_.Now() * async_.replay_speedup);
+      if (loop.iterations() >= max_iterations_) {
+        return fail(
+            Status::Internal("async serving loop hit the iteration cap"));
+      }
+      auto progress = loop.Step();
+      if (!progress.ok()) return fail(progress.status());
+      self.waiting_depth.store(loop.NumWaiting(), std::memory_order_release);
+
+      // 3. Publish completions back over the fabric.
+      for (; reported < loop.NumServed(); ++reported) {
+        if (!post(AsyncEvent{})) return;  // shutting down
+      }
+
+      // 4. Queue-depth shedding: an overloaded instance exports one waiting
+      // request (cache included) per iteration; the controller re-routes
+      // it to the coolest instance.
+      if (async_.shed_queue_depth > 0 &&
+          loop.NumWaiting() > async_.shed_queue_depth) {
+        const auto candidates = loop.MigratableWaiting();
+        if (!candidates.empty()) {
+          // The shed instant precedes Extract so readers see the queue
+          // depth that triggered it; Extract itself opens the migration
+          // flow arrow that the destination's Receive closes.
+          if (loop.trace_sink()) {
+            loop.trace_sink().Instant(obs::TraceOp::kShed, clock_.Now(),
+                                      candidates.front(),
+                                      static_cast<double>(loop.NumWaiting()));
+          }
+          auto m = loop.Extract(candidates.front());
+          if (!m.ok()) return fail(m.status());
+          AsyncEvent ev;
+          ev.kind = AsyncEvent::Kind::kShed;
+          ev.migrated = std::move(*m);
+          if (!post(std::move(ev))) return;
+        }
+      }
+
+      // 5. Park while drained: block on the arrival queue instead of
+      // spinning, and exit once the fabric is closed and empty.
+      if (*progress == ServingLoopState::Progress::kDrained && !applied_any) {
+        if (auto cmd = self.arrivals.PopFor(kIdlePark); cmd.has_value()) {
+          if (Status s = apply(std::move(*cmd)); !s.ok()) return fail(s);
+          continue;
+        }
+        if (self.arrivals.closed() && self.arrivals.size() == 0 &&
+            loop.AllServed()) {
+          return;
+        }
+      }
+    }
+  }
+
+  const AsyncServingConfig& async_;
+  const int64_t max_iterations_;
+  runtime::MonotonicClock clock_;
+  runtime::BoundedQueue<AsyncEvent> events_;
+  const CostModel* migration_cost_model_;
+  std::atomic<bool> abort_{false};
+  std::vector<std::unique_ptr<Worker>> workers_;  // after what they use
+  int64_t routed_ = 0;
+  int64_t finished_ = 0;
+  double wall_end_ = 0.0;
+  std::vector<int64_t> sheds_per_instance_;
 };
 
 }  // namespace
@@ -69,6 +485,32 @@ FleetController::FleetController(const FleetConfig& config,
 StatusOr<FleetResult> FleetController::Run(
     const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
     const BackendFactory& make_backend, const SloSpec& slo) {
+  VirtualExecutor exec(config_, config_.IsElastic()
+                                    ? config_.MaxInstances()
+                                    : router_.config().n_instances);
+  return Serve(trace, make_scheduler, make_backend, slo, &exec);
+}
+
+StatusOr<AsyncServingResult> FleetController::RunAsync(
+    const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
+    const BackendFactory& make_backend, const SloSpec& slo,
+    const AsyncServingConfig& async) {
+  APT_CHECK_MSG(!config_.IsElastic(),
+                "wall-clock serving runs static fleets only");
+  APT_CHECK(async.queue_capacity >= 1);
+  APT_CHECK(async.replay_speedup > 0.0);
+  WallExecutor exec(async, trace.size(), config_.loop.max_iterations,
+                    migration_cost_model_);
+  APT_ASSIGN_OR_RETURN(FleetResult result, Serve(trace, make_scheduler,
+                                                 make_backend, slo, &exec));
+  return exec.Result(std::move(result.serve));
+}
+
+StatusOr<FleetResult> FleetController::Serve(
+    const std::vector<Request>& trace, const SchedulerFactory& make_scheduler,
+    const BackendFactory& make_backend, const SloSpec& slo,
+    FleetExecutor* executor) {
+  FleetExecutor& exec = *executor;
   const bool elastic = config_.IsElastic();
   const int32_t initial_n = router_.config().n_instances;
   const int32_t max_n = elastic ? config_.MaxInstances() : initial_n;
@@ -76,7 +518,7 @@ StatusOr<FleetResult> FleetController::Run(
   FleetResult out;
   FleetMetrics& fm = out.fleet;
   RouterState rstate = router_.MakeState(max_n);
-  std::vector<std::unique_ptr<Instance>> fleet;
+  Fleet fleet;
   fleet.reserve(max_n);
 
   // Hierarchical (fleet-of-fleets) topology: the consistent-hash front
@@ -89,18 +531,19 @@ StatusOr<FleetResult> FleetController::Run(
   std::vector<int32_t> alive_per_cell(num_cells, 0);
   std::vector<std::vector<int32_t>> cell_live_ids(num_cells);
 
-  // Observability is opt-in and purely observational: with config_.trace /
-  // config_.metrics null every hook below is a no-op and the run is
-  // bit-identical to an uninstrumented build.
+  // Observability is opt-in and purely observational: with no recorder or
+  // registry every hook below is a no-op and the run is bit-identical to an
+  // uninstrumented build. Wall-time runs stamp events with the wall clock.
   obs::TraceSink ctl_trace;
   std::vector<obs::TraceSink> cell_trace;
-  if (config_.trace != nullptr) {
-    ctl_trace = config_.trace->MakeSink(obs::kControllerTrack);
-    router_.AttachTrace(&rstate, config_.trace->MakeSink(obs::kRouterTrack));
+  if (exec.trace != nullptr) {
+    ctl_trace = exec.trace->MakeSink(obs::kControllerTrack);
+    router_.AttachTrace(&rstate, exec.trace->MakeSink(obs::kRouterTrack),
+                        exec.clock);
     if (hierarchical) {
       cell_trace.reserve(num_cells);
       for (int32_t c = 0; c < num_cells; ++c) {
-        cell_trace.push_back(config_.trace->MakeSink(obs::kCellTrackBase - c));
+        cell_trace.push_back(exec.trace->MakeSink(obs::kCellTrackBase - c));
       }
     }
   }
@@ -137,11 +580,11 @@ StatusOr<FleetResult> FleetController::Run(
     APT_ASSIGN_OR_RETURN(inst->backend, make_backend(id));
     inst->loop =
         std::make_unique<ServingLoopState>(inst->backend.get(), config_.loop);
-    if (config_.trace != nullptr || config_.metrics != nullptr) {
-      inst->loop->AttachObservability(
-          config_.trace != nullptr ? config_.trace->MakeSink(id)
-                                   : obs::TraceSink(),
-          config_.metrics, id);
+    if (exec.trace != nullptr || exec.metrics != nullptr) {
+      inst->loop->AttachObservability(exec.trace != nullptr
+                                          ? exec.trace->MakeSink(id)
+                                          : obs::TraceSink(),
+                                      exec.metrics, id);
     }
     APT_RETURN_NOT_OK(inst->loop->Start({}, inst->scheduler.get(), slo));
     inst->add_time = t;
@@ -381,145 +824,92 @@ StatusOr<FleetResult> FleetController::Run(
     return Status::OK();
   };
 
-  // Fleet thread pool: instances step independently between barriers.
-  const int32_t threads =
-      std::min(config_.runtime.ResolvedNumThreads(), max_n);
-  std::unique_ptr<runtime::ThreadPool> pool;
-  if (threads > 1) {
-    RuntimeConfig fleet_runtime = config_.runtime;
-    fleet_runtime.num_threads = threads;
-    pool = std::make_unique<runtime::ThreadPool>(fleet_runtime);
-  }
-
-  const auto step_until = [&](Instance& inst, double t_end) {
-    if (!inst.Alive() || !inst.status.ok()) return;
-    while (inst.loop->now() < t_end) {
-      if (inst.loop->AllServed()) break;  // parked; the cap cannot apply
-      if (inst.loop->iterations() >= config_.loop.max_iterations) {
-        inst.status = Status::Internal(
-            "serving loop hit the iteration cap with " +
-            std::to_string(inst.loop->NumUnfinished()) +
-            " unfinished requests");
-        return;
-      }
-      auto progress = inst.loop->Step();
-      if (!progress.ok()) {
-        inst.status = progress.status();
-        return;
-      }
-      if (*progress == ServingLoopState::Progress::kDrained) break;
-    }
-  };
-
-  size_t next_route = 0;
   int64_t total_rejected = 0;
   int64_t total_deprioritized = 0;
-  std::vector<uint8_t> live_mask;
-  double window_start = 0.0;
 
-  while (true) {
-    const double window_end =
-        elastic ? window_start + config_.tick_interval_s
-                : std::numeric_limits<double>::infinity();
-    if (elastic) APT_RETURN_NOT_OK(tick(window_start));
+  // The controller loop: tick (elastic only), route what is due against the
+  // live set, advance the instances. A static fleet never scales, so its
+  // live set is constant and routing replays identically on both clocks.
+  exec.Start(fleet);
+  const Status served = [&]() -> Status {
+    size_t next_route = 0;
+    double window_start = 0.0;
+    while (true) {
+      if (elastic) APT_RETURN_NOT_OK(tick(window_start));
+      const double window_end = exec.WindowEnd(window_start);
 
-    // Route every arrival of this window against the live set (constant
-    // within the window — scale events only happen at ticks).
-    if (next_route < trace.size()) {
-      live_mask.assign(rstate.capacity(), 0);
-      for (size_t i = 0; i < fleet.size(); ++i) {
-        live_mask[i] = fleet[i]->Routable() ? 1 : 0;
-      }
-      if (hierarchical) {
-        // Per-cell live member lists (constant within the window, like the
-        // mask): RouteOneLive scans only the chosen cell's members, which
-        // is what keeps the per-decision cost independent of fleet width.
+      // Route every due arrival against the live set (constant within the
+      // window — scale events only happen at ticks). Per-cell live member
+      // lists (a flat fleet is one cell): RouteOneLive scans only the chosen
+      // cell's members, which keeps the per-decision cost independent of
+      // fleet width.
+      if (next_route < trace.size()) {
         for (auto& ids : cell_live_ids) ids.clear();
         for (size_t i = 0; i < fleet.size(); ++i) {
-          if (live_mask[i]) {
+          if (fleet[i]->Routable()) {
             cell_live_ids[fm.instance_cell[i]].push_back(
                 static_cast<int32_t>(i));
           }
         }
-        for (int32_t c = 0; c < num_cells; ++c) {
-          cell_router.SetLive(c, !cell_live_ids[c].empty());
-        }
-      }
-    }
-    while (next_route < trace.size() &&
-           trace[next_route].arrival < window_end) {
-      const Request& req = trace[next_route];
-      bool best_effort = false;
-      int32_t cell = 0;
-      int32_t inst;
-      if (hierarchical) {
-        cell = cell_router.RouteOne(req, req.arrival);
-        inst = router_.RouteOneLive(req, next_route, cell_live_ids[cell],
-                                    &rstate, &best_effort);
-      } else {
-        inst = router_.RouteOne(req, next_route, live_mask, &rstate,
-                                &best_effort);
-      }
-      if (inst == RouteDecision::kRejected) {
-        ++total_rejected;
-      } else {
         if (hierarchical) {
-          if (!cell_trace.empty()) {
-            // Pre-commit, so the span/score read the wait this request
-            // actually saw, not one inflated by its own service time.
-            const double wait = cell_router.Outstanding(cell, req.arrival);
-            cell_trace[cell].Span(obs::TraceOp::kQueueWait, req.arrival,
-                                  wait, req.id, static_cast<double>(inst));
-            cell_trace[cell].Instant(obs::TraceOp::kRouteDecision,
-                                     req.arrival, req.id,
-                                     static_cast<double>(inst), wait,
-                                     static_cast<double>(cell));
+          for (int32_t c = 0; c < num_cells; ++c) {
+            cell_router.SetLive(c, !cell_live_ids[c].empty());
           }
-          cell_router.Commit(
-              cell, req.arrival, router_.EstimatedServiceSeconds(req),
-              static_cast<int32_t>(cell_live_ids[cell].size()));
         }
-        Request routed = req;
-        if (best_effort) {
-          routed.best_effort = true;
-          ++total_deprioritized;
+      }
+      while (next_route < trace.size() &&
+             trace[next_route].arrival < window_end) {
+        const Request& req = trace[next_route];
+        bool best_effort = false;
+        const int32_t cell =
+            hierarchical ? cell_router.RouteOne(req, req.arrival) : 0;
+        const int32_t inst = router_.RouteOneLive(
+            req, next_route, cell_live_ids[cell], &rstate, &best_effort);
+        if (inst == RouteDecision::kRejected) {
+          ++total_rejected;
+        } else {
+          if (hierarchical) {
+            if (!cell_trace.empty()) {
+              // Pre-commit, so the span/score read the wait this request
+              // actually saw, not one inflated by its own service time.
+              const double wait = cell_router.Outstanding(cell, req.arrival);
+              const double ts =
+                  exec.clock != nullptr ? exec.clock->Now() : req.arrival;
+              cell_trace[cell].Span(obs::TraceOp::kQueueWait, ts, wait,
+                                    req.id, static_cast<double>(inst));
+              cell_trace[cell].Instant(obs::TraceOp::kRouteDecision, ts,
+                                       req.id, static_cast<double>(inst),
+                                       wait, static_cast<double>(cell));
+            }
+            cell_router.Commit(
+                cell, req.arrival, router_.EstimatedServiceSeconds(req),
+                static_cast<int32_t>(cell_live_ids[cell].size()));
+          }
+          Request routed = req;
+          if (best_effort) {
+            routed.best_effort = true;
+            ++total_deprioritized;
+          }
+          APT_RETURN_NOT_OK(exec.Inject(*fleet[inst], std::move(routed)));
         }
-        // Virtual time only: no wall clock is attached, so the wall stamp
-        // is unread.
-        APT_RETURN_NOT_OK(fleet[inst]->loop->Inject(routed, routed.arrival,
-                                                    routed.arrival));
+        ++next_route;
       }
-      ++next_route;
-    }
 
-    // Epochs: every instance advances to the window barrier.
-    const int32_t n_now = static_cast<int32_t>(fleet.size());
-    if (pool != nullptr) {
-      pool->ParallelForEach(0, n_now, 1, [&](int64_t i) {
-        step_until(*fleet[i], window_end);
-      });
-    } else {
-      for (int32_t i = 0; i < n_now; ++i) {
-        step_until(*fleet[i], window_end);
-        if (!fleet[i]->status.ok()) break;  // fail fast, as before
+      APT_ASSIGN_OR_RETURN(
+          const bool done,
+          exec.Advance(fleet, window_end,
+                       next_route < trace.size()
+                           ? trace[next_route].arrival
+                           : std::numeric_limits<double>::infinity()));
+      if (done) return Status::OK();
+      window_start = window_end;
+      if (fm.ticks > 100'000'000) {
+        return Status::Internal("fleet controller exceeded the tick guard");
       }
     }
-    // First failure in instance order, matching the classic runner.
-    for (const auto& inst : fleet) {
-      if (!inst->status.ok()) return inst->status;
-    }
-
-    if (!elastic) break;
-    bool done = next_route == trace.size();
-    for (const auto& inst : fleet) {
-      done = done && inst->loop->AllServed();
-    }
-    if (done) break;
-    window_start = window_end;
-    if (fm.ticks > 100'000'000) {
-      return Status::Internal("fleet controller exceeded the tick guard");
-    }
-  }
+  }();
+  exec.Stop();
+  APT_RETURN_NOT_OK(served);
 
   // Finalize instances and assemble the fleet result.
   MultiInstanceResult& result = out.serve;
@@ -553,6 +943,7 @@ StatusOr<FleetResult> FleetController::Run(
       result.prefill_tokens_skipped += r.prefill_tokens_skipped;
       result.tokens_generated += r.tokens_generated;
       AddPrefixStats(r.prefix, &result.prefix);
+      exec.wall_metrics.Merge(r.wall_metrics);
       result.records_per_instance[i] = std::move(r.records);
     }
     const double end = inst.retire_time >= 0 ? inst.retire_time : fleet_end;
@@ -581,43 +972,39 @@ StatusOr<FleetResult> FleetController::Run(
     result.route_cost.cell_fallback_routed += cs.fallback_routed;
   }
 
-  if (config_.metrics != nullptr) {
-    obs::MetricsRegistry& reg = *config_.metrics;
+  if (exec.metrics != nullptr) {
+    obs::MetricsRegistry& reg = *exec.metrics;
     const RouteCostStats& rc = result.route_cost;
-    reg.GetCounter("aptserve_router_decisions_total")->Inc(rc.decisions);
-    reg.GetCounter("aptserve_router_instance_probes_total")
-        ->Inc(rc.instance_probes);
-    reg.GetCounter("aptserve_router_mirror_nodes_walked_total")
-        ->Inc(rc.mirror_nodes_walked);
-    reg.GetCounter("aptserve_router_mirror_evictions_total")
-        ->Inc(rc.mirror_evictions);
+    const std::pair<const char*, int64_t> counters[] = {
+        {"aptserve_router_decisions_total", rc.decisions},
+        {"aptserve_router_instance_probes_total", rc.instance_probes},
+        {"aptserve_router_mirror_nodes_walked_total", rc.mirror_nodes_walked},
+        {"aptserve_router_mirror_evictions_total", rc.mirror_evictions},
+        {"aptserve_cell_probes_total", rc.cell_probes},
+        {"aptserve_cell_hash_routed_total", rc.cell_hash_routed},
+        {"aptserve_cell_fallback_routed_total", rc.cell_fallback_routed},
+        {"aptserve_fleet_cross_cell_migrations_total",
+         fm.cross_cell_migrations},
+        {"aptserve_fleet_migrations_total", fm.migrations},
+        {"aptserve_fleet_migration_bytes_total",
+         static_cast<int64_t>(fm.migration_bytes)},
+        {"aptserve_fleet_cold_starts_total", fm.cold_starts},
+    };
+    for (const auto& [name, value] : counters) reg.GetCounter(name)->Inc(value);
     reg.GetGauge("aptserve_router_mirror_nodes")
         ->Set(static_cast<double>(rc.mirror_nodes));
     reg.GetGauge("aptserve_router_mirror_node_peak")
         ->Set(static_cast<double>(rc.mirror_node_peak));
-    reg.GetCounter("aptserve_cell_probes_total")->Inc(rc.cell_probes);
-    reg.GetCounter("aptserve_cell_hash_routed_total")
-        ->Inc(rc.cell_hash_routed);
-    reg.GetCounter("aptserve_cell_fallback_routed_total")
-        ->Inc(rc.cell_fallback_routed);
-    reg.GetCounter("aptserve_fleet_cross_cell_migrations_total")
-        ->Inc(fm.cross_cell_migrations);
-    reg.GetCounter("aptserve_fleet_migrations_total")->Inc(fm.migrations);
-    reg.GetCounter("aptserve_fleet_migration_bytes_total")
-        ->Inc(static_cast<int64_t>(fm.migration_bytes));
-    reg.GetCounter("aptserve_fleet_cold_starts_total")->Inc(fm.cold_starts);
+    const char* const kind_labels[] = {"kind=\"add\"", "kind=\"live\"",
+                                       "kind=\"drain\"", "kind=\"retire\""};
     int64_t by_kind[4] = {0, 0, 0, 0};
     for (const FleetScaleEvent& ev : fm.scale_events) {
       ++by_kind[static_cast<int>(ev.kind)];
     }
-    reg.GetCounter("aptserve_fleet_scale_events_total", "kind=\"add\"")
-        ->Inc(by_kind[0]);
-    reg.GetCounter("aptserve_fleet_scale_events_total", "kind=\"live\"")
-        ->Inc(by_kind[1]);
-    reg.GetCounter("aptserve_fleet_scale_events_total", "kind=\"drain\"")
-        ->Inc(by_kind[2]);
-    reg.GetCounter("aptserve_fleet_scale_events_total", "kind=\"retire\"")
-        ->Inc(by_kind[3]);
+    for (int k = 0; k < 4; ++k) {
+      reg.GetCounter("aptserve_fleet_scale_events_total", kind_labels[k])
+          ->Inc(by_kind[k]);
+    }
     reg.GetGauge("aptserve_fleet_instance_seconds")->Set(fm.instance_seconds);
     reg.GetGauge("aptserve_fleet_peak_instances")
         ->Set(static_cast<double>(fm.peak_instances));
@@ -670,6 +1057,7 @@ SloReport MergeReports(const std::vector<SloReport>& reports,
       out.iterations > 0 ? batch_weighted / out.iterations : 0.0;
   out.mean_ttft = out.ttfts.Mean();
   out.p99_ttft = out.ttfts.P99();
+  out.jain_fairness_ttft = JainFairnessIndex(out.ttfts.samples());
   out.goodput_rps = out.total_serving_time > 0
                         ? out.slo_met_requests / out.total_serving_time
                         : 0.0;

@@ -1,10 +1,22 @@
-// FleetController: the event-driven multi-instance serving layer. One
-// virtual-time loop interleaves per-instance serving-loop epochs
-// (ServingLoopState::Step) with controller ticks; each tick evaluates
-// pluggable scaling policies to grow the fleet (cold start with a
-// configurable warmup latency) or drain-and-remove instances, and a
-// migration planner that moves queued or preempted requests off hot or
-// draining instances *with their hybrid KV/hidden cache state*
+// FleetController: the event-driven multi-instance serving layer and the
+// only fleet driver. One controller loop serves both clocks: tick
+// (elastic fleets only), route what is due, advance the instances. What
+// "advance" means is the executor's business:
+//   - the virtual executor (Run) steps every instance's serving-loop epochs
+//     (ServingLoopState::Step) to the window barrier, in parallel on the
+//     fleet thread pool when the runtime allows — the pinned bit-for-bit
+//     reference;
+//   - the wall executor (RunAsync) runs one worker thread per instance that
+//     batches continuously, hands it routed requests over bounded arrival
+//     queues, and pumps its completions, sheds and errors from one event
+//     queue (serve/async_serving.h has its contract).
+// Routing (flat and hierarchical), instance construction with its
+// observability, and result assembly are shared by both.
+//
+// Each tick evaluates pluggable scaling policies to grow the fleet (cold
+// start with a configurable warmup latency) or drain-and-remove instances,
+// and a migration planner that moves queued or preempted requests off hot
+// or draining instances *with their hybrid KV/hidden cache state*
 // (ServingLoopState::Extract/Receive over the backends'
 // ExportRequest/ImportRequest — shared prefix blocks re-resolve through the
 // destination's PrefixIndex so they dedupe instead of copying, and the
@@ -14,16 +26,17 @@
 // instance set (Router::RouteOne); scale events only happen at tick
 // boundaries, so routing within a tick window sees a constant fleet.
 //
-// Determinism: ticks, routing, scaling, and migration all run serially at
-// window barriers; instances only execute their own independent epochs
-// between barriers (in parallel on the fleet thread pool when the runtime
-// allows). Results are therefore bit-identical at any thread count.
+// Determinism: in virtual time, ticks, routing, scaling, and migration all
+// run serially at window barriers; instances only execute their own
+// independent epochs between barriers. Results are therefore bit-identical
+// at any thread count.
 //
 // The static fleet is the degenerate case: no scaling rules, no migration.
-// It runs as a single infinite window — route everything, run every
-// instance to completion — which is operation-for-operation the classic
-// MultiInstanceRunner (rebuilt on this controller and pinned by the router
-// parity and serving-loop parity suites).
+// In virtual time it runs as a single infinite window — route everything,
+// run every instance to completion — which is operation-for-operation the
+// classic MultiInstanceRunner (pinned by the router parity and serving-loop
+// parity suites). Its live set never changes, so the wall executor routes
+// every request to the same instance as the virtual one.
 #pragma once
 
 #include <functional>
@@ -42,6 +55,10 @@
 #include "workload/request.h"
 
 namespace aptserve {
+
+struct AsyncServingConfig;
+struct AsyncServingResult;
+class FleetExecutor;
 
 /// Creates one scheduler per instance (each instance needs its own
 /// stateful scheduler object).
@@ -229,10 +246,26 @@ class FleetController {
                             const BackendFactory& make_backend,
                             const SloSpec& slo);
 
+  /// Serves `trace` in wall time on the static fleet (the config must not
+  /// be elastic): the same routing as Run, so token streams match Run's
+  /// bit-for-bit while timing is real. Observability comes from
+  /// async.trace / async.metrics, stamped by the wall clock.
+  StatusOr<AsyncServingResult> RunAsync(const std::vector<Request>& trace,
+                                        const SchedulerFactory& make_scheduler,
+                                        const BackendFactory& make_backend,
+                                        const SloSpec& slo,
+                                        const AsyncServingConfig& async);
+
   const Router& router() const { return router_; }
   const FleetConfig& config() const { return config_; }
 
  private:
+  /// The controller loop both clocks share; `exec` advances the instances.
+  StatusOr<FleetResult> Serve(const std::vector<Request>& trace,
+                              const SchedulerFactory& make_scheduler,
+                              const BackendFactory& make_backend,
+                              const SloSpec& slo, FleetExecutor* exec);
+
   FleetConfig config_;
   Router router_;
   const CostModel* migration_cost_model_;

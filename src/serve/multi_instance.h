@@ -1,9 +1,10 @@
 // Multi-instance serving (the paper's §8 future work: "generalize
 // Apt-Serve's designs to the multi-instance scenario"). The fleet Router
 // (serve/router.h) is the single entry point for multi-instance traffic:
-// it owns the global arrival queue, admits each request against its SLO,
-// and assigns it to one of N independent ServingLoop instances; instances
-// then run to completion and the reports are merged.
+// it admits each request against its SLO and assigns it, live at its
+// arrival, to one of N independent ServingLoop instances (optionally
+// behind the hierarchical cell front tier); instances serve their requests
+// and the reports are merged.
 //
 // The runner is generic over ExecutionBackend: the same routing policies
 // shard the analytic simulator (CostModelBackend) and the real engine
@@ -11,13 +12,14 @@
 // because routing is backend-independent, the same trace produces the
 // same shards (and therefore identical prefix-hit accounting) on both.
 //
-// With a RuntimeConfig of more than one thread, instances run concurrently
-// on a fleet thread pool (one task per instance epoch). Routing is
-// computed up front from arrivals alone, schedulers/backends are
-// constructed serially in instance order (factories may share state), and
-// the merge happens behind the ParallelFor join in instance order — so
-// every routing decision and the merged report are bit-identical to the
-// serial runner at any thread count.
+// The runner is the static-fleet front of FleetController, whose one
+// controller loop drives both clocks. Run serves in virtual time: with a
+// RuntimeConfig of more than one thread, instances run concurrently on a
+// fleet thread pool; schedulers/backends are constructed serially in
+// instance order (factories may share state), and the merge happens in
+// instance order — so every routing decision and the merged report are
+// bit-identical to the serial runner at any thread count. RunAsync serves
+// the same fleet in wall time with the same routing.
 //
 // The router sees only what a real front-end would: arrival times, prompt
 // lengths, prompt token ids and per-request SLOs.
@@ -39,10 +41,6 @@
 
 namespace aptserve {
 
-// Async wall-clock serving mode (serve/async_serving.h).
-struct AsyncServingConfig;
-struct AsyncServingResult;
-
 class MultiInstanceRunner {
  public:
   /// Fleet behind an SLO-aware router. `cells` configures the
@@ -63,11 +61,10 @@ class MultiInstanceRunner {
                                     const BackendFactory& make_backend,
                                     const SloSpec& slo);
 
-  /// The same fleet as a real-time continuously-batching server
-  /// (serve/async_serving.h): per-instance worker threads, bounded
-  /// arrival queues, wall-clock TTFT/TBT. Token streams are bit-identical
-  /// to Run(); only timing differs. Hierarchical fleets (cells.num_cells
-  /// > 1) are rejected with InvalidArgument. Defined in async_serving.cc.
+  /// The same fleet, flat or hierarchical, as a real-time continuously
+  /// batching server (serve/async_serving.h): per-instance worker threads,
+  /// bounded arrival queues, wall-clock TTFT/TBT. Token streams are
+  /// bit-identical to Run(); only timing differs.
   StatusOr<AsyncServingResult> RunAsync(const std::vector<Request>& trace,
                                         const SchedulerFactory& make_scheduler,
                                         const BackendFactory& make_backend,
@@ -75,6 +72,8 @@ class MultiInstanceRunner {
                                         const AsyncServingConfig& async);
 
  private:
+  FleetController Controller() const;
+
   Router router_;
   ServingLoopConfig loop_;
   RuntimeConfig runtime_;

@@ -228,9 +228,9 @@ class Router {
   /// Attaches a trace sink to `state`: subsequent RouteOne calls emit
   /// route-decision and admission-verdict events on the router track.
   /// Purely observational (no routing state is touched). `clock`
-  /// (optional, borrowed) stamps events in wall time — the async feeder
-  /// passes its replay clock; null stamps them with each request's arrival
-  /// time, the virtual frame the router already routes in.
+  /// (optional, borrowed) stamps events in wall time — the wall-clock
+  /// fleet passes its replay clock; null stamps them with each request's
+  /// arrival time, the virtual frame the router already routes in.
   void AttachTrace(RouterState* state, obs::TraceSink sink,
                    const runtime::Clock* clock = nullptr) const;
 

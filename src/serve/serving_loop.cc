@@ -154,12 +154,6 @@ void ServingLoopState::AttachWallClock(const runtime::Clock* clock) {
   wall_clock_ = clock;
 }
 
-std::vector<std::pair<RequestId, double>> ServingLoopState::TakeRecentFinishes() {
-  std::vector<std::pair<RequestId, double>> out;
-  out.swap(recent_finishes_);
-  return out;
-}
-
 StatusOr<MigratedRequest> ServingLoopState::Extract(RequestId id) {
   APT_CHECK_MSG(started_ && !finished_run_, "Extract outside a live run");
   Slot* const* found = index_.Find(id);
@@ -634,10 +628,7 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
       finish_log_.emplace_back(now_, rec.MeetsTtft(slo_));
       trace_.Instant(obs::TraceOp::kCompletion, obs_iter_end, sr.spec.id,
                      rec.ttft, now_ - sr.spec.arrival);
-      if (wall_clock_ != nullptr) {
-        wall_metrics_.OnFinish(sr.spec.id, wall_now);
-        recent_finishes_.emplace_back(sr.spec.id, now_);
-      }
+      if (wall_clock_ != nullptr) wall_metrics_.OnFinish(sr.spec.id, wall_now);
     }
   }
 

@@ -180,10 +180,10 @@ class ServingLoopState {
   // ---- Wall-clock seam (async serving mode) --------------------------------
 
   /// Attaches a real-time clock: from now on every emitted token and finish
-  /// is additionally wall-stamped into the result's WallClockMetrics, and
-  /// finishes are logged for TakeRecentFinishes. Purely observational — the
-  /// virtual timeline, scheduling, and token streams are unaffected, which
-  /// is exactly the async mode's determinism contract. Call before Step.
+  /// is additionally wall-stamped into the result's WallClockMetrics.
+  /// Purely observational — the virtual timeline, scheduling, and token
+  /// streams are unaffected, which is exactly the async mode's determinism
+  /// contract. Call before Step.
   void AttachWallClock(const runtime::Clock* clock);
 
   /// Advances the virtual clock to (at least) `wall_now`, so injected
@@ -193,11 +193,6 @@ class ServingLoopState {
   void SyncClock(double wall_now) {
     if (wall_now > now_) now_ = wall_now;
   }
-
-  /// Drains the (id, virtual finish time) log of requests finished since
-  /// the last call. Empty unless a wall clock is attached — the async
-  /// worker's completion feed back to the controller.
-  std::vector<std::pair<RequestId, double>> TakeRecentFinishes();
 
   // ---- Observability seam (src/obs/) ---------------------------------------
 
@@ -268,7 +263,6 @@ class ServingLoopState {
   /// Real-time observer (async mode); null in the deterministic modes.
   const runtime::Clock* wall_clock_ = nullptr;
   WallClockMetrics wall_metrics_;
-  std::vector<std::pair<RequestId, double>> recent_finishes_;
 
   /// Observability (all optional; see AttachObservability). Metric handles
   /// are resolved once at attach so the hot path is pointer-null checks

@@ -168,7 +168,7 @@ struct FleetMetrics {
 /// Real-time stamps of one in-flight request, carried across live
 /// migrations so a moved request's TTFT/TBT history survives the hop.
 struct WallRequestRecord {
-  double arrival = -1.0;      ///< wall time the feeder released the request
+  double arrival = -1.0;      ///< wall time the request was due
   double first_token = -1.0;  ///< wall time of the first emitted token
   double last_token = -1.0;   ///< wall time of the latest emitted token
   double finish = -1.0;

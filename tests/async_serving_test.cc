@@ -10,7 +10,8 @@
 // counter-based per (seed, request, position), and (c) routing replays the
 // virtual assignment. The differential tests enforce exactly that, across
 // seeds (overridable via APTSERVE_FUZZ_SEEDS for the CI matrix), engine
-// thread counts, sampling modes, and live shedding migration.
+// thread counts, sampling modes, live shedding migration, and flat and
+// hierarchical (two-cell) fleets.
 #include "serve/async_serving.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +21,9 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "obs/chrome_trace.h"
+#include "obs/trace_recorder.h"
 
 #include "baselines/fcfs_scheduler.h"
 #include "common/env.h"
@@ -52,6 +56,22 @@ std::vector<Request> TinyTrace(int32_t n, uint64_t seed) {
     r.output_len = static_cast<int32_t>(rng.UniformInt(2, 6));
     r.arrival = 0.02 * i;
     trace.push_back(r);
+  }
+  return trace;
+}
+
+/// TinyTrace with prompt token ids: every prompt opens with one of three
+/// 8-token templates, so the cell front tier hashes real prefixes (prompts
+/// shorter than a full block plus one take its fallback path).
+std::vector<Request> TemplatedTrace(int32_t n, uint64_t seed) {
+  std::vector<Request> trace = TinyTrace(n, seed);
+  Rng rng(seed + 7);
+  for (Request& r : trace) {
+    r.token_ids.resize(r.prompt_len);
+    for (int32_t p = 0; p < r.prompt_len; ++p) {
+      r.token_ids[p] = p < 8 ? static_cast<int32_t>(r.id % 3) * 8 + p
+                             : static_cast<int32_t>(rng.UniformInt(0, 63));
+    }
   }
   return trace;
 }
@@ -110,6 +130,33 @@ MultiInstanceRunner TwoInstanceRunner() {
   ServingLoopConfig loop;
   loop.max_batch_size = INT32_MAX;
   return MultiInstanceRunner(Router(RoundRobin(2)), loop);
+}
+
+/// Four prefix-affinity instances; `num_cells` > 1 puts the consistent-hash
+/// cell front tier in front of them.
+MultiInstanceRunner AffinityRunner(int32_t num_cells) {
+  RouterConfig rc;
+  rc.n_instances = 4;
+  rc.policy = RoutePolicy::kPrefixAffinity;
+  rc.block_size = 8;
+  ServingLoopConfig loop;
+  loop.max_batch_size = INT32_MAX;
+  CellRouterConfig cells;
+  cells.num_cells = num_cells;
+  return MultiInstanceRunner(Router(rc), loop, RuntimeConfig{}, cells);
+}
+
+void ExpectSameRouteCost(const RouteCostStats& want,
+                         const RouteCostStats& got) {
+  EXPECT_EQ(want.decisions, got.decisions);
+  EXPECT_EQ(want.instance_probes, got.instance_probes);
+  EXPECT_EQ(want.mirror_nodes_walked, got.mirror_nodes_walked);
+  EXPECT_EQ(want.mirror_nodes, got.mirror_nodes);
+  EXPECT_EQ(want.mirror_node_peak, got.mirror_node_peak);
+  EXPECT_EQ(want.mirror_evictions, got.mirror_evictions);
+  EXPECT_EQ(want.cell_probes, got.cell_probes);
+  EXPECT_EQ(want.cell_hash_routed, got.cell_hash_routed);
+  EXPECT_EQ(want.cell_fallback_routed, got.cell_fallback_routed);
 }
 
 AsyncServingConfig FastReplay() {
@@ -236,28 +283,126 @@ TEST(AsyncServingTest, WallMetricsAreInternallyConsistent) {
   EXPECT_EQ(live->serve.combined.ttfts.count(), trace.size());
 }
 
-TEST(AsyncServingTest, HierarchicalFleetRejected) {
-  // The cell front tier runs on the virtual-time routing path only.
-  CellRouterConfig cells;
-  cells.num_cells = 2;
-  MultiInstanceRunner runner(Router(RoundRobin(2)), ServingLoopConfig{},
-                             RuntimeConfig{}, cells);
-  std::vector<TokenMap> sinks(2);
-  auto result = runner.RunAsync(
-      TinyTrace(4, 1), Fcfs(),
-      EngineFactory(&sinks, 1, SamplingParams::Greedy(), 1), SloSpec{5.0, 5.0},
-      AsyncServingConfig{});
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+TEST(AsyncServingTest, HierarchicalFleetMatchesVirtualMode) {
+  // A two-cell, four-instance fleet serves in wall time through the same
+  // routing code as the virtual run: same instance per request, same token
+  // streams, and the same routing-cost counters, front tier included.
+  for (const uint64_t seed : FuzzSeeds()) {
+    for (const int32_t threads : {1, 4}) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " threads=" + std::to_string(threads));
+      MultiInstanceRunner runner = AffinityRunner(/*num_cells=*/2);
+      const auto trace = TemplatedTrace(32, seed);
+      const SamplingParams sampling = SamplingParams::Greedy();
+
+      std::vector<TokenMap> virt_sinks(4);
+      auto virt =
+          runner.Run(trace, Fcfs(),
+                     EngineFactory(&virt_sinks, seed, sampling, threads),
+                     SloSpec{5.0, 5.0});
+      ASSERT_TRUE(virt.ok()) << virt.status().ToString();
+
+      std::vector<TokenMap> async_sinks(4);
+      auto live = runner.RunAsync(
+          trace, Fcfs(), EngineFactory(&async_sinks, seed, sampling, threads),
+          SloSpec{5.0, 5.0}, FastReplay());
+      ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+      const TokenMap want = Flatten(std::move(virt_sinks));
+      ASSERT_EQ(want.size(), trace.size());
+      ExpectSameTokens(want, Flatten(std::move(async_sinks)));
+      EXPECT_EQ(virt->requests_per_instance,
+                live->serve.requests_per_instance);
+      EXPECT_GT(virt->route_cost.cell_hash_routed, 0);
+      ExpectSameRouteCost(virt->route_cost, live->serve.route_cost);
+    }
+  }
+}
+
+TEST(AsyncServingTest, WallTraceRoutesEachRequestOnceInTheWallFrame) {
+  // Virtual arrivals start at 100 s while the wall run is capped well below
+  // that, so a route stamp in the virtual frame cannot pass for a wall one.
+  const uint64_t seed = FuzzSeeds().front();
+  for (const int32_t num_cells : {1, 2}) {
+    SCOPED_TRACE("num_cells=" + std::to_string(num_cells));
+    MultiInstanceRunner runner = AffinityRunner(num_cells);
+    std::vector<Request> trace = TemplatedTrace(24, seed + 8);
+    for (Request& r : trace) r.arrival += 100.0;
+
+    obs::TraceRecorder recorder;
+    AsyncServingConfig async = FastReplay();
+    async.trace = &recorder;
+    std::vector<TokenMap> sinks(4);
+    auto live = runner.RunAsync(
+        trace, Fcfs(), EngineFactory(&sinks, seed, SamplingParams::Greedy(), 1),
+        SloSpec{5.0, 5.0}, async);
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    ASSERT_LT(live->wall_duration_s, 100.0);
+
+    const std::vector<obs::TraceEvent> events = recorder.Flush();
+    std::unordered_map<RequestId, int32_t> decisions;
+    int64_t cell_spans = 0;
+    for (const obs::TraceEvent& e : events) {
+      if (e.op == obs::TraceOp::kRouteDecision &&
+          e.track == obs::kRouterTrack) {
+        ++decisions[e.id];
+        // Trace ids are trace indexes: routed no earlier than due, and
+        // before the run drained.
+        const double due = trace[e.id].arrival / async.replay_speedup;
+        EXPECT_GE(e.ts, due - 1e-9) << "request " << e.id;
+        EXPECT_LE(e.ts, live->wall_duration_s) << "request " << e.id;
+      }
+      if (e.op == obs::TraceOp::kQueueWait &&
+          e.kind == obs::EventKind::kSpan && e.track <= obs::kCellTrackBase) {
+        ++cell_spans;
+      }
+    }
+    ASSERT_EQ(decisions.size(), trace.size());
+    for (const auto& [id, n] : decisions) {
+      EXPECT_EQ(n, 1) << "request " << id;
+    }
+    EXPECT_EQ(cell_spans,
+              num_cells > 1 ? static_cast<int64_t>(trace.size()) : 0);
+
+    auto stats = obs::ValidateChromeTrace(obs::ExportChromeTrace(events));
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->queue_wait_spans, 0);
+  }
+}
+
+TEST(AsyncServingTest, FleetReportsCarryJainFairness) {
+  // The merged fleet report computes Jain's index over its merged TTFTs,
+  // in virtual time and in the wall run's virtual-frame report alike.
+  const uint64_t seed = FuzzSeeds().front();
+  MultiInstanceRunner runner = TwoInstanceRunner();
+  const auto trace = TinyTrace(24, seed + 6);
+  const SamplingParams sampling = SamplingParams::Greedy();
+
+  std::vector<TokenMap> virt_sinks(2);
+  auto virt = runner.Run(trace, Fcfs(),
+                         EngineFactory(&virt_sinks, seed, sampling, 1),
+                         SloSpec{5.0, 5.0});
+  ASSERT_TRUE(virt.ok()) << virt.status().ToString();
+  std::vector<TokenMap> async_sinks(2);
+  auto live = runner.RunAsync(trace, Fcfs(),
+                              EngineFactory(&async_sinks, seed, sampling, 1),
+                              SloSpec{5.0, 5.0}, FastReplay());
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+  for (const SloReport* r : {&virt->combined, &live->serve.combined}) {
+    ASSERT_EQ(r->ttfts.count(), trace.size());
+    EXPECT_EQ(r->jain_fairness_ttft, JainFairnessIndex(r->ttfts.samples()));
+    EXPECT_GT(r->jain_fairness_ttft, 0.0);
+  }
 }
 
 TEST(AsyncServingTest, WallArrivalIsTheDueInstantUnderBackpressure) {
-  // A burst at t=0 through a one-slot arrival queue: the feeder blocks on
-  // every Push until the worker drains the previous request, so later
+  // A burst at t=0 through a one-slot arrival queue: the controller blocks
+  // on every Push until the worker drains the previous request, so later
   // requests reach the instance long after they were due. Wall latency is
   // measured from the due instant, so the time a request spent waiting
-  // behind the blocked feeder counts: every request is due at 0, and the
-  // last one to finish must report the whole run as its e2e latency.
+  // behind the blocked controller counts: every request is due at 0, and
+  // the last one to finish must report the whole run as its e2e latency.
   const uint64_t seed = FuzzSeeds().front();
   MultiInstanceRunner runner(Router(RoundRobin(1)), ServingLoopConfig{});
   std::vector<Request> trace = TinyTrace(32, seed + 5);
@@ -270,7 +415,7 @@ TEST(AsyncServingTest, WallArrivalIsTheDueInstantUnderBackpressure) {
       trace, Fcfs(), EngineFactory(&sinks, seed, SamplingParams::Greedy(), 1),
       SloSpec{5.0, 5.0}, async);
   ASSERT_TRUE(live.ok()) << live.status().ToString();
-  EXPECT_EQ(live->arrival_queue_high_water, 1u);  // the feeder did block
+  EXPECT_EQ(live->arrival_queue_high_water, 1u);  // the controller did block
   const WallLatencyReport& wall = live->wall;
   EXPECT_EQ(wall.requests, static_cast<int64_t>(trace.size()));
   EXPECT_GT(wall.duration_s, 0.0);
