@@ -56,10 +56,16 @@ int main() {
   RunSpec spec;
   spec.num_requests = 500;
 
-  PrintRateSweep("Figure 4a: FCFS vs Random SLO attainment (%)"
-                 " (ShareGPT, OPT-13B)",
-                 spec, {1.0, 1.5, 2.0, 2.5, 3.0, 3.4, 4.0, 5.0},
-                 {"vLLM", "Random"});
+  std::printf("=== Figure 4a: FCFS vs Random SLO attainment (%%) "
+              "(ShareGPT, OPT-13B) ===\n");
+  std::printf("%10s %12s %12s\n", "rate(r/s)", "vLLM", "Random");
+  for (double rate : {1.0, 1.5, 2.0, 2.5, 3.0, 3.4, 4.0, 5.0}) {
+    spec.rate = rate;
+    const double fcfs = RunOnce(spec, "vLLM").slo_attainment;
+    const double random = RunOnce(spec, "Random").slo_attainment;
+    std::printf("%10.2f %12.1f %12.1f\n", rate, 100.0 * fcfs, 100.0 * random);
+    std::fflush(stdout);
+  }
 
   std::printf("\n=== Figure 4b/4c: per-request latency profile at 3.4 "
               "req/s ===\n");

@@ -27,13 +27,13 @@ SloReport RunUltra(const UltraCase& c, const ModelSpec& model, double rate,
   auto trace = BuildTrace(tc);
   if (!trace.ok()) std::abort();
   const SloSpec slo{10.0, 1.0};
-  auto sched = MakeScheduler(system, slo);
   ClusterSpec cluster;
   cluster.n_gpus = c.n_gpus;
   CostModel cm(model, cluster);
   CostModelBackend::Options opts;
   opts.block_size = 32;  // larger blocks keep pool metadata manageable
   auto result = [&]() -> StatusOr<ServingLoopResult> {
+    APT_ASSIGN_OR_RETURN(auto sched, sweep::MakeSchedulerByName(system, slo));
     APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, opts));
     return ServingLoop(backend.get(), ServingLoopConfig{})
         .Run(*trace, sched.get(), slo);

@@ -5,17 +5,21 @@
 // (c) recorder attached plus a full Chrome trace_event JSON export and
 // Prometheus text exposition after drain (the debugging configuration).
 //
-// Readout: sustained tokens/sec per mode, best of 3 interleaved runs.
-// Gate (enforced, exit 1): ring-buffer-on throughput must be within 5% of
-// tracing-off — the "zero-cost enough to leave on" budget the hooks were
-// designed against. The export mode is reported, not gated: serialising
-// the event log is explicitly off the hot path.
+// Readout: process CPU seconds per generated token while serving, per
+// mode, over kRounds interleaved rounds (off, recorder, full export in
+// turn, so host drift lands on all three alike). Wall-clock tok/s is
+// reported but not gated: the replay paces arrivals and the workers park
+// between them, so a pass's wall time reads the replay and the host more
+// than the hooks. CPU time counts only work done, the hooks' included.
+// Gate (enforced, exit 1): the median over rounds of the recorder/off CPU
+// per token ratio must be within 5% — the "zero-cost enough to leave on"
+// budget the hooks were designed against. The export mode is reported,
+// not gated: serialising the event log is explicitly off the hot path.
 //
-// Results land in BENCH_bench_trace_overhead.json. Like
-// bench_async_serving, the snapshot stamps hardware_concurrency and
-// "multicore": on a <4-core container the worker threads time-share one
-// core, so absolute tok/s is not serving capacity — but the off/on *ratio*
-// the gate checks is still meaningful, both modes pay the same tax.
+// Results land in BENCH_bench_trace_overhead.json, stamped with
+// hardware_concurrency.
+#include <time.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -46,11 +50,22 @@ double NowSeconds() {
       .count();
 }
 
+/// CPU seconds used so far by every thread of this process.
+double ProcessCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 constexpr int32_t kInstances = 2;
-constexpr int32_t kRequests = 192;
+// Large enough that per-run setup stays small beside the per-token cost
+// the gate budgets (at 192 requests the median read 5-7%, at 768 1-3%).
+constexpr int32_t kRequests = 768;
 constexpr double kArrivalSpacing = 0.01;  // virtual seconds
 constexpr double kReplaySpeedup = 800.0;
-constexpr int kRepeats = 3;
+constexpr int kRounds = 40;
+constexpr double kOverheadGate = 0.05;
 
 enum class Mode { kOff, kRecorder, kFullExport };
 
@@ -97,9 +112,10 @@ SchedulerFactory Fcfs() {
 }
 
 struct RunResult {
-  double tok_s = 0.0;          ///< sustained serving throughput
-  double serve_wall_s = 0.0;   ///< release-to-drain wall time
-  double export_wall_s = 0.0;  ///< Chrome JSON + Prometheus text (mode c)
+  double cpu_s_per_token = 0.0;  ///< process CPU while serving, per token
+  double tok_s = 0.0;            ///< sustained serving throughput
+  double serve_wall_s = 0.0;     ///< release-to-drain wall time
+  double export_wall_s = 0.0;    ///< Chrome JSON + Prometheus text (mode c)
   int64_t tokens = 0;
   uint64_t events_emitted = 0;
   uint64_t events_dropped = 0;
@@ -126,12 +142,17 @@ StatusOr<RunResult> RunOnce(Mode mode, const std::vector<Request>& trace) {
   MultiInstanceRunner runner(Router(rc), loop);
 
   std::vector<TokenMap> sinks(kInstances);
+  const double cpu0 = ProcessCpuSeconds();
   APT_ASSIGN_OR_RETURN(
       AsyncServingResult live,
       runner.RunAsync(trace, Fcfs(), EngineFactory(&sinks), SloSpec{5.0, 5.0},
                       async));
+  const double cpu_s = ProcessCpuSeconds() - cpu0;
 
   RunResult out;
+  out.cpu_s_per_token =
+      live.wall.tokens > 0 ? cpu_s / static_cast<double>(live.wall.tokens)
+                           : 0.0;
   out.tok_s = live.wall.throughput_tok_s;
   out.serve_wall_s = live.wall_duration_s;
   out.tokens = live.wall.tokens;
@@ -149,37 +170,36 @@ StatusOr<RunResult> RunOnce(Mode mode, const std::vector<Request>& trace) {
   return out;
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  if (n == 0) return 0.0;
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 }  // namespace
 
 int main() {
   const unsigned hw = std::thread::hardware_concurrency();
-  const bool multicore = hw >= 4;
-  if (!multicore) {
-    std::fprintf(stderr,
-                 "WARNING: hardware_concurrency=%u < 4 — absolute tok/s here "
-                 "is core-starved, read only the off/on ratio; the JSON "
-                 "snapshot records \"multicore\": false.\n",
-                 hw);
-  }
-
   bench::BenchJson::Instance().SetName("bench_trace_overhead");
   bench::BenchJson::Instance()
       .config()
       .Int("hardware_concurrency", hw)
-      .Bool("multicore", multicore)
       .Int("instances", kInstances)
       .Int("requests", kRequests)
       .Num("replay_speedup", kReplaySpeedup)
-      .Int("repeats_best_of", kRepeats)
-      .Num("overhead_gate", 0.05);
+      .Int("rounds", kRounds)
+      .Num("overhead_gate", kOverheadGate);
 
   const auto trace = BenchTrace();
   const Mode modes[] = {Mode::kOff, Mode::kRecorder, Mode::kFullExport};
 
-  // Interleaved best-of-N: round-robin over the modes so machine noise
-  // (another process, frequency drift) lands on all three equally.
-  RunResult best[3];
-  for (int rep = 0; rep < kRepeats; ++rep) {
+  // Interleaved rounds: one pass of each mode per round, so machine noise
+  // (another process, frequency drift) lands on all three alike; the gate
+  // reads each round's recorder/off ratio.
+  std::vector<RunResult> runs[3];
+  std::vector<double> ratios;
+  for (int round = 0; round < kRounds; ++round) {
     for (int m = 0; m < 3; ++m) {
       auto r = RunOnce(modes[m], trace);
       if (!r.ok()) {
@@ -187,51 +207,64 @@ int main() {
                      r.status().ToString().c_str());
         return 1;
       }
-      if (r->tok_s > best[m].tok_s) best[m] = *r;
+      runs[m].push_back(*r);
     }
+    ratios.push_back(runs[1].back().cpu_s_per_token /
+                     runs[0].back().cpu_s_per_token);
   }
 
-  std::printf("=== Trace overhead on the async path (best of %d, hw=%u%s) "
-              "===\n",
-              kRepeats, hw,
-              multicore ? "" : ", single-core: ratios only");
-  std::printf("%12s %12s %10s %10s %10s %12s\n", "mode", "tok/s", "wall(s)",
-              "events", "dropped", "export");
+  std::printf("=== Trace overhead on the async path (median of %d "
+              "interleaved rounds, hw=%u) ===\n",
+              kRounds, hw);
+  std::printf("%12s %14s %12s %10s %10s %10s %12s\n", "mode", "cpu_us/token",
+              "tok/s", "wall(s)", "events", "dropped", "export");
   for (int m = 0; m < 3; ++m) {
-    const RunResult& r = best[m];
-    std::printf("%12s %12.0f %10.4f %10llu %10llu %9.4fs/%zuB\n",
-                ModeName(modes[m]), r.tok_s, r.serve_wall_s,
-                static_cast<unsigned long long>(r.events_emitted),
-                static_cast<unsigned long long>(r.events_dropped),
-                r.export_wall_s, r.export_bytes);
+    std::vector<double> cpu, tok_s, wall, export_s;
+    for (const RunResult& r : runs[m]) {
+      cpu.push_back(r.cpu_s_per_token);
+      tok_s.push_back(r.tok_s);
+      wall.push_back(r.serve_wall_s);
+      export_s.push_back(r.export_wall_s);
+    }
+    const RunResult& last = runs[m].back();
+    std::printf("%12s %14.2f %12.0f %10.4f %10llu %10llu %9.4fs/%zuB\n",
+                ModeName(modes[m]), 1e6 * Median(cpu), Median(tok_s),
+                Median(wall),
+                static_cast<unsigned long long>(last.events_emitted),
+                static_cast<unsigned long long>(last.events_dropped),
+                Median(export_s), last.export_bytes);
 
     bench::JsonObject e;
     e.Str("mode", ModeName(modes[m]))
-        .Num("sustained_tok_per_s", r.tok_s)
-        .Num("serve_wall_seconds", r.serve_wall_s)
-        .Int("tokens", r.tokens)
-        .Int("events_emitted", static_cast<int64_t>(r.events_emitted))
-        .Int("events_dropped", static_cast<int64_t>(r.events_dropped))
-        .Num("export_seconds", r.export_wall_s)
-        .Int("export_bytes", static_cast<int64_t>(r.export_bytes));
+        .Num("cpu_us_per_token", 1e6 * Median(cpu))
+        .Num("sustained_tok_per_s", Median(tok_s))
+        .Num("serve_wall_seconds", Median(wall))
+        .Int("tokens", last.tokens)
+        .Int("events_emitted", static_cast<int64_t>(last.events_emitted))
+        .Int("events_dropped", static_cast<int64_t>(last.events_dropped))
+        .Num("export_seconds", Median(export_s))
+        .Int("export_bytes", static_cast<int64_t>(last.export_bytes));
     bench::BenchJson::Instance().AddEntry(std::move(e));
   }
 
-  const double off = best[0].tok_s;
-  const double on = best[1].tok_s;
-  const double overhead = off > 0.0 ? 1.0 - on / off : 0.0;
-  std::printf("\nRing-buffer tracing overhead: %.2f%% of tokens/sec "
-              "(gate: <=5%%)\n", 100.0 * overhead);
+  const double overhead = Median(ratios) - 1.0;
+  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+  std::printf("\nRing-buffer tracing overhead: %.2f%% CPU per token, median "
+              "of %d rounds (range %.2f%% to %.2f%%; gate: <=5%%)\n",
+              100.0 * overhead, kRounds, 100.0 * (*lo - 1.0),
+              100.0 * (*hi - 1.0));
 
   bench::JsonObject summary;
   summary.Str("mode", "summary")
       .Num("recorder_overhead_fraction", overhead)
-      .Bool("overhead_within_gate", overhead <= 0.05);
+      .Num("recorder_overhead_min", *lo - 1.0)
+      .Num("recorder_overhead_max", *hi - 1.0)
+      .Bool("overhead_within_gate", overhead <= kOverheadGate);
   bench::BenchJson::Instance().AddEntry(std::move(summary));
 
-  if (overhead > 0.05) {
+  if (overhead > kOverheadGate) {
     std::fprintf(stderr,
-                 "GATE FAILED: ring-buffer tracing costs %.2f%% of tokens/sec "
+                 "GATE FAILED: ring-buffer tracing costs %.2f%% CPU per token "
                  "(budget 5%%)\n",
                  100.0 * overhead);
     return 1;

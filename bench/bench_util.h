@@ -1,25 +1,20 @@
-// Shared harness for the per-figure/table reproduction benches: scheduler
-// factory, single-run wrapper, rate sweeps, paper-style table printing, and
-// machine-readable JSON result emission (one BENCH_<name>.json per bench)
-// so the perf trajectory is tracked across PRs.
+// Shared harness for the per-figure/table reproduction benches: a
+// single-run wrapper over the sweep's scheduler factory and machine-readable
+// JSON result emission (one BENCH_<name>.json per bench). The paper's
+// rate-grid figures are sweep configs (bench/experiments/paper_*.json).
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "baselines/fastgen_scheduler.h"
 #include "baselines/fcfs_scheduler.h"
-#include "baselines/random_scheduler.h"
-#include "baselines/sarathi_scheduler.h"
+#include "bench/sweep/runner.h"
 #include "common/json.h"
-#include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
 #include "serve/cost_model_backend.h"
 #include "serve/serving_loop.h"
@@ -168,44 +163,6 @@ inline void RecordReport(const std::string& scheduler, double rate, double cv,
   BenchJson::Instance().AddEntry(std::move(e));
 }
 
-/// Named scheduler factory used by every bench.
-inline std::unique_ptr<Scheduler> MakeScheduler(const std::string& kind,
-                                                const SloSpec& slo) {
-  if (kind == "vLLM") return std::make_unique<FcfsScheduler>();
-  if (kind == "Random") return std::make_unique<RandomScheduler>();
-  if (kind == "Sarathi") return std::make_unique<SarathiScheduler>();
-  if (kind == "FastGen") return std::make_unique<FastGenScheduler>();
-  if (kind == "FCFS-hybrid") {
-    FcfsConfig c;
-    c.allow_hidden_fallback = true;
-    return std::make_unique<FcfsScheduler>(c);
-  }
-  if (kind == "Apt") {
-    AptConfig c;
-    c.slo = slo;
-    return std::make_unique<AptScheduler>(c);
-  }
-  if (kind == "Apt*") {
-    AptConfig c;
-    c.slo = slo;
-    c.violation_decay = 0.4;
-    return std::make_unique<AptScheduler>(c);
-  }
-  if (kind == "Apt-KVonly") {
-    AptConfig c;
-    c.slo = slo;
-    c.enable_hidden = false;
-    return std::make_unique<AptScheduler>(c);
-  }
-  if (kind == "Apt-S") {
-    AptSarathiConfig c;
-    c.slo = slo;
-    return std::make_unique<AptSarathiScheduler>(c);
-  }
-  std::fprintf(stderr, "unknown scheduler kind: %s\n", kind.c_str());
-  std::abort();
-}
-
 struct RunSpec {
   DatasetProfile profile = DatasetProfile::ShareGpt();
   ModelSpec model = ModelSpec::Opt13B();
@@ -233,9 +190,10 @@ inline ServingLoopResult RunOnceFull(const RunSpec& spec,
     std::fprintf(stderr, "trace: %s\n", trace.status().ToString().c_str());
     std::abort();
   }
-  auto sched = MakeScheduler(scheduler, spec.slo);
   CostModel cm(spec.model, ClusterSpec::ForModel(spec.model));
   auto result = [&]() -> StatusOr<ServingLoopResult> {
+    APT_ASSIGN_OR_RETURN(auto sched,
+                         sweep::MakeSchedulerByName(scheduler, spec.slo));
     APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, {}));
     return ServingLoop(backend.get(), ServingLoopConfig{})
         .Run(*trace, sched.get(), spec.slo);
@@ -253,56 +211,6 @@ inline ServingLoopResult RunOnceFull(const RunSpec& spec,
 
 inline SloReport RunOnce(const RunSpec& spec, const std::string& scheduler) {
   return RunOnceFull(spec, scheduler).report;
-}
-
-/// Prints an SLO-attainment-vs-rate table, one row per rate, one column per
-/// system (the shape of the paper's line plots).
-inline void PrintRateSweep(const char* title, const RunSpec& base,
-                           const std::vector<double>& rates,
-                           const std::vector<std::string>& systems) {
-  std::printf("\n=== %s ===\n", title);
-  std::printf("dataset=%s model=%s SLO(TTFT=%.1fs, P99 TBT=%.1fs), n=%d\n",
-              base.profile.name.c_str(), base.model.name.c_str(),
-              base.slo.ttft_s, base.slo.tbt_p99_s, base.num_requests);
-  std::printf("%10s", "rate(r/s)");
-  for (const auto& s : systems) std::printf(" %12s", s.c_str());
-  std::printf("\n");
-  for (double rate : rates) {
-    RunSpec spec = base;
-    spec.rate = rate;
-    std::printf("%10.2f", rate);
-    for (const auto& s : systems) {
-      std::printf(" %12.1f", 100.0 * RunOnce(spec, s).slo_attainment);
-    }
-    std::printf("\n");
-    std::fflush(stdout);
-  }
-}
-
-/// Highest rate in `rates` for which `passes(rate)` holds; 0 when none
-/// does. `rates` need not be sorted — the max is over the passing set, not
-/// the last passing element in iteration order (a previous version got
-/// this wrong and returned whichever passing rate it visited last).
-inline double HighestPassingRate(const std::vector<double>& rates,
-                                 const std::function<bool(double)>& passes) {
-  double best = 0.0;
-  for (double rate : rates) {
-    if (passes(rate)) best = std::max(best, rate);
-  }
-  return best;
-}
-
-/// Highest rate in `rates` whose attainment is >= threshold (the paper's
-/// "effective throughput" readout).
-inline double EffectiveThroughput(const RunSpec& base,
-                                  const std::string& system,
-                                  const std::vector<double>& rates,
-                                  double threshold) {
-  return HighestPassingRate(rates, [&](double rate) {
-    RunSpec spec = base;
-    spec.rate = rate;
-    return RunOnce(spec, system).slo_attainment >= threshold;
-  });
 }
 
 }  // namespace bench

@@ -1,6 +1,9 @@
 #include "bench/sweep/collect.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
+#include <tuple>
 
 #include "bench/sweep/fs_util.h"
 #include "sim/report_writer.h"
@@ -49,7 +52,8 @@ const char* RunsCsvHeader() {
          "workload,profile,model,n_instances,num_cells,rate,seed,requests,"
          "slo_attainment,ttft_attainment,tbt_attainment,goodput_rps,"
          "mean_ttft_s,p99_ttft_s,total_serving_time_s,iterations,"
-         "mean_batch_size,preemptions,conversions,rejected,deprioritized,"
+         "mean_batch_size,batch_limit_time_ratio,preemptions,conversions,"
+         "rejected,deprioritized,"
          "prefill_tokens_computed,prefill_tokens_skipped,prefix_hits,"
          "prefix_matched_tokens,tokens_generated,route_probe_count";
 }
@@ -90,6 +94,8 @@ void WriteRunsCsv(const std::vector<CollectedRun>& runs, std::ostream* out) {
     Number(out, result.GetNumber("total_serving_time_s", 0.0));
     *out << ',' << result.GetInt("iterations", 0) << ',';
     Number(out, result.GetNumber("mean_batch_size", 0.0));
+    *out << ',';
+    Number(out, result.GetNumber("batch_limit_time_ratio", 0.0));
     *out << ',' << result.GetInt("preemptions", 0) << ','
          << result.GetInt("conversions", 0) << ','
          << result.GetInt("rejected", 0) << ','
@@ -103,13 +109,64 @@ void WriteRunsCsv(const std::vector<CollectedRun>& runs, std::ostream* out) {
   }
 }
 
+double HighestPassingRate(const std::vector<double>& rates,
+                          const std::function<bool(double)>& passes) {
+  double best = 0.0;
+  for (double rate : rates) {
+    if (passes(rate)) best = std::max(best, rate);
+  }
+  return best;
+}
+
+void WriteEffectiveCsv(const std::vector<CollectedRun>& runs,
+                       std::ostream* out) {
+  // (ablation, scheduler, router_policy, admission, prefix_sharing, seed)
+  // -> rate -> slo_attainment.
+  using SeriesKey = std::tuple<std::string, std::string, std::string,
+                               std::string, bool, int64_t>;
+  std::map<SeriesKey, std::map<double, double>> series;
+  for (const CollectedRun& run : runs) {
+    const json::JsonValue& cell = run.cell;
+    const SeriesKey key{cell.GetString("ablation", ""),
+                        cell.GetString("scheduler", ""),
+                        cell.GetString("router_policy", ""),
+                        cell.GetString("admission", ""),
+                        cell.GetBool("prefix_sharing", false),
+                        cell.GetInt("seed", 0)};
+    series[key][cell.GetNumber("rate", 0.0)] =
+        run.result.GetNumber("slo_attainment", 0.0);
+  }
+  *out << "ablation,scheduler,router_policy,admission,prefix_sharing,seed,"
+          "effective_rate_90,effective_rate_60\n";
+  for (const auto& [key, attainment] : series) {
+    std::vector<double> rates;
+    for (const auto& [rate, slo] : attainment) rates.push_back(rate);
+    *out << std::get<0>(key) << ',' << std::get<1>(key) << ','
+         << std::get<2>(key) << ',' << std::get<3>(key) << ','
+         << (std::get<4>(key) ? 1 : 0) << ',' << std::get<5>(key);
+    // The paper's fixed attainment thresholds.
+    for (const double threshold : {0.9, 0.6}) {
+      *out << ',';
+      Number(out, HighestPassingRate(rates, [&](double rate) {
+               return attainment.at(rate) >= threshold;
+             }));
+    }
+    *out << "\n";
+  }
+}
+
 StatusOr<std::vector<CollectedRun>> CollectAndWriteCsv(
     const std::string& exp_dir) {
   APT_ASSIGN_OR_RETURN(std::vector<CollectedRun> runs, CollectRuns(exp_dir));
-  APT_RETURN_NOT_OK(MakeDirs(exp_dir + "/aggregate"));
-  APT_RETURN_NOT_OK(WriteFile(exp_dir + "/aggregate/runs.csv",
+  const std::string aggregate = exp_dir + "/aggregate";
+  APT_RETURN_NOT_OK(MakeDirs(aggregate));
+  APT_RETURN_NOT_OK(WriteFile(aggregate + "/runs.csv",
                               [&runs](std::ostream* out) {
                                 WriteRunsCsv(runs, out);
+                              }));
+  APT_RETURN_NOT_OK(WriteFile(aggregate + "/effective.csv",
+                              [&runs](std::ostream* out) {
+                                WriteEffectiveCsv(runs, out);
                               }));
   return runs;
 }

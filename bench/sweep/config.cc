@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <set>
 
+#include "bench/sweep/runner.h"
 #include "serve/router.h"
 #include "sim/model_spec.h"
 #include "workload/length_sampler.h"
@@ -16,25 +17,23 @@ namespace {
 
 // The matrix axes accept the human-readable names the bench binaries
 // already use; validate them here so a typo fails at parse time, before
-// any cell has run.
-const std::set<std::string>& KnownSchedulers() {
-  static const std::set<std::string> kNames = {
-      "vLLM",  "Random", "Sarathi",    "FastGen", "FCFS-hybrid",
-      "Apt",   "Apt*",   "Apt-KVonly", "Apt-S"};
-  return kNames;
+// any cell has run. Scheduler names come from the runner's factory, the
+// one table of them.
+bool IsKnownScheduler(const std::string& name) {
+  return MakeSchedulerByName(name, SloSpec{1.0, 1.0}).ok();
 }
 
-const std::set<std::string>& KnownRouterPolicies() {
+bool IsKnownRouterPolicy(const std::string& name) {
   static const std::set<std::string> kNames = {
       "round-robin", "least-loaded", "power-of-two",
       "least-outstanding-work", "prefix-affinity"};
-  return kNames;
+  return kNames.count(name) > 0;
 }
 
-const std::set<std::string>& KnownAdmissionModes() {
+bool IsKnownAdmissionMode(const std::string& name) {
   static const std::set<std::string> kNames = {"none", "reject",
                                                "deprioritize"};
-  return kNames;
+  return kNames.count(name) > 0;
 }
 
 Status UnknownKey(const char* where, const std::string& key) {
@@ -145,11 +144,10 @@ Status ParseMatrix(const json::JsonValue& m, SweepMatrix* matrix) {
     }
     (void)value;
   }
-  const auto name_in = [](const std::set<std::string>& known,
+  const auto name_in = [](bool (*known)(const std::string&),
                           const char* what) {
-    const std::set<std::string>* known_ptr = &known;
-    return [known_ptr, what](const json::JsonValue& v, std::string* out) {
-      if (!v.is_string() || known_ptr->count(v.string_value()) == 0) {
+    return [known, what](const json::JsonValue& v, std::string* out) {
+      if (!v.is_string() || !known(v.string_value())) {
         return Status::InvalidArgument(
             std::string("sweep config: unknown ") + what + " \"" +
             (v.is_string() ? v.string_value() : v.Dump()) + "\"");
@@ -159,11 +157,11 @@ Status ParseMatrix(const json::JsonValue& m, SweepMatrix* matrix) {
     };
   };
   APT_RETURN_NOT_OK(ParseAxis(m, "schedulers", &matrix->schedulers,
-                              name_in(KnownSchedulers(), "scheduler")));
+                              name_in(IsKnownScheduler, "scheduler")));
   APT_RETURN_NOT_OK(ParseAxis(m, "router_policies", &matrix->router_policies,
-                              name_in(KnownRouterPolicies(), "router policy")));
+                              name_in(IsKnownRouterPolicy, "router policy")));
   APT_RETURN_NOT_OK(ParseAxis(m, "admission", &matrix->admission,
-                              name_in(KnownAdmissionModes(), "admission mode")));
+                              name_in(IsKnownAdmissionMode, "admission mode")));
   APT_RETURN_NOT_OK(ParseAxis(
       m, "prefix_sharing", &matrix->prefix_sharing,
       [](const json::JsonValue& v, bool* out) {

@@ -66,9 +66,9 @@ StatusOr<SweepRunResult> RunSweep(const SweepConfig& config,
 /// for sweep_test so cell metrics can be checked without a directory tree.
 StatusOr<json::JsonValue> ExecuteCell(const RunCell& cell);
 
-/// Status-returning scheduler factory over the bench-suite names
-/// (bench_util's MakeScheduler aborts on unknown kinds; config-driven
-/// sweeps need a graceful error instead).
+/// The one table of scheduler names ("vLLM", "Apt", "Apt-S", ...): sweep
+/// config validation, every sweep cell and the bench programs build their
+/// schedulers here. Unknown kinds are InvalidArgument.
 StatusOr<std::unique_ptr<Scheduler>> MakeSchedulerByName(
     const std::string& kind, const SloSpec& slo);
 

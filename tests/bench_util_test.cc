@@ -1,7 +1,6 @@
-// Bench-harness regression tests (bench/bench_util.h): the
-// effective-throughput readout must be order-independent over the rate
-// list, and JsonObject must escape keys as well as values so
-// sweep-generated snapshots with arbitrary ablation names stay parseable.
+// Bench-harness regression tests (bench/bench_util.h): JsonObject must
+// escape keys as well as values so snapshots with arbitrary ablation names
+// stay parseable.
 #include "bench/bench_util.h"
 
 #include <gtest/gtest.h>
@@ -13,32 +12,6 @@
 namespace aptserve {
 namespace bench {
 namespace {
-
-TEST(HighestPassingRateTest, ShuffledRatesStillReturnMax) {
-  // Regression: the old loop kept the *last* passing rate in iteration
-  // order, so any unsorted rate list could under-report throughput. With
-  // pass = rate <= 2.5, the highest passing rate is 2.0 regardless of
-  // where it sits in the list.
-  const auto passes = [](double rate) { return rate <= 2.5; };
-  EXPECT_DOUBLE_EQ(HighestPassingRate({0.5, 1.0, 2.0, 4.0}, passes), 2.0);
-  EXPECT_DOUBLE_EQ(HighestPassingRate({2.0, 4.0, 1.0, 0.5}, passes), 2.0);
-  EXPECT_DOUBLE_EQ(HighestPassingRate({4.0, 0.5, 2.0, 1.0}, passes), 2.0);
-  EXPECT_DOUBLE_EQ(HighestPassingRate({1.0, 2.0, 0.5}, passes), 2.0);
-}
-
-TEST(HighestPassingRateTest, NonMonotonePassSet) {
-  // A rate can fail while a higher one passes (noisy attainment); the max
-  // over the passing set is still what the readout reports.
-  const auto passes = [](double rate) { return rate != 2.0; };
-  EXPECT_DOUBLE_EQ(HighestPassingRate({1.0, 2.0, 3.0}, passes), 3.0);
-  EXPECT_DOUBLE_EQ(HighestPassingRate({3.0, 2.0, 1.0}, passes), 3.0);
-}
-
-TEST(HighestPassingRateTest, NothingPassesIsZero) {
-  EXPECT_DOUBLE_EQ(
-      HighestPassingRate({1.0, 2.0}, [](double) { return false; }), 0.0);
-  EXPECT_DOUBLE_EQ(HighestPassingRate({}, [](double) { return true; }), 0.0);
-}
 
 TEST(JsonObjectTest, KeysAreEscapedLikeValues) {
   JsonObject obj;

@@ -166,6 +166,66 @@ TEST(PrefixDeterminismTest, HitAccountingIdenticalAcrossBackends) {
   EXPECT_GT(diff->cost.result.prefill_tokens_skipped, 0);
 }
 
+TEST(PrefixDeterminismTest, PrefillReductionAtHalfOverlapCell) {
+  // The >=50%-overlap cell of the prefix-sharing grid (64-token system
+  // prompt, fan-out 6, 3 turns of 8 tokens): sharing must cut the prefill
+  // tokens computed by at least 1.5x on both backends.
+  SharedPrefixConfig cfg;
+  cfg.system_prompt_len = 64;
+  cfg.num_conversations = 6;
+  cfg.turns_per_conversation = 3;
+  cfg.tokens_per_turn = 8;
+  cfg.output_len_mean = 6;
+  cfg.think_time_s = 2.0;
+  cfg.conversation_stagger_s = 0.25;
+  cfg.vocab_size = ModelConfig::Tiny().vocab_size;
+  auto trace = BuildSharedPrefixTrace(cfg);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  constexpr int32_t kBlockSize = 4;
+  constexpr int32_t kPoolBlocks = 512;
+  const SloSpec slo{10.0, 10.0};
+
+  const ModelSpec m = ModelSpec::Opt13B();
+  const CostModel cm(m, ClusterSpec::ForModel(m));
+  const auto run_cost_model =
+      [&](bool sharing) -> StatusOr<ServingLoopResult> {
+    CostModelBackend::Options opts;
+    opts.block_size = kBlockSize;
+    opts.pool_blocks_override = kPoolBlocks;
+    opts.enable_prefix_sharing = sharing;
+    FcfsScheduler sched;
+    APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, opts));
+    return ServingLoop(backend.get(), ServingLoopConfig{})
+        .Run(*trace, &sched, slo);
+  };
+  const auto run_engine = [&](bool sharing) -> StatusOr<ServingLoopResult> {
+    InferenceBackendOptions opts;
+    opts.virtual_timing = true;
+    opts.enable_prefix_sharing = sharing;
+    InferenceBackend backend(ModelConfig::Tiny(), /*weight_seed=*/42,
+                             kPoolBlocks, kBlockSize, SamplingParams{}, opts);
+    ServingLoopConfig loop;
+    loop.max_batch_size = INT32_MAX;
+    loop.max_iterations = 2'000'000;
+    FcfsScheduler sched;
+    return ServingLoop(&backend, loop).Run(*trace, &sched, slo);
+  };
+
+  for (const bool engine : {false, true}) {
+    SCOPED_TRACE(engine ? "inference engine" : "cost model");
+    auto off = engine ? run_engine(false) : run_cost_model(false);
+    auto on = engine ? run_engine(true) : run_cost_model(true);
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+    ASSERT_TRUE(on.ok()) << on.status().ToString();
+    ASSERT_GT(on->prefill_tokens_computed, 0);
+    EXPECT_GE(static_cast<double>(off->prefill_tokens_computed) /
+                  static_cast<double>(on->prefill_tokens_computed),
+              1.5)
+        << off->prefill_tokens_computed << " vs "
+        << on->prefill_tokens_computed;
+  }
+}
+
 TEST(PrefixDeterminismTest, LengthOnlyTraceParityAndSynthesizer) {
   // Length-only traces: with matching seed/vocab both backends expand a
   // request into the same synthesized content (workload/token_ids.h), so

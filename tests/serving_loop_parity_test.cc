@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "backend_diff_util.h"
+#include "bench/sweep/runner.h"
 #include "common/rng.h"
 #include "workload/shared_prefix.h"
 #include "baselines/fastgen_scheduler.h"
@@ -27,6 +28,7 @@
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
 #include "serve/cost_model_backend.h"
+#include "serve/multi_instance.h"
 #include "serve/serving_loop.h"
 #include "workload/trace.h"
 
@@ -521,6 +523,91 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, ParityTest,
                          ::testing::Values("fcfs", "sarathi", "fastgen",
                                            "apt", "apt_s"),
                          [](const auto& info) { return info.param; });
+
+// ---------------------------------------------------------------------------
+// Fleet-of-one parity: the paper's single-instance figures run as sweep
+// configs (bench/experiments/paper_*.json, n_instances 1), i.e. through a
+// one-instance MultiInstanceRunner with round-robin routing and no
+// admission. That reproduces the figure programs' plain ServingLoop::Run
+// only if the two paths agree exactly for every scheduler name the sweep
+// accepts. The premise is pinned on a trace without tied arrivals: the
+// loop orders arrivals with an unstable sort while the fleet injects them
+// in trace order, so tied arrivals may be admitted in different orders.
+// ---------------------------------------------------------------------------
+
+TEST(FleetOfOneParityTest, MatchesServingLoopForEverySweepScheduler) {
+  const SloSpec slo{1.0, 1.0};
+  const CostModel cm = MakeCostModel();
+  // Loaded enough that Apt preempts and converts to hidden cache.
+  const auto trace = MakeTrace(8.0, 150, 5);
+  std::vector<double> arrivals;
+  for (const Request& r : trace) arrivals.push_back(r.arrival);
+  std::sort(arrivals.begin(), arrivals.end());
+  ASSERT_EQ(std::adjacent_find(arrivals.begin(), arrivals.end()),
+            arrivals.end())
+      << "the parity premise needs a trace without tied arrivals";
+
+  RouterConfig rc;
+  rc.n_instances = 1;
+  rc.policy = RoutePolicy::kRoundRobin;
+  RuntimeConfig serial;
+  serial.num_threads = 1;
+  MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{}, serial);
+  const BackendFactory make_backend =
+      [&cm](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
+    APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, {}));
+    return std::unique_ptr<ExecutionBackend>(std::move(backend));
+  };
+
+  for (const std::string kind : {"vLLM", "Random", "Sarathi", "FastGen",
+                                 "FCFS-hybrid", "Apt", "Apt*", "Apt-KVonly",
+                                 "Apt-S"}) {
+    SCOPED_TRACE(kind);
+    auto sched = sweep::MakeSchedulerByName(kind, slo);
+    ASSERT_TRUE(sched.ok()) << sched.status().ToString();
+    auto backend = CostModelBackend::Create(cm, {});
+    ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+    auto single = ServingLoop(backend->get(), ServingLoopConfig{})
+                      .Run(trace, sched->get(), slo);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    auto fleet = runner.Run(
+        trace,
+        [&kind, &slo] {
+          return std::move(sweep::MakeSchedulerByName(kind, slo)).value();
+        },
+        make_backend, slo);
+    ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+
+    const SloReport& a = single->report;
+    const SloReport& b = fleet->combined;
+    EXPECT_EQ(a.slo_attainment, b.slo_attainment);
+    EXPECT_EQ(a.ttft_attainment, b.ttft_attainment);
+    EXPECT_EQ(a.tbt_attainment, b.tbt_attainment);
+    EXPECT_EQ(a.goodput_rps, b.goodput_rps);
+    EXPECT_EQ(a.mean_ttft, b.mean_ttft);
+    EXPECT_EQ(a.p99_ttft, b.p99_ttft);
+    EXPECT_EQ(a.total_serving_time, b.total_serving_time);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.mean_batch_size, b.mean_batch_size);
+    EXPECT_EQ(a.batch_limit_time_ratio, b.batch_limit_time_ratio);
+    EXPECT_EQ(a.preemptions, b.preemptions);
+    EXPECT_EQ(a.conversions, b.conversions);
+    for (const double q : {0.5, 0.9, 0.99}) {
+      EXPECT_EQ(a.ttfts.Quantile(q), b.ttfts.Quantile(q)) << q;
+      EXPECT_EQ(a.p99_tbts.Quantile(q), b.p99_tbts.Quantile(q)) << q;
+    }
+    // The same latency samples, exactly; the fleet merges them in another
+    // order, so the Jain index (a ratio of sums over them) agrees only to
+    // rounding.
+    std::vector<double> ttfts_a = a.ttfts.samples();
+    std::vector<double> ttfts_b = b.ttfts.samples();
+    std::sort(ttfts_a.begin(), ttfts_a.end());
+    std::sort(ttfts_b.begin(), ttfts_b.end());
+    EXPECT_EQ(ttfts_a, ttfts_b);
+    EXPECT_NEAR(a.jain_fairness_ttft, b.jain_fairness_ttft,
+                1e-12 * a.jain_fairness_ttft);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Cross-backend parity (the differential harness): beyond reproducing the

@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench/sweep/collect.h"
 #include "bench/sweep/fs_util.h"
@@ -268,6 +270,70 @@ TEST_F(SweepTest, DryRunExecutesNothingAndTouchesNoDisk) {
   EXPECT_FALSE(PathExists(run->exp_dir + "/runs"));
 }
 
+TEST(HighestPassingRateTest, ShuffledRatesStillReturnMax) {
+  // Regression: the old loop kept the *last* passing rate in iteration
+  // order, so any unsorted rate list could under-report throughput. With
+  // pass = rate <= 2.5, the highest passing rate is 2.0 regardless of
+  // where it sits in the list.
+  const auto passes = [](double rate) { return rate <= 2.5; };
+  EXPECT_DOUBLE_EQ(HighestPassingRate({0.5, 1.0, 2.0, 4.0}, passes), 2.0);
+  EXPECT_DOUBLE_EQ(HighestPassingRate({2.0, 4.0, 1.0, 0.5}, passes), 2.0);
+  EXPECT_DOUBLE_EQ(HighestPassingRate({4.0, 0.5, 2.0, 1.0}, passes), 2.0);
+  EXPECT_DOUBLE_EQ(HighestPassingRate({1.0, 2.0, 0.5}, passes), 2.0);
+}
+
+TEST(HighestPassingRateTest, NonMonotonePassSet) {
+  // A rate can fail while a higher one passes (noisy attainment); the max
+  // over the passing set is still what the readout reports.
+  const auto passes = [](double rate) { return rate != 2.0; };
+  EXPECT_DOUBLE_EQ(HighestPassingRate({1.0, 2.0, 3.0}, passes), 3.0);
+  EXPECT_DOUBLE_EQ(HighestPassingRate({3.0, 2.0, 1.0}, passes), 3.0);
+}
+
+TEST(HighestPassingRateTest, NothingPassesIsZero) {
+  EXPECT_DOUBLE_EQ(
+      HighestPassingRate({1.0, 2.0}, [](double) { return false; }), 0.0);
+  EXPECT_DOUBLE_EQ(HighestPassingRate({}, [](double) { return true; }), 0.0);
+}
+
+CollectedRun FakeRun(const std::string& scheduler, uint64_t seed, double rate,
+                     double slo_attainment) {
+  CollectedRun run;
+  run.run_id = scheduler + "_s" + std::to_string(seed) + "_r" +
+               std::to_string(rate);
+  run.cell = json::JsonValue::Object();
+  run.cell.Set("ablation", json::JsonValue::String("baseline"));
+  run.cell.Set("scheduler", json::JsonValue::String(scheduler));
+  run.cell.Set("router_policy", json::JsonValue::String("round-robin"));
+  run.cell.Set("admission", json::JsonValue::String("none"));
+  run.cell.Set("prefix_sharing", json::JsonValue::Bool(false));
+  run.cell.Set("rate", json::JsonValue::Number(rate));
+  run.cell.Set("seed", json::JsonValue::Int(static_cast<int64_t>(seed)));
+  run.result = json::JsonValue::Object();
+  run.result.Set("slo_attainment", json::JsonValue::Number(slo_attainment));
+  return run;
+}
+
+TEST(SweepCollectTest, EffectiveCsvReducesEachRateSeriesAtBothThresholds) {
+  const std::vector<CollectedRun> runs = {
+      // vLLM, seed 7, rates out of order: >=0.9 up to 2, >=0.6 up to 3.
+      FakeRun("vLLM", 7, 3.0, 0.7), FakeRun("vLLM", 7, 1.0, 1.0),
+      FakeRun("vLLM", 7, 4.0, 0.3), FakeRun("vLLM", 7, 2.0, 0.95),
+      // Apt, seed 1: a non-monotone series still reports the max passing
+      // rate; 0.9 itself passes.
+      FakeRun("Apt", 1, 1.0, 0.5), FakeRun("Apt", 1, 2.0, 0.9),
+      // Apt, seed 2: nothing passes either threshold.
+      FakeRun("Apt", 2, 1.0, 0.1)};
+  std::ostringstream out;
+  WriteEffectiveCsv(runs, &out);
+  EXPECT_EQ(out.str(),
+            "ablation,scheduler,router_policy,admission,prefix_sharing,seed,"
+            "effective_rate_90,effective_rate_60\n"
+            "baseline,Apt,round-robin,none,0,1,2,2\n"
+            "baseline,Apt,round-robin,none,0,2,0,0\n"
+            "baseline,vLLM,round-robin,none,0,7,2,3\n");
+}
+
 TEST(SweepSchedulerTest, MakeSchedulerByNameCoversBenchNamesAndFailsClosed) {
   const SloSpec slo{1.0, 1.0};
   for (const char* kind : {"vLLM", "Random", "Sarathi", "FastGen",
@@ -282,10 +348,23 @@ TEST(SweepSchedulerTest, MakeSchedulerByNameCoversBenchNamesAndFailsClosed) {
 
 TEST(SweepConfigTest, CommittedExampleConfigsParseAndExpand) {
   const std::string root = APTSERVE_SOURCE_DIR;
-  for (const char* name : {"smoke", "paper_table"}) {
-    auto config = LoadSweepConfigFile(root + "/bench/experiments/" + name +
-                                      ".json");
+  const std::string dir = root + "/bench/experiments";
+  std::vector<std::string> names;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(d)) {
+      const std::string name = entry->d_name;
+      if (name.size() > 5 && name.compare(name.size() - 5, 5, ".json") == 0) {
+        names.push_back(name.substr(0, name.size() - 5));
+      }
+    }
+    ::closedir(d);
+  }
+  EXPECT_GE(names.size(), 2u);
+  for (const std::string& name : names) {
+    auto config = LoadSweepConfigFile(dir + "/" + name + ".json");
     ASSERT_TRUE(config.ok()) << name << ": " << config.status().ToString();
+    // The CI paper-sweep step finds each snapshot by the config's name.
+    EXPECT_EQ(config->name, name);
     auto cells = ExpandMatrix(*config);
     ASSERT_TRUE(cells.ok()) << name << ": " << cells.status().ToString();
     EXPECT_FALSE(cells->empty()) << name;
