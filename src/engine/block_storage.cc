@@ -9,8 +9,8 @@ BlockStorage::BlockStorage(int32_t num_blocks, int32_t block_size,
     : num_blocks_(num_blocks), block_size_(block_size), n_layers_(n_layers),
       dim_(dim) {
   APT_CHECK(num_blocks >= 0 && block_size > 0 && n_layers > 0 && dim > 0);
-  data_.assign(static_cast<int64_t>(num_blocks) * block_size * n_layers * dim,
-               0.0f);
+  data_ = ZeroMappedArray<float>(static_cast<int64_t>(num_blocks) *
+                                 block_size * n_layers * dim);
 }
 
 float* BlockStorage::Slot(BlockId block, int32_t layer, int32_t slot) {
@@ -40,8 +40,8 @@ void BlockStorage::EnsureQuantParams() {
   if (!qscale_.empty()) return;
   const int64_t n = static_cast<int64_t>(num_blocks_) * n_layers_ *
                     block_size_ * kInt8SlotPack;
-  qscale_.assign(n, 0.0f);
-  qzero_.assign(n, 0.0f);
+  qscale_ = ZeroMappedArray<float>(n);
+  qzero_ = ZeroMappedArray<float>(n);
 }
 
 void BlockStorage::WriteVector(const CacheMap& map, CacheComponent component,

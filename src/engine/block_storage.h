@@ -15,15 +15,20 @@
 // block through the pool needs no bookkeeping here, exactly like the fp32
 // payload). Reads dequantize into the caller's fp32 buffer, so transformer
 // kernels never see the encoding.
+//
+// The arena and the side arrays are zero-on-demand mappings: a page is
+// committed on its first write, so resident memory follows the blocks a
+// run has written. BlockPool hands ids out in ascending order and reuses
+// them LIFO, which keeps the written set at the pool's high-water mark.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "cache/cache_map.h"
 #include "cache/cache_types.h"
 #include "cache/quantization.h"
 #include "common/logging.h"
+#include "common/zero_mapped_array.h"
 
 namespace aptserve {
 
@@ -118,11 +123,11 @@ class BlockStorage {
   int32_t block_size_;
   int32_t n_layers_;
   int32_t dim_;
-  std::vector<float> data_;
+  ZeroMappedArray<float> data_;
   /// Per-(block, layer, int8-slot) quantization params; empty until the
   /// first quantized write so fp32-only runs pay nothing.
-  std::vector<float> qscale_;
-  std::vector<float> qzero_;
+  ZeroMappedArray<float> qscale_;
+  ZeroMappedArray<float> qzero_;
 };
 
 }  // namespace aptserve

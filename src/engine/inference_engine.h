@@ -262,12 +262,8 @@ class InferenceEngine {
     std::vector<float> data;
   };
 
-  /// Declared, so constructed, first. The arena is the engine's largest
-  /// allocation; made before the weights, it reuses the heap block a
-  /// previous engine's arena freed. Made after them, a few KB of unrelated
-  /// fragmentation can leave that block just short and grow the process by
-  /// a whole arena (glibc serves it from the brk heap once an earlier
-  /// arena's mmap was freed).
+  /// The engine's largest buffer: a mapping of its own, outside the heap,
+  /// whose pages are committed only as the pool's blocks are first written.
   BlockStorage storage_;
   TransformerModel model_;
   BlockPool pool_;

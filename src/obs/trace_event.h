@@ -1,5 +1,5 @@
 // Typed request-lifecycle trace events. One fixed-size POD per event so the
-// hot-path emit is a struct copy into a preallocated ring — no allocation,
+// hot-path emit is a struct copy into a reserved ring — no allocation,
 // no string formatting; names and arg labels are resolved only at export
 // time (obs/chrome_trace.h).
 //

@@ -5,15 +5,17 @@ namespace aptserve::obs {
 namespace internal {
 
 TraceShard::TraceShard(size_t capacity, int32_t track)
-    : ring_(capacity == 0 ? 1 : capacity), track_(track) {}
+    : capacity_(capacity == 0 ? 1 : capacity), track_(track) {
+  ring_.reserve(capacity_);
+}
 
 void TraceShard::Emit(const TraceEvent& e) {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_[head_] = e;
-  head_ = (head_ + 1) % ring_.size();
-  if (size_ < ring_.size()) {
-    ++size_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(e);  // within the reserved capacity: no allocation
   } else {
+    ring_[head_] = e;
+    head_ = (head_ + 1) % capacity_;
     ++dropped_;  // wrapped: overwrote the oldest event
   }
   ++emitted_;
@@ -106,14 +108,14 @@ std::vector<TraceEvent> TraceRecorder::Flush() {
   std::vector<TraceEvent> out;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> shard_lock(shard->mu_);
-    const size_t cap = shard->ring_.size();
-    // Oldest live event sits `size_` slots behind the write head.
-    size_t pos = (shard->head_ + cap - shard->size_) % cap;
-    for (size_t i = 0; i < shard->size_; ++i) {
+    // Until the ring wraps the oldest event is slot 0; after, the write head.
+    const size_t cap = shard->capacity_;
+    size_t pos = shard->head_;
+    for (size_t i = 0; i < shard->ring_.size(); ++i) {
       out.push_back(shard->ring_[pos]);
       pos = (pos + 1) % cap;
     }
-    shard->size_ = 0;
+    shard->ring_.clear();  // keeps the reserved capacity
     shard->head_ = 0;
   }
   return out;

@@ -4,7 +4,7 @@
 //   1. Purely observational — attaching a recorder must not perturb
 //      scheduling, token streams, or the virtual timeline (same contract as
 //      ServingLoopState::AttachWallClock).
-//   2. Zero allocation on the hot path — each shard preallocates a ring at
+//   2. Zero allocation on the hot path — each shard reserves its ring at
 //      acquire time; Emit is a struct copy under a per-shard mutex that is
 //      uncontended in steady state (one shard per instance/worker thread).
 //   3. TSan-clean under the async serving mode — shards are mutex-guarded,
@@ -34,8 +34,10 @@ class TraceRecorder;
 
 namespace internal {
 
-/// One preallocated event ring. When full it overwrites the oldest event
-/// (keeping the most recent window) and counts the overwritten ones.
+/// One event ring with its capacity reserved up front: Emit appends until
+/// the ring is full, then overwrites the oldest event (keeping the most
+/// recent window) and counts the overwritten ones. Reserving rather than
+/// filling leaves the ring's pages uncommitted until events reach them.
 class TraceShard {
  public:
   TraceShard(size_t capacity, int32_t track);
@@ -48,9 +50,9 @@ class TraceShard {
   friend class aptserve::obs::TraceRecorder;
 
   std::mutex mu_;
-  std::vector<TraceEvent> ring_;  // fixed capacity, preallocated
-  size_t head_ = 0;               // next write slot
-  size_t size_ = 0;               // live events in the ring
+  const size_t capacity_;
+  std::vector<TraceEvent> ring_;  // live events; capacity_ reserved
+  size_t head_ = 0;               // next write slot once the ring is full
   uint64_t emitted_ = 0;
   uint64_t dropped_ = 0;  // overwritten by ring wrap
   const int32_t track_;

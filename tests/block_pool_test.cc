@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace aptserve {
 namespace {
@@ -187,6 +190,100 @@ TEST(BlockPoolTest, StressInterleavedAllocFree) {
       held.erase(held.begin() + i);
     }
     ASSERT_EQ(pool.num_allocated(), static_cast<int32_t>(held.size()));
+  }
+}
+
+// Property: every id the pool hands out is below its high-water mark, so
+// the ids ever used are exactly [0, peak_allocated()). The engine's arena
+// commits a block's pages on first write; this is what keeps its resident
+// set at the pool's peak. Seeded random mixes of every mutating call, with
+// a refcount model checked after each one.
+TEST(BlockPoolTest, HandedOutIdsStayBelowPeakAllocated) {
+  constexpr int32_t kBlocks = 48;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    BlockPool pool(kBlocks, 4);
+    std::vector<int32_t> refs(kBlocks, 0);  // model: owners per block
+    std::vector<BlockId> held;              // one entry per owned reference
+    std::set<BlockId> ever;
+    auto received = [&](const std::vector<BlockId>& ids) {
+      for (BlockId id : ids) {
+        ASSERT_EQ(refs[id], 0);
+        refs[id] = 1;
+        held.push_back(id);
+        ever.insert(id);
+      }
+    };
+    auto take_held = [&](size_t n) {  // removes n random references
+      std::vector<BlockId> out;
+      for (size_t i = 0; i < n && !held.empty(); ++i) {
+        const size_t j = rng.UniformInt(0, held.size() - 1);
+        out.push_back(held[j]);
+        held[j] = held.back();
+        held.pop_back();
+      }
+      return out;
+    };
+    for (int step = 0; step < 2000; ++step) {
+      const int32_t n = static_cast<int32_t>(rng.UniformInt(1, 6));
+      switch (rng.UniformInt(0, 5)) {
+        case 0: {
+          auto b = pool.Allocate();
+          if (b.ok()) received({*b});
+          break;
+        }
+        case 1:
+        case 5: {  // twice as likely, so runs reach a full pool
+          std::vector<BlockId> out;
+          const int32_t free_before = pool.num_free();
+          const bool import = rng.UniformInt(0, 1) == 1;
+          const Status s = import ? pool.ImportBlocks(n, &out)
+                                  : pool.AllocateMany(n, &out);
+          if (s.ok()) {
+            received(out);
+          } else {
+            EXPECT_TRUE(s.IsOutOfMemory());
+            EXPECT_TRUE(out.empty());
+            EXPECT_EQ(pool.num_free(), free_before);  // all-or-nothing
+          }
+          break;
+        }
+        case 2:
+          for (BlockId id : take_held(1)) {
+            ASSERT_TRUE(pool.Free(id).ok());
+            --refs[id];
+          }
+          break;
+        case 3:
+          if (!held.empty()) {
+            const BlockId id = held[rng.UniformInt(0, held.size() - 1)];
+            ASSERT_TRUE(pool.Ref(id).ok());
+            ++refs[id];
+            held.push_back(id);
+          }
+          break;
+        case 4: {
+          const std::vector<BlockId> ids = take_held(n);
+          int32_t resident = 0;
+          for (BlockId id : ids) resident += refs[id]-- > 1 ? 1 : 0;
+          auto r = pool.ExportBlocks(ids);
+          ASSERT_TRUE(r.ok());
+          EXPECT_EQ(*r, resident);
+          break;
+        }
+      }
+      for (BlockId id : ever) ASSERT_LT(id, pool.peak_allocated());
+      int32_t allocated = 0;
+      for (BlockId id = 0; id < kBlocks; ++id) {
+        ASSERT_EQ(pool.RefCount(id), refs[id]) << "block " << id;
+        allocated += refs[id] > 0 ? 1 : 0;
+      }
+      ASSERT_EQ(pool.num_allocated(), allocated);
+    }
+    // Below the peak, nothing was skipped either: the ids used are exactly
+    // [0, peak).
+    EXPECT_EQ(static_cast<int32_t>(ever.size()), pool.peak_allocated());
   }
 }
 

@@ -73,6 +73,26 @@ TEST(TraceRecorderTest, RingOverwritesOldestAndCountsDrops) {
   }
   EXPECT_EQ(rec.TotalEmitted(), 20u);
   EXPECT_EQ(rec.TotalDropped(), 12u);
+
+  // A drained ring fills from its first slot again: a partial window and
+  // then a second wrap both come back oldest first.
+  for (int i = 20; i < 23; ++i) {
+    sink.Instant(TraceOp::kDecodeStep, static_cast<double>(i), i);
+  }
+  const auto partial = rec.Flush();
+  ASSERT_EQ(partial.size(), 3u);
+  for (size_t i = 0; i < partial.size(); ++i) {
+    EXPECT_EQ(partial[i].id, static_cast<int64_t>(20 + i));
+  }
+  for (int i = 23; i < 34; ++i) {
+    sink.Instant(TraceOp::kDecodeStep, static_cast<double>(i), i);
+  }
+  const auto wrapped = rec.Flush();
+  ASSERT_EQ(wrapped.size(), 8u);
+  for (size_t i = 0; i < wrapped.size(); ++i) {
+    EXPECT_EQ(wrapped[i].id, static_cast<int64_t>(26 + i));
+  }
+  EXPECT_EQ(rec.TotalDropped(), 15u);
 }
 
 TEST(TraceRecorderTest, ConcurrentEmitFlushChurn) {
