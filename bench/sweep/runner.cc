@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <mutex>
 
-#include "baselines/fastgen_scheduler.h"
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/random_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
@@ -175,8 +174,10 @@ StatusOr<std::unique_ptr<Scheduler>> MakeSchedulerByName(
     return std::unique_ptr<Scheduler>(std::make_unique<RandomScheduler>());
   if (kind == "Sarathi")
     return std::unique_ptr<Scheduler>(std::make_unique<SarathiScheduler>());
-  if (kind == "FastGen")
-    return std::unique_ptr<Scheduler>(std::make_unique<FastGenScheduler>());
+  if (kind == "FastGen") {
+    return std::unique_ptr<Scheduler>(
+        std::make_unique<SarathiScheduler>(SarathiConfig::FastGen()));
+  }
   if (kind == "FCFS-hybrid") {
     FcfsConfig c;
     c.allow_hidden_fallback = true;

@@ -57,7 +57,6 @@
 #include "sim/scheduler.h"
 
 // Baseline schedulers (paper §6.2).
-#include "baselines/fastgen_scheduler.h"
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/random_scheduler.h"
 #include "baselines/sarathi_scheduler.h"

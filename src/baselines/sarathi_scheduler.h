@@ -3,6 +3,12 @@
 // all running decodes and fills the remaining per-iteration token budget
 // with fixed-size chunks of waiting prompts in FCFS order. This removes
 // generation stalls for decodes at the cost of slower individual prefills.
+//
+// The DeepSpeed-FastGen baseline (paper §6.2) is this scheduler with
+// chunk_size == token_budget (SarathiConfig::FastGen()): Dynamic
+// SplitFuse takes whole remaining prompts while they fit and splits only
+// the last one to land on the budget — "differing in the token
+// composition strategy under the same token budget".
 #pragma once
 
 #include "sim/scheduler.h"
@@ -16,6 +22,13 @@ struct SarathiConfig {
   /// Fixed prefill chunk size (Sarathi schedules uniform chunks).
   int32_t chunk_size = 256;
   int32_t max_batch = 256;
+
+  /// DeepSpeed-FastGen: chunks as large as the budget.
+  static SarathiConfig FastGen() {
+    SarathiConfig c;
+    c.chunk_size = c.token_budget;
+    return c;
+  }
 };
 
 class SarathiScheduler : public Scheduler {

@@ -1,5 +1,7 @@
 #include "cache/hybrid_assigner.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace aptserve {
@@ -38,11 +40,11 @@ Status HybridCacheAssigner::AllocateWithReclaim(int32_t n,
                       : pool_->AllocateMany(n, out);
   };
   Status st = allocate();
-  if (st.IsOutOfMemory() && reclaimer_) {
-    // Ask the prefix index to evict unreferenced cached prefixes, then
-    // retry once. The reclaimer may free fewer than asked (pinned leaves
-    // are skipped); the retry surfaces the remaining deficit as OOM.
-    reclaimer_(n - pool_->num_free());
+  if (st.IsOutOfMemory() && prefix_index_ != nullptr) {
+    // Evict unreferenced cached prefixes, then retry once. Eviction may
+    // free fewer than asked (pinned leaves are skipped); the retry surfaces
+    // the remaining deficit as OOM.
+    prefix_index_->EvictLru(n - pool_->num_free());
     st = allocate();
   }
   return st;
@@ -91,8 +93,8 @@ StatusOr<CowSeed> HybridCacheAssigner::CreateSeeded(RequestId id,
   }
   if (EncodingFor(CacheType::kKV) != BlockEncoding::kFp32) {
     // Shared prefix blocks must be exact across adopters; the match sites
-    // (engine prepare, analytic backend, migration import) gate themselves
-    // off under an int8 KV tier, so this is a misuse guard.
+    // (AllocatePrefill, RestoreRequestCache) gate themselves off under an
+    // int8 KV tier, so this is a misuse guard.
     return Status::FailedPrecondition(
         "prefix seeding requires an fp32 KV tier");
   }
@@ -154,6 +156,78 @@ void HybridCacheAssigner::ReleaseCowSource(const CowSeed& seed) {
   APT_CHECK(pool_->Free(seed.src_v).ok());
 }
 
+void HybridCacheAssigner::PopulateCowTail(const CowSeed& seed,
+                                          const CowCopy& copy) {
+  if (seed.tokens > 0 && copy) {
+    copy(seed.src_k, seed.dst_k, seed.tokens);
+    copy(seed.src_v, seed.dst_v, seed.tokens);
+  }
+  ReleaseCowSource(seed);
+}
+
+void HybridCacheAssigner::EnablePrefixSharing() {
+  if (prefix_index_ != nullptr) return;
+  prefix_index_ = std::make_unique<PrefixIndex>(pool_, pool_->block_size());
+  prefix_index_->AttachMetrics(prefix_hooks_);
+}
+
+void HybridCacheAssigner::AttachPrefixMetrics(
+    const PrefixIndex::MetricHooks& hooks) {
+  prefix_hooks_ = hooks;
+  if (prefix_index_ != nullptr) prefix_index_->AttachMetrics(hooks);
+}
+
+StatusOr<int32_t> HybridCacheAssigner::AllocatePrefill(
+    RequestId id, CacheType type, const std::vector<int32_t>& tokens,
+    int32_t prompt_len, int32_t target, int32_t chunk, const CowCopy& copy) {
+  if (Has(id)) {
+    APT_RETURN_NOT_OK(Append(id, chunk));
+    return 0;
+  }
+  if (SharesPrefixes(type)) {
+    // Causality makes adopted K/V bit-identical to recomputation, so tokens
+    // are unchanged; only the prefill work shrinks.
+    const PrefixMatch match =
+        prefix_index_->Match(tokens, std::min(prompt_len, target - 1));
+    if (match.hit()) {
+      StatusOr<CowSeed> seeded = CreateSeeded(id, match);
+      if (seeded.ok()) {
+        PopulateCowTail(*seeded, copy);
+        const Status st = Append(id, std::min(chunk, target - match.tokens));
+        if (!st.ok()) {
+          // Restore the pre-call pool state: the seeded map's references
+          // (shared and private alike) all release through the map.
+          APT_CHECK(Release(id).ok());
+          return st;
+        }
+        // The adoption counts only now, with the whole step succeeded: a
+        // rolled-back seeding must not inflate hits relative to the
+        // prefill positions genuinely skipped.
+        prefix_index_->RecordAdoption(match);
+        return match.tokens;
+      }
+      if (!seeded.status().IsOutOfMemory()) return seeded.status();
+      // Seeding OOM falls through to the unshared pass, whose own
+      // allocation surfaces the memory pressure normally.
+    }
+  }
+  APT_RETURN_NOT_OK(CreateFilled(id, type, chunk));
+  return 0;
+}
+
+void HybridCacheAssigner::PublishPrompt(RequestId id,
+                                        const std::vector<int32_t>& tokens,
+                                        int32_t prompt_len) {
+  if (prefix_index_ == nullptr) return;
+  const CacheMap* map = Find(id);
+  if (map == nullptr || map->type() != CacheType::kKV ||
+      map->encoding() != BlockEncoding::kFp32) {
+    return;
+  }
+  prefix_index_->Insert(tokens, prompt_len, map->blocks(CacheComponent::kKey),
+                        map->blocks(CacheComponent::kValue));
+}
+
 Status HybridCacheAssigner::Append(RequestId id, int32_t extra_tokens) {
   auto it = maps_.find(id);
   if (it == maps_.end()) {
@@ -203,15 +277,19 @@ Status HybridCacheAssigner::ReleaseExported(RequestId id) {
   return Status::OK();
 }
 
-StatusOr<CowSeed> HybridCacheAssigner::RestoreRequestCache(
-    RequestId id, const RequestCacheImage& image, const PrefixMatch& match) {
+StatusOr<int32_t> HybridCacheAssigner::RestoreRequestCache(
+    RequestId id, const RequestCacheImage& image,
+    const std::vector<int32_t>& tokens, int32_t prompt_len,
+    const CowCopy& copy) {
   if (image.num_tokens <= 0) {
     return Status::InvalidArgument("cannot restore an empty cache image");
   }
-  if (match.hit() && (image.type != CacheType::kKV ||
-                      match.tokens > image.num_tokens)) {
-    return Status::InvalidArgument(
-        "prefix match incompatible with the cache image");
+  // Generated positions (beyond prompt_len) are private and always
+  // transfer.
+  PrefixMatch match;
+  if (SharesPrefixes(image.type)) {
+    match =
+        prefix_index_->Match(tokens, std::min(prompt_len, image.num_tokens));
   }
   importing_ = true;
   StatusOr<CowSeed> result = [&]() -> StatusOr<CowSeed> {
@@ -226,7 +304,7 @@ StatusOr<CowSeed> HybridCacheAssigner::RestoreRequestCache(
       Status st = Append(id, remainder);
       if (!st.ok()) {
         // Unwind to the pre-call pool state; the transient COW pin must
-        // drop too (the caller never sees the seed).
+        // drop too.
         ReleaseCowSource(*seeded);
         APT_CHECK(Release(id).ok());
         return st;
@@ -235,7 +313,10 @@ StatusOr<CowSeed> HybridCacheAssigner::RestoreRequestCache(
     return seeded;
   }();
   importing_ = false;
-  return result;
+  APT_RETURN_NOT_OK(result.status());
+  PopulateCowTail(*result, copy);
+  if (match.hit()) prefix_index_->RecordAdoption(match);
+  return match.tokens;
 }
 
 Status HybridCacheAssigner::DiscardForConversion(RequestId id) {

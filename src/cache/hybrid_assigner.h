@@ -2,11 +2,17 @@
 // block pool (paper §4.3). It grants/extends/releases cache for scheduled
 // requests and implements cache-type switches, which per §5 discard the old
 // cache (the request must then re-run a prefill to rebuild it in the new
-// type).
+// type). It also owns prefix sharing: the optional PrefixIndex and every
+// rule about it (which passes may share, how far a match reaches, seeding,
+// rollback, when an adoption counts, what a finished pass publishes, and
+// the dedupe on migration import). Both execution backends allocate
+// through it, so they agree on what a hit is worth by running this code.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "cache/block_pool.h"
 #include "cache/cache_map.h"
@@ -19,9 +25,9 @@ namespace aptserve {
 /// Result of seeding a cache map from a prefix match. When the match ended
 /// mid-block the assigner allocated a private tail pair (`dst_*`) whose
 /// first `tokens` slots must be populated from the shared source pair
-/// (`src_*`) — the engine copies real payload, the analytic backend only
-/// accounts. The caller must invoke ReleaseCowSource() once done (the
-/// sources stay pinned until then so eviction cannot free them mid-copy).
+/// (`src_*`) — the engine copies real payload (a CowCopy), the analytic
+/// backend only accounts. The sources stay pinned until the assigner's
+/// ReleaseCowSource, so eviction cannot free them mid-copy.
 struct CowSeed {
   BlockId src_k = kInvalidBlock;
   BlockId src_v = kInvalidBlock;
@@ -43,14 +49,6 @@ class HybridCacheAssigner {
  public:
   /// The assigner borrows the pool; the pool must outlive it.
   explicit HybridCacheAssigner(BlockPool* pool);
-
-  /// Installs a last-resort block reclaimer (the prefix index's LRU
-  /// eviction): when an allocation comes up short, the assigner asks the
-  /// reclaimer to free at least the deficit and retries once. The callback
-  /// returns the number of blocks it freed.
-  void SetReclaimer(std::function<int32_t(int32_t)> reclaimer) {
-    reclaimer_ = std::move(reclaimer);
-  }
 
   /// Selects the per-tier block encoding for caches created from now on
   /// (existing maps keep the encoding they were built with). Int8 tiers
@@ -84,6 +82,59 @@ class HybridCacheAssigner {
   /// are unavailable (the pool is left unchanged).
   Status CreateFilled(RequestId id, CacheType type, int32_t num_tokens);
 
+  // ---- Prefix sharing -----------------------------------------------------
+
+  /// Copies the first `tokens` slots of pool block `src` into block `dst`:
+  /// the engine's copy-on-write payload copy. It runs after seeding and
+  /// before the source's transient pin drops. The analytic backend has no
+  /// payload and passes none.
+  using CowCopy =
+      std::function<void(BlockId src, BlockId dst, int32_t tokens)>;
+
+  /// Turns on prefix sharing: creates the PrefixIndex over the pool. From
+  /// then on a fresh KV prefill pass adopts cached blocks of its prompt
+  /// (AllocatePrefill), a completed pass publishes its prompt blocks
+  /// (PublishPrompt), and every allocation that comes up short evicts
+  /// least-recently-used index-only blocks and retries once. Idempotent;
+  /// cannot be turned off.
+  void EnablePrefixSharing();
+  PrefixIndex* prefix_index() { return prefix_index_.get(); }
+  const PrefixIndex* prefix_index() const { return prefix_index_.get(); }
+  /// Hit accounting; null while sharing is off.
+  const PrefixStats* prefix_stats() const {
+    return prefix_index_ ? &prefix_index_->stats() : nullptr;
+  }
+  /// Evicts LRU prefix blocks only the index holds until `min_blocks` were
+  /// freed or none is left; returns blocks freed (0 while sharing is off).
+  int32_t ReclaimPrefixBlocks(int32_t min_blocks) {
+    return prefix_index_ ? prefix_index_->EvictLru(min_blocks) : 0;
+  }
+  /// Live counters for the index, kept for an index created later.
+  void AttachPrefixMetrics(const PrefixIndex::MetricHooks& hooks);
+
+  /// Allocates the next `chunk` positions (> 0, at most the pass's
+  /// remaining ones) of request `id`'s prefill pass over `target` positions
+  /// whose content is `tokens`. A request with a cache grows it. A fresh
+  /// pass of a sharing `type` first matches `tokens` up to min(prompt_len,
+  /// target - 1) — generated positions are request-private, and one
+  /// position must be computed to sample from — and seeds its map from the
+  /// match (CreateSeeded, COW tail through `copy`); seeding that runs out
+  /// of memory falls through to an unshared pass. Returns the positions
+  /// adopted; the pass then computes min(chunk, target - adopted) of them
+  /// after the adopted span. OutOfMemory leaves the pool and the request
+  /// unchanged (a seeded map is released again) and counts no adoption.
+  StatusOr<int32_t> AllocatePrefill(RequestId id, CacheType type,
+                                    const std::vector<int32_t>& tokens,
+                                    int32_t prompt_len, int32_t target,
+                                    int32_t chunk, const CowCopy& copy = {});
+
+  /// Indexes the full prompt blocks of request `id`'s completed pass —
+  /// chunks of `tokens` inside the first `prompt_len` positions — so later
+  /// passes can adopt them. No-op unless sharing is on and the request
+  /// holds an fp32 KV map.
+  void PublishPrompt(RequestId id, const std::vector<int32_t>& tokens,
+                     int32_t prompt_len);
+
   /// Creates a kKV cache for request `id` seeded from a prefix-index match:
   /// the match's fully shared blocks join the map (one pool reference per
   /// block is taken for the request, so releasing the map later just drops
@@ -91,13 +142,11 @@ class HybridCacheAssigner {
   /// pair is allocated for copy-on-write population. Marks all
   /// `match.tokens` positions filled. References are taken *before* the
   /// tail allocation so the reclaimer's eviction can never free matched
-  /// blocks. OutOfMemory (tail pair unavailable even after reclaim) leaves
-  /// the pool and the request unchanged.
+  /// blocks; the source of a COW tail stays pinned until ReleaseCowSource.
+  /// OutOfMemory (tail pair unavailable even after reclaim) leaves the
+  /// pool and the request unchanged. AllocatePrefill and
+  /// RestoreRequestCache are its callers.
   StatusOr<CowSeed> CreateSeeded(RequestId id, const PrefixMatch& match);
-
-  /// Drops the transient pin CreateSeeded kept on the COW source pair.
-  /// No-op for a seed without a COW tail.
-  void ReleaseCowSource(const CowSeed& seed);
 
   /// Extends request `id`'s cache by `extra_tokens` filled positions,
   /// allocating blocks on demand (decode growth, one token per iteration in
@@ -120,18 +169,21 @@ class HybridCacheAssigner {
   /// free list.
   Status ReleaseExported(RequestId id);
 
-  /// Rebuilds a migrated-in request's cache map from its image. Shared
-  /// prefix blocks are adopted from `match` (the caller matched the prompt
-  /// against *this* pool's index — dedupe, not copy), a mid-block COW tail
-  /// pair is allocated exactly as in CreateSeeded (the caller must populate
-  /// it and then ReleaseCowSource), and the remaining
-  /// `image.num_tokens - match.tokens` positions get fresh blocks through
-  /// BlockPool::ImportBlocks. Pass an empty match for a dedupe-free
-  /// restore. OutOfMemory leaves the pool and the request unchanged (the
-  /// caller falls back to a cold import).
-  StatusOr<CowSeed> RestoreRequestCache(RequestId id,
+  /// Rebuilds a migrated-in request's cache map from its image. When
+  /// sharing applies to `image.type`, the cached prompt prefix — `tokens`,
+  /// up to min(prompt_len, image.num_tokens) — is first matched against
+  /// *this* pool's index: matched blocks are adopted (dedupe, not copy), a
+  /// mid-block tail is copy-on-written through `copy`, and only the
+  /// remaining positions get fresh blocks through BlockPool::ImportBlocks.
+  /// The adoption counts once the restore succeeded. Returns the positions
+  /// deduped (the caller transfers only [deduped, image.num_tokens)).
+  /// OutOfMemory leaves the pool and the request unchanged (the caller
+  /// falls back to a cold import).
+  StatusOr<int32_t> RestoreRequestCache(RequestId id,
                                         const RequestCacheImage& image,
-                                        const PrefixMatch& match);
+                                        const std::vector<int32_t>& tokens,
+                                        int32_t prompt_len,
+                                        const CowCopy& copy = {});
 
   /// Discards request `id`'s cache so it can be rebuilt with `new_type`
   /// by a subsequent prefill (paper §5: a type switch recomputes the cache).
@@ -149,16 +201,33 @@ class HybridCacheAssigner {
   size_t num_requests() const { return maps_.size(); }
 
  private:
+  /// Whether caches of `type` take part in sharing: the index is on, the
+  /// type is KV (hidden caches re-project request-local states) and the KV
+  /// tier is fp32 (shared blocks must be exact across adopters).
+  bool SharesPrefixes(CacheType type) const {
+    return prefix_index_ != nullptr && type == CacheType::kKV &&
+           EncodingFor(CacheType::kKV) == BlockEncoding::kFp32;
+  }
+
+  /// Drops the transient pin CreateSeeded kept on the COW source pair.
+  /// No-op for a seed without a COW tail.
+  void ReleaseCowSource(const CowSeed& seed);
+
   Status AllocateFor(CacheMap* map, int32_t new_blocks_per_component);
-  /// AllocateMany with one reclaim-and-retry round on OutOfMemory. Routes
-  /// through ImportBlocks while a RestoreRequestCache is in flight so
-  /// migration allocations show up in the pool's lifetime totals.
+  /// AllocateMany with one evict-and-retry round on OutOfMemory when
+  /// sharing is on. Routes through ImportBlocks while a RestoreRequestCache
+  /// is in flight so migration allocations show up in the pool's lifetime
+  /// totals.
   Status AllocateWithReclaim(int32_t n, std::vector<BlockId>* out);
+  /// Populates a seed's COW tail through `copy`, then drops the source pin.
+  void PopulateCowTail(const CowSeed& seed, const CowCopy& copy);
 
   BlockPool* pool_;
   CacheEncodingPolicy policy_;
   std::unordered_map<RequestId, CacheMap> maps_;
-  std::function<int32_t(int32_t)> reclaimer_;
+  /// Owns references into pool_, which outlives the assigner.
+  std::unique_ptr<PrefixIndex> prefix_index_;
+  PrefixIndex::MetricHooks prefix_hooks_;
   int64_t num_conversions_ = 0;
   int64_t num_seeded_ = 0;
   bool importing_ = false;

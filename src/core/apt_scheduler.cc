@@ -97,15 +97,9 @@ BatchPlan AptScheduler::PlanPrefill(const SchedulerInput& input,
     }
     candidates.push_back(c);
   }
-  // M_e for prefill iterations: the pool minus what running requests hold,
-  // less a small watermark (as in vLLM) so ongoing decode growth does not
-  // immediately force evictions after an aggressive admission.
-  const int32_t watermark =
-      static_cast<int32_t>(config_.admission_watermark *
-                           input.pool->num_blocks());
-  const int32_t capacity =
-      std::max(0, input.pool->num_free() - watermark);
-  const GreedySolution sol = solver.Solve(candidates, capacity);
+  // M_e for prefill iterations: the pool minus what running requests hold.
+  const GreedySolution sol =
+      solver.Solve(candidates, input.pool->num_free());
   plan.items.reserve(std::min(input.waiting.size(),
                               static_cast<size_t>(config_.max_batch)));
   int32_t batched = 0;

@@ -32,9 +32,6 @@ struct AptConfig {
   /// max_num_batched_tokens). Without it a backlog drains as one enormous
   /// prefill that stalls every running decode past its TBT SLO.
   int32_t max_prefill_tokens = 2048;
-  /// Fraction of the pool kept free at admission (vLLM's watermark) to
-  /// absorb decode growth without immediate evictions.
-  double admission_watermark = 0.0;
   /// Prediction-based extension (paper §7 future work, after S^3 [34] and
   /// learning-to-rank [27]): learn output lengths online from completed
   /// requests and account for each candidate's *predicted* final memory at

@@ -29,27 +29,15 @@ void InferenceEngine::SetEncodingPolicy(const CacheEncodingPolicy& policy) {
   assigner_.SetEncodingPolicy(policy);
 }
 
-void InferenceEngine::EnablePrefixSharing() {
-  if (prefix_index_ != nullptr) return;
-  prefix_index_ = std::make_unique<PrefixIndex>(&pool_, pool_.block_size());
-  assigner_.SetReclaimer(
-      [this](int32_t need) { return prefix_index_->EvictLru(need); });
-  WirePrefixIndexMetrics();
-}
-
 void InferenceEngine::AttachMetrics(obs::MetricsRegistry* registry,
                                     const std::string& labels) {
-  obs_registry_ = registry;
-  obs_labels_ = labels;
   if (registry == nullptr) {
     obs_decode_prepared_ = nullptr;
     obs_prefill_prepared_ = nullptr;
     obs_steps_computed_ = nullptr;
     obs_steps_finished_ = nullptr;
     pool_.AttachMetrics(nullptr, nullptr);
-    if (prefix_index_ != nullptr) {
-      prefix_index_->AttachMetrics(PrefixIndex::MetricHooks{});
-    }
+    assigner_.AttachPrefixMetrics(PrefixIndex::MetricHooks{});
     return;
   }
   const auto with = [&](const std::string& extra) {
@@ -73,26 +61,27 @@ void InferenceEngine::AttachMetrics(obs::MetricsRegistry* registry,
   pool_.AttachMetrics(
       registry->GetGauge("aptserve_engine_pool_blocks", tiers),
       registry->GetGauge("aptserve_engine_pool_blocks_peak", tiers));
-  WirePrefixIndexMetrics();
-}
-
-void InferenceEngine::WirePrefixIndexMetrics() {
-  if (obs_registry_ == nullptr || prefix_index_ == nullptr) return;
   PrefixIndex::MetricHooks hooks;
-  hooks.lookups = obs_registry_->GetCounter(
-      "aptserve_prefix_index_lookups_total", obs_labels_);
-  hooks.hits = obs_registry_->GetCounter("aptserve_prefix_index_hits_total",
-                                         obs_labels_);
-  hooks.hit_tokens = obs_registry_->GetCounter(
-      "aptserve_prefix_index_hit_tokens_total", obs_labels_);
-  hooks.inserted_blocks = obs_registry_->GetCounter(
-      "aptserve_prefix_index_inserted_blocks_total", obs_labels_);
-  hooks.evicted_blocks = obs_registry_->GetCounter(
-      "aptserve_prefix_index_evicted_blocks_total", obs_labels_);
-  prefix_index_->AttachMetrics(hooks);
+  hooks.lookups =
+      registry->GetCounter("aptserve_prefix_index_lookups_total", labels);
+  hooks.hits = registry->GetCounter("aptserve_prefix_index_hits_total", labels);
+  hooks.hit_tokens =
+      registry->GetCounter("aptserve_prefix_index_hit_tokens_total", labels);
+  hooks.inserted_blocks = registry->GetCounter(
+      "aptserve_prefix_index_inserted_blocks_total", labels);
+  hooks.evicted_blocks = registry->GetCounter(
+      "aptserve_prefix_index_evicted_blocks_total", labels);
+  assigner_.AttachPrefixMetrics(hooks);
 }
 
 namespace {
+
+/// The copy-on-write payload copy for a seeded map's private tail.
+HybridCacheAssigner::CowCopy CopyInto(BlockStorage* storage) {
+  return [storage](BlockId src, BlockId dst, int32_t tokens) {
+    storage->CopyBlockPrefix(src, dst, tokens);
+  };
+}
 
 /// splitmix64 finalizer over (seed, request, position): the counter-based
 /// per-draw seed that makes every sampled token a pure function of the
@@ -162,67 +151,17 @@ StatusOr<PendingStep> InferenceEngine::PreparePrefillChunk(
     return Status::InvalidArgument("sequence exceeds max_seq_len");
   }
 
-  // Prefix sharing: a fresh KV pass first tries to adopt cached blocks for
-  // its prompt. The match is capped at prompt_len (generated tokens are
-  // request-private) and at target-1 (at least one position must be
-  // processed to produce the logits the pass samples from). Causality
-  // makes adopted K/V bit-identical to recomputation, so tokens are
-  // unchanged — only the prefill work shrinks.
+  // A fresh KV pass first adopts cached blocks of its prompt (the
+  // assigner's prefix sharing); on failure nothing changes.
   const bool fresh = !assigner_.Has(id);
-  int32_t skipped = 0;
-  PrefixMatch match;
-  if (fresh && prefix_index_ != nullptr &&
-      gs.cache_type == CacheType::kKV && gs.cached_tokens == 0 &&
-      assigner_.EncodingFor(CacheType::kKV) == BlockEncoding::kFp32) {
-    const int32_t limit = std::min(gs.prompt_len, target - 1);
-    match = prefix_index_->Match(gs.tokens, limit);
-    if (match.hit()) {
-      auto seeded = assigner_.CreateSeeded(id, match);
-      if (seeded.ok()) {
-        if (seeded->tokens > 0) {
-          // Copy-on-write: duplicate the partially matched tail block's
-          // payload into the private tail before this pass writes the
-          // remaining positions of that block.
-          storage_.CopyBlockPrefix(seeded->src_k, seeded->dst_k,
-                                   seeded->tokens);
-          storage_.CopyBlockPrefix(seeded->src_v, seeded->dst_v,
-                                   seeded->tokens);
-        }
-        assigner_.ReleaseCowSource(*seeded);
-        gs.cached_tokens = match.tokens;
-        skipped = match.tokens;
-      } else if (!seeded.status().IsOutOfMemory()) {
-        return seeded.status();
-      }
-      // Seeding OOM falls through to the unshared path, whose own
-      // allocation surfaces the memory pressure normally.
-    }
-  }
-
+  const int32_t chunk = std::min(target - gs.cached_tokens, max_tokens);
+  APT_CHECK(chunk > 0);
+  APT_ASSIGN_OR_RETURN(const int32_t skipped,
+                       assigner_.AllocatePrefill(id, gs.cache_type, gs.tokens,
+                                                 gs.prompt_len, target, chunk,
+                                                 CopyInto(&storage_)));
+  gs.cached_tokens += skipped;
   const int32_t upto = std::min(target, gs.cached_tokens + max_tokens);
-  const int32_t new_tokens = upto - gs.cached_tokens;
-  APT_CHECK(new_tokens > 0);
-
-  // Allocate blocks for the chunk; on failure nothing changes (a fresh
-  // request's partial allocation is rolled back by CreateFilled itself; a
-  // seeded map is released wholesale, restoring the pre-call pool state).
-  Status alloc_st;
-  if (!assigner_.Has(id)) {
-    alloc_st = assigner_.CreateFilled(id, gs.cache_type, upto);
-  } else {
-    alloc_st = assigner_.Append(id, new_tokens);
-  }
-  if (!alloc_st.ok()) {
-    if (skipped > 0) {
-      APT_CHECK(assigner_.Release(id).ok());
-      gs.cached_tokens = 0;
-    }
-    return alloc_st;
-  }
-  // Count the adoption only now, with the whole prepare succeeded: a
-  // rolled-back seeding must not inflate hits relative to the prefill
-  // positions genuinely skipped.
-  if (skipped > 0) prefix_index_->RecordAdoption(match);
   if (obs_prefill_prepared_ != nullptr) obs_prefill_prepared_->Inc();
   PendingStep step;
   step.id = id;
@@ -347,18 +286,9 @@ StatusOr<std::optional<int32_t>> InferenceEngine::FinishStep(
     gs.cached_tokens = step->upto;
     if (!step->completes) return std::optional<int32_t>{};  // more chunks
     gs.in_decode = true;
-    if (prefix_index_ != nullptr && gs.cache_type == CacheType::kKV &&
-        assigner_.EncodingFor(CacheType::kKV) == BlockEncoding::kFp32) {
-      // Index the completed pass's full prompt blocks so later requests
-      // (and this request's own re-prefills) can adopt them. Generated
-      // positions stay private: only chunks fully inside the prompt are
-      // shareable content.
-      const CacheMap* map = assigner_.Find(step->id);
-      APT_CHECK(map != nullptr);
-      prefix_index_->Insert(gs.tokens, gs.prompt_len,
-                            map->blocks(CacheComponent::kKey),
-                            map->blocks(CacheComponent::kValue));
-    }
+    // Index the completed pass's full prompt blocks so later requests (and
+    // this request's own re-prefills) can adopt them.
+    assigner_.PublishPrompt(step->id, gs.tokens, gs.prompt_len);
   }
   APT_ASSIGN_OR_RETURN(const int32_t next,
                        SampleNext(step->id, gs, step->logits));
@@ -568,34 +498,19 @@ StatusOr<MigrationImport> InferenceEngine::ImportRequest(
 
   // Re-resolve the cached prompt prefix through this engine's index so
   // already-resident shared blocks dedupe instead of crossing the
-  // interconnect. Generated positions (beyond prompt_len) are private and
-  // always transfer.
-  PrefixMatch match;
-  if (prefix_index_ != nullptr && image.cache_type == CacheType::kKV &&
-      assigner_.EncodingFor(CacheType::kKV) == BlockEncoding::kFp32) {
-    const int32_t limit = std::min(image.prompt_len, image.cached_tokens);
-    match = prefix_index_->Match(image.tokens, limit);
-  }
-  auto seeded = assigner_.RestoreRequestCache(
-      id, RequestCacheImage{image.cache_type, image.cached_tokens}, match);
-  if (!seeded.ok()) {
-    if (seeded.status().IsOutOfMemory()) {
+  // interconnect.
+  auto deduped = assigner_.RestoreRequestCache(
+      id, RequestCacheImage{image.cache_type, image.cached_tokens},
+      image.tokens, image.prompt_len, CopyInto(&storage_));
+  if (!deduped.ok()) {
+    if (deduped.status().IsOutOfMemory()) {
       return import;  // cold import: the request re-prefills here
     }
     requests_.erase(id);
-    return seeded.status();
+    return deduped.status();
   }
-  if (seeded->tokens > 0) {
-    // Mid-block COW tail: duplicate the shared tail block's payload locally
-    // before the transferred positions (and later prefill writes) land
-    // after it.
-    storage_.CopyBlockPrefix(seeded->src_k, seeded->dst_k, seeded->tokens);
-    storage_.CopyBlockPrefix(seeded->src_v, seeded->dst_v, seeded->tokens);
-  }
-  assigner_.ReleaseCowSource(*seeded);
-  if (match.hit()) prefix_index_->RecordAdoption(match);
 
-  // Scatter the transferred span [match.tokens, cached) from the payload.
+  // Scatter the transferred span [deduped, cached) from the payload.
   const CacheMap* map = assigner_.Find(id);
   APT_CHECK(map != nullptr);
   const int32_t d = model_.config().d_model;
@@ -614,7 +529,7 @@ StatusOr<MigrationImport> InferenceEngine::ImportRequest(
   int64_t base = 0;  // vector index of (component, layer, pos=0)
   for (CacheComponent c : components) {
     for (int32_t l = 0; l < layers; ++l) {
-      for (int32_t pos = match.tokens; pos < image.cached_tokens; ++pos) {
+      for (int32_t pos = *deduped; pos < image.cached_tokens; ++pos) {
         const int64_t v = base + pos;
         if (image.payload_encoding == BlockEncoding::kInt8) {
           const uint8_t* codes = image.qpayload.data() + v * d;
@@ -638,8 +553,8 @@ StatusOr<MigrationImport> InferenceEngine::ImportRequest(
   auto& state = requests_.at(id);
   state.cached_tokens = image.cached_tokens;
   import.cache_restored = true;
-  import.deduped_tokens = match.tokens;
-  import.copied_tokens = image.cached_tokens - match.tokens;
+  import.deduped_tokens = *deduped;
+  import.copied_tokens = image.cached_tokens - *deduped;
   import.bytes = static_cast<double>(import.copied_tokens) *
                  static_cast<double>(components.size()) * layers *
                  image.BytesPerVector(d);

@@ -22,7 +22,6 @@
 #include "engine/sampling.h"
 #include "engine/transformer.h"
 #include "obs/metrics_registry.h"
-#include "prefix/prefix_index.h"
 #include "runtime/runtime_config.h"
 #include "runtime/thread_pool.h"
 
@@ -104,25 +103,13 @@ class InferenceEngine {
     return assigner_.encoding_policy();
   }
 
-  /// Turns on prefix sharing: a per-engine PrefixIndex over the pool. From
-  /// then on a fresh KV prefill pass first matches its prompt against the
-  /// index (adopting shared blocks, copy-on-writing a partially matched
-  /// tail) and every completed KV prefill indexes its full prompt blocks.
-  /// The assigner's allocations gain the index's LRU eviction as a
-  /// last-resort reclaimer. Idempotent; cannot be turned off (tokens are
-  /// unaffected either way — sharing only skips recomputation).
-  void EnablePrefixSharing();
-
-  /// The engine's prefix index; null until EnablePrefixSharing().
-  PrefixIndex* prefix_index() { return prefix_index_.get(); }
-  const PrefixIndex* prefix_index() const { return prefix_index_.get(); }
-
   /// Attaches live engine-level metrics to `registry` (borrowed; must
   /// outlive the engine). `labels` is the Prometheus label set stamped on
   /// every handle (e.g. `instance="0"`). Wires step counters on the
   /// Prepare/Compute/Finish phases, pool occupancy gauges labeled with the
-  /// current encoding policy's tiers, and — once prefix sharing is on —
-  /// the index's hit/insert/evict counters. Distinct metric names from the
+  /// current encoding policy's tiers, and the prefix index's
+  /// hit/insert/evict counters (they stay zero while sharing is off, and
+  /// an index enabled later picks them up). Distinct metric names from the
   /// serving-loop pulls (`aptserve_engine_*` / `aptserve_prefix_index_*`)
   /// so engine-level and loop-level accounting never double-count. Purely
   /// observational: token streams are unaffected.
@@ -248,10 +235,6 @@ class InferenceEngine {
   /// run in preparation order to reproduce serial token streams.
   StatusOr<std::optional<int32_t>> FinishStep(PendingStep* step);
 
-  /// Resolves the prefix index's counter handles against obs_registry_
-  /// (no-op when either side is absent).
-  void WirePrefixIndexMetrics();
-
   /// Host-side copy of a swapped-out request's cache.
   struct SwappedCache {
     CacheType type = CacheType::kKV;
@@ -267,19 +250,16 @@ class InferenceEngine {
   BlockStorage storage_;
   TransformerModel model_;
   BlockPool pool_;
+  /// Owns the prefix index (assigner().EnablePrefixSharing()); declared
+  /// after pool_ so destruction releases index references first.
   HybridCacheAssigner assigner_;
-  /// Declared after pool_ so destruction releases index references first.
-  std::unique_ptr<PrefixIndex> prefix_index_;
   std::unique_ptr<runtime::ThreadPool> thread_pool_;
   std::unordered_map<RequestId, GenerationState> requests_;
   std::unordered_map<RequestId, SwappedCache> swapped_;
   SamplingParams sampling_;
   uint64_t sample_seed_ = 1;
 
-  /// AttachMetrics handles (null = detached). Kept with the registry and
-  /// label set so EnablePrefixSharing can wire the index it creates later.
-  obs::MetricsRegistry* obs_registry_ = nullptr;
-  std::string obs_labels_;
+  /// AttachMetrics handles (null = detached).
   obs::Counter* obs_decode_prepared_ = nullptr;
   obs::Counter* obs_prefill_prepared_ = nullptr;
   obs::Counter* obs_steps_computed_ = nullptr;

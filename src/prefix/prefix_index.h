@@ -21,7 +21,8 @@
 //   - EvictLru() removes least-recently-used leaves whose blocks have no
 //     owner besides the index (RefCount == 1) and returns them to the pool.
 //
-// Scope: one index per engine/backend instance (the fleet runner builds
+// Scope: one index per HybridCacheAssigner, which owns it and makes every
+// call into it, so one per engine/backend instance (the fleet runner builds
 // per-instance backends, so no cross-instance sharing exists yet). All
 // calls happen on the instance's serial prepare path — the parallel
 // runtime's compute threads never touch the index — so no locking is
@@ -93,8 +94,8 @@ class PrefixIndex {
   PrefixMatch Match(const std::vector<int32_t>& tokens, int32_t max_usable);
 
   /// Advances the adoption counters for a match whose seeding succeeded
-  /// (callers invoke this right after HybridCacheAssigner::CreateSeeded
-  /// returns OK).
+  /// (HybridCacheAssigner invokes this once the whole step that seeded
+  /// from the match succeeded).
   void RecordAdoption(const PrefixMatch& match);
 
   /// Indexes the full-block prefix of `tokens`: chunks [i*B, (i+1)*B) for

@@ -18,6 +18,16 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Virtual nodes per cell on the consistent-hash ring. More replicas
+/// smooth the keyspace share per cell; 64 keeps the ring a few KB at 128
+/// cells while bounding share skew to a few percent.
+constexpr int32_t kRingReplicas = 64;
+/// Leading full block chunks hashed into the ring key. One chunk pins a
+/// conversation's turns (same system prompt + opening) to one cell.
+constexpr int32_t kHashChunks = 1;
+/// Ring/key hash seed.
+constexpr uint64_t kHashSeed = 0x9e3779b97f4a7c15ull;
+
 }  // namespace
 
 CellRouter::CellRouter(const CellRouterConfig& config,
@@ -26,17 +36,14 @@ CellRouter::CellRouter(const CellRouterConfig& config,
       block_size_(config.block_size > 0 ? config.block_size
                                         : block_size_fallback) {
   APT_CHECK_MSG(config_.num_cells >= 1, "a fleet needs at least one cell");
-  APT_CHECK(config_.ring_replicas >= 1);
-  APT_CHECK(config_.hash_chunks >= 1);
   APT_CHECK(block_size_ >= 1);
 
-  ring_.reserve(static_cast<size_t>(config_.num_cells) *
-                config_.ring_replicas);
+  ring_.reserve(static_cast<size_t>(config_.num_cells) * kRingReplicas);
   for (int32_t c = 0; c < config_.num_cells; ++c) {
-    for (int32_t r = 0; r < config_.ring_replicas; ++r) {
+    for (int32_t r = 0; r < kRingReplicas; ++r) {
       const uint64_t point =
-          Mix64(config_.hash_seed ^ Mix64((static_cast<uint64_t>(c) << 20) +
-                                          static_cast<uint64_t>(r)));
+          Mix64(kHashSeed ^ Mix64((static_cast<uint64_t>(c) << 20) +
+                                  static_cast<uint64_t>(r)));
       ring_.emplace_back(point, c);
     }
   }
@@ -54,8 +61,8 @@ uint64_t CellRouter::PrefixKey(const Request& req) const {
   const int32_t usable = static_cast<int32_t>(req.token_ids.size()) - 1;
   const int32_t full_chunks = usable / block_size_;
   if (full_chunks < 1) return 0;
-  const int32_t chunks = std::min(config_.hash_chunks, full_chunks);
-  uint64_t h = Mix64(config_.hash_seed);
+  const int32_t chunks = std::min(kHashChunks, full_chunks);
+  uint64_t h = Mix64(kHashSeed);
   for (int32_t i = 0; i < chunks * block_size_; ++i) {
     h = Mix64(h ^ static_cast<uint64_t>(
                       static_cast<uint32_t>(req.token_ids[i])));

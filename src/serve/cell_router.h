@@ -32,14 +32,6 @@ struct CellRouterConfig {
   /// 1 = flat fleet (the front tier is bypassed entirely; bit-identical
   /// to a fleet built before cells existed).
   int32_t num_cells = 1;
-  /// Virtual nodes per cell on the consistent-hash ring. More replicas
-  /// smooth the keyspace share per cell; 64 keeps the ring a few KB at
-  /// 128 cells while bounding share skew to a few percent.
-  int32_t ring_replicas = 64;
-  /// Leading full block chunks hashed into the ring key. One chunk pins a
-  /// conversation's turns (same system prompt + opening) to one cell;
-  /// more chunks spread distinct conversations of one template wider.
-  int32_t hash_chunks = 1;
   /// Chunk granularity in tokens; 0 inherits the intra-cell router's
   /// block_size so cell keys align with the affinity mirrors.
   int32_t block_size = 0;
@@ -47,8 +39,6 @@ struct CellRouterConfig {
   /// work): the hashed cell is used only while its summary exceeds the
   /// minimum live cell by at most this much, else least-loaded wins.
   double cell_max_imbalance_s = 10.0;
-  /// Ring/key hash seed (splitmix64-style mixing).
-  uint64_t hash_seed = 0x9e3779b97f4a7c15ull;
 };
 
 /// Front-tier decision counters; deterministic, merged into RouteCostStats

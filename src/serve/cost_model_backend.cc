@@ -7,6 +7,15 @@
 
 namespace aptserve {
 
+namespace {
+
+/// Seed for synthesizing the token ids of requests that carry none: the
+/// default InferenceBackendOptions::prompt_seed, so hit accounting on
+/// length-only traces is comparable across the two backends.
+constexpr uint64_t kTokenSeed = 7;
+
+}  // namespace
+
 StatusOr<int32_t> CostModelBackend::DerivePoolBlocks(
     const CostModel& cost_model, const Options& options) {
   if (options.pool_blocks_override > 0) return options.pool_blocks_override;
@@ -37,59 +46,45 @@ CostModelBackend::CostModelBackend(const CostModel& cost_model,
       block_bytes_(options.block_size *
                    cost_model.model().HiddenBytesPerToken()) {
   assigner_.SetEncodingPolicy(options.cache_encoding);
-  if (options.enable_prefix_sharing) {
-    prefix_index_ = std::make_unique<PrefixIndex>(&pool_, options.block_size);
-    assigner_.SetReclaimer(
-        [this](int32_t need) { return prefix_index_->EvictLru(need); });
-  }
+  if (options.enable_prefix_sharing) assigner_.EnablePrefixSharing();
 }
 
 Status CostModelBackend::Prepare(const std::vector<SimRequest>& reqs) {
-  // Verify every request can ever fit (hidden cache in an empty pool).
-  for (const SimRequest& sr : reqs) {
-    const int32_t need =
-        assigner_.BlocksNeeded(CacheType::kHidden, sr.spec.total_len());
-    if (need > pool_.num_blocks()) {
-      return Status::InvalidArgument(
-          "request " + std::to_string(sr.spec.id) +
-          " cannot fit in the cache pool even with hidden cache");
-    }
-  }
-  for (const SimRequest& sr : reqs) {
-    APT_RETURN_NOT_OK(RegisterTokenIds(sr));
+  // Validate the whole trace before registering any of it.
+  for (const SimRequest& sr : reqs) APT_RETURN_NOT_OK(CheckFits(sr));
+  for (const SimRequest& sr : reqs) APT_RETURN_NOT_OK(RegisterTokenIds(sr));
+  return Status::OK();
+}
+
+Status CostModelBackend::Admit(const SimRequest& sr) {
+  APT_RETURN_NOT_OK(CheckFits(sr));
+  return RegisterTokenIds(sr);
+}
+
+Status CostModelBackend::CheckFits(const SimRequest& sr) const {
+  // Every request must fit at least as hidden cache in an empty pool.
+  if (assigner_.BlocksNeeded(CacheType::kHidden, sr.spec.total_len()) >
+      pool_.num_blocks()) {
+    return Status::InvalidArgument(
+        "request " + std::to_string(sr.spec.id) +
+        " cannot fit in the cache pool even with hidden cache");
   }
   return Status::OK();
 }
 
 Status CostModelBackend::RegisterTokenIds(const SimRequest& sr) {
-  if (!prefix_index_) return Status::OK();
-  // Matching needs token content: use the trace's ids when present,
-  // otherwise the deterministic synthesizer (same function every backend
-  // uses, so hit accounting is comparable across them).
-  if (sr.spec.has_token_ids()) {
-    if (static_cast<int32_t>(sr.spec.token_ids.size()) != sr.spec.prompt_len) {
-      return Status::InvalidArgument(
-          "request " + std::to_string(sr.spec.id) +
-          " token_ids size does not match prompt_len");
-    }
-    token_ids_[sr.spec.id] = sr.spec.token_ids;
-  } else {
-    token_ids_[sr.spec.id] = DeterministicPromptTokens(
-        sr.spec.id, options_.token_seed, sr.spec.prompt_len,
-        options_.token_vocab);
-  }
+  // Matching needs token content; without sharing nothing reads it.
+  if (assigner_.prefix_index() == nullptr) return Status::OK();
+  APT_ASSIGN_OR_RETURN(token_ids_[sr.spec.id],
+                       PromptTokenIds(sr.spec, kTokenSeed,
+                                      options_.token_vocab));
   return Status::OK();
 }
 
-Status CostModelBackend::Admit(const SimRequest& sr) {
-  const int32_t need =
-      assigner_.BlocksNeeded(CacheType::kHidden, sr.spec.total_len());
-  if (need > pool_.num_blocks()) {
-    return Status::InvalidArgument(
-        "request " + std::to_string(sr.spec.id) +
-        " cannot fit in the cache pool even with hidden cache");
-  }
-  return RegisterTokenIds(sr);
+const std::vector<int32_t>& CostModelBackend::TokenIds(RequestId id) const {
+  static const std::vector<int32_t> kNone;
+  const auto it = token_ids_.find(id);
+  return it != token_ids_.end() ? it->second : kNone;
 }
 
 StatusOr<MigrationImage> CostModelBackend::ExportRequest(const SimRequest& sr) {
@@ -118,7 +113,7 @@ StatusOr<MigrationImport> CostModelBackend::ImportRequest(
     const SimRequest& sr, const MigrationImage& image) {
   APT_RETURN_NOT_OK(Admit(sr));
   const RequestId id = sr.spec.id;
-  if (prefix_index_ &&
+  if (assigner_.prefix_index() != nullptr &&
       static_cast<int32_t>(image.tokens.size()) >= image.prompt_len &&
       image.prompt_len > 0) {
     // The source's (possibly trace-provided) content wins over a fresh
@@ -129,26 +124,18 @@ StatusOr<MigrationImport> CostModelBackend::ImportRequest(
   MigrationImport import;
   if (!image.carries_cache()) return import;
 
-  PrefixMatch match;
-  if (prefix_index_ && image.cache_type == CacheType::kKV &&
-      assigner_.EncodingFor(CacheType::kKV) == BlockEncoding::kFp32) {
-    const int32_t limit = std::min(image.prompt_len, image.cached_tokens);
-    match = prefix_index_->Match(token_ids_.at(id), limit);
-  }
-  auto seeded = assigner_.RestoreRequestCache(
-      id, RequestCacheImage{image.cache_type, image.cached_tokens}, match);
-  if (!seeded.ok()) {
-    if (seeded.status().IsOutOfMemory()) {
+  auto deduped = assigner_.RestoreRequestCache(
+      id, RequestCacheImage{image.cache_type, image.cached_tokens},
+      TokenIds(id), image.prompt_len);
+  if (!deduped.ok()) {
+    if (deduped.status().IsOutOfMemory()) {
       return import;  // cold import: the request re-prefills here
     }
-    return seeded.status();
+    return deduped.status();
   }
-  // No payload to copy analytically; just drop the transient COW pin.
-  assigner_.ReleaseCowSource(*seeded);
-  if (match.hit()) prefix_index_->RecordAdoption(match);
   import.cache_restored = true;
-  import.deduped_tokens = match.tokens;
-  import.copied_tokens = image.cached_tokens - match.tokens;
+  import.deduped_tokens = *deduped;
+  import.copied_tokens = image.cached_tokens - *deduped;
   // Int8 tiers (and the quantize-in-transit knob) move codes plus
   // per-vector scale/zero instead of full-width values, so the
   // interconnect term prices ~4x fewer bytes per copied token.
@@ -173,20 +160,11 @@ StatusOr<double> CostModelBackend::EndIteration() {
   // here — not done inside ExecutePrefillChunk — so a same-iteration
   // sibling cannot match them yet, exactly like the engine backend, whose
   // blocks only exist after its end-of-iteration flush.
-  if (prefix_index_) {
-    for (RequestId id : pending_inserts_) {
-      const CacheMap* map = assigner_.Find(id);
-      if (map == nullptr || map->type() != CacheType::kKV ||
-          map->encoding() != BlockEncoding::kFp32) {
-        continue;
-      }
-      const auto& tokens = token_ids_.at(id);
-      prefix_index_->Insert(tokens, static_cast<int32_t>(tokens.size()),
-                            map->blocks(CacheComponent::kKey),
-                            map->blocks(CacheComponent::kValue));
-    }
-    pending_inserts_.clear();
+  for (RequestId id : pending_inserts_) {
+    const auto& tokens = TokenIds(id);
+    assigner_.PublishPrompt(id, tokens, static_cast<int32_t>(tokens.size()));
   }
+  pending_inserts_.clear();
   workload_.swap_bytes = carry_swap_bytes_ + iter_swap_bytes_;
   carry_swap_bytes_ = 0.0;
   return cost_model_.IterationSeconds(workload_);
@@ -229,64 +207,26 @@ StatusOr<bool> CostModelBackend::TrySwapIn(const SimRequest& sr) {
 StatusOr<ExecutionBackend::StepOutcome> CostModelBackend::ExecutePrefillChunk(
     const SimRequest& sr, CacheType cache_type, int32_t chunk) {
   const RequestId id = sr.spec.id;
-  // Prefix sharing mirrors the engine exactly: a fresh KV pass matches its
-  // prompt (capped at prompt_len and target-1), adopts the shared blocks,
-  // and only the remaining positions are priced as prefill work.
-  int32_t skipped = 0;
-  int32_t computed = chunk;
-  Status st;
-  PrefixMatch match;
-  if (!assigner_.Has(id)) {
-    if (prefix_index_ && cache_type == CacheType::kKV &&
-        sr.prefill_progress == 0 &&
-        assigner_.EncodingFor(CacheType::kKV) == BlockEncoding::kFp32) {
-      const int32_t limit =
-          std::min(sr.spec.prompt_len, sr.PrefillTarget() - 1);
-      match = prefix_index_->Match(token_ids_.at(id), limit);
-      if (match.hit()) {
-        auto seeded = assigner_.CreateSeeded(id, match);
-        if (seeded.ok()) {
-          // No payload to copy analytically; just release the COW pin.
-          assigner_.ReleaseCowSource(*seeded);
-          skipped = match.tokens;
-        } else if (!seeded.status().IsOutOfMemory()) {
-          return seeded.status();
-        }
-        // Seeding OOM falls through to the unshared path below.
-      }
-    }
-    if (skipped > 0) {
-      computed = std::min(chunk, sr.PrefillTarget() - skipped);
-      st = assigner_.Append(id, computed);
-      if (!st.ok()) {
-        // Restore the pre-call pool state: the seeded map's references
-        // (shared and private alike) all release through the map.
-        APT_CHECK(assigner_.Release(id).ok());
-      } else {
-        // Mirrors the engine: the adoption counts only once the whole
-        // step succeeded.
-        prefix_index_->RecordAdoption(match);
-      }
-    } else {
-      st = assigner_.CreateFilled(id, cache_type, chunk);
-    }
-  } else {
-    st = assigner_.Append(id, chunk);
-  }
-  if (st.IsOutOfMemory()) return StepOutcome{true, false};
-  APT_RETURN_NOT_OK(st);
+  // Prefix sharing is the assigner's, as on the engine: matched positions
+  // are adopted, and only the rest are priced as prefill work.
+  const StatusOr<int32_t> skipped =
+      assigner_.AllocatePrefill(id, cache_type, TokenIds(id),
+                                sr.spec.prompt_len, sr.PrefillTarget(), chunk);
+  if (skipped.status().IsOutOfMemory()) return StepOutcome{true, false};
+  APT_RETURN_NOT_OK(skipped.status());
+  const int32_t computed = std::min(chunk, sr.PrefillTarget() - *skipped);
   workload_.prefill_tokens += computed;
   // Adopted positions still count as attended context for the computed
   // span — attention over a hit prefix is real work, recomputing it isn't.
-  const int64_t k = sr.prefill_progress + skipped;
+  const int64_t k = sr.prefill_progress + *skipped;
   const int64_t c = computed;
   workload_.prefill_attend_tokens += c * k + c * (c + 1) / 2;
   const bool completes =
-      sr.prefill_progress + skipped + computed >= sr.PrefillTarget();
-  if (completes && prefix_index_ && cache_type == CacheType::kKV) {
+      sr.prefill_progress + *skipped + computed >= sr.PrefillTarget();
+  if (completes && assigner_.prefix_index() != nullptr) {
     pending_inserts_.push_back(id);
   }
-  return StepOutcome{false, completes, computed, skipped};
+  return StepOutcome{false, completes, computed, *skipped};
 }
 
 StatusOr<ExecutionBackend::StepOutcome> CostModelBackend::ExecuteDecode(

@@ -14,7 +14,6 @@
 #include "cache/block_pool.h"
 #include "cache/hybrid_assigner.h"
 #include "cache/swap_space.h"
-#include "prefix/prefix_index.h"
 #include "serve/execution_backend.h"
 #include "sim/cost_model.h"
 
@@ -32,17 +31,16 @@ class CostModelBackend : public ExecutionBackend {
     /// (vLLM's swap_space default is of that order).
     int32_t swap_blocks = -1;
     /// Prefix sharing over the analytic pool: matched prefill positions
-    /// are adopted instead of priced, mirroring the inference engine's
-    /// compute skip so both backends agree on what a hit is worth. Off by
-    /// default — the operation sequence is then bit-identical to the
-    /// pre-sharing backend.
+    /// are adopted instead of priced. The assigner runs the same sharing
+    /// code as on the inference engine, so both backends agree on what a
+    /// hit is worth. Off by default — the operation sequence is then
+    /// bit-identical to the pre-sharing backend.
     bool enable_prefix_sharing = false;
-    /// Seed/vocabulary for synthesizing token ids of requests that carry
-    /// none (workload/token_ids.h). Traces with real token_ids ignore
-    /// these. For cross-backend hit-accounting parity on length-only
-    /// traces, match InferenceBackendOptions::prompt_seed and the engine's
-    /// vocab_size (the defaults match prompt_seed's default).
-    uint64_t token_seed = 7;
+    /// Vocabulary for synthesizing token ids of requests that carry none
+    /// (workload/token_ids.h, seeded like the default
+    /// InferenceBackendOptions::prompt_seed). Traces with real token_ids
+    /// ignore it. For cross-backend hit-accounting parity on length-only
+    /// traces, match the engine's vocab_size.
     int32_t token_vocab = 50272;
     /// Per-tier block encoding (cache/cache_types.h): an int8 tier packs
     /// kInt8SlotPack tokens per pool block (admission and growth inherit
@@ -85,31 +83,32 @@ class CostModelBackend : public ExecutionBackend {
   int64_t swap_outs() const override { return swap_.total_swap_outs(); }
   int64_t swap_ins() const override { return swap_.total_swap_ins(); }
   const PrefixStats* prefix_stats() const override {
-    return prefix_index_ ? &prefix_index_->stats() : nullptr;
+    return assigner_.prefix_stats();
   }
   int32_t ReclaimCache(int32_t min_blocks) override {
-    return prefix_index_ ? prefix_index_->EvictLru(min_blocks) : 0;
+    return assigner_.ReclaimPrefixBlocks(min_blocks);
   }
 
   int32_t pool_blocks() const { return pool_.num_blocks(); }
-  /// The analytic backend's prefix index; null unless enabled.
-  const PrefixIndex* prefix_index() const { return prefix_index_.get(); }
 
  private:
   CostModelBackend(const CostModel& cost_model, const Options& options,
                    int32_t pool_blocks);
 
+  /// Rejects a request that cannot fit even as hidden cache in an empty
+  /// pool; Prepare and Admit (and through Admit, ImportRequest) run it.
+  Status CheckFits(const SimRequest& sr) const;
   /// Records the request's prompt token ids (trace-provided or synthesized)
-  /// when prefix sharing is on; shared by Prepare and Admit.
+  /// when prefix sharing is on.
   Status RegisterTokenIds(const SimRequest& sr);
+  /// The request's registered prompt token ids; empty while sharing is off.
+  const std::vector<int32_t>& TokenIds(RequestId id) const;
 
   CostModel cost_model_;
   Options options_;
   BlockPool pool_;
   HybridCacheAssigner assigner_;
   SwapSpace swap_;
-  /// Declared after pool_ so destruction releases index references first.
-  std::unique_ptr<PrefixIndex> prefix_index_;
   /// Prompt token ids per request (trace-provided or synthesized).
   std::unordered_map<RequestId, std::vector<int32_t>> token_ids_;
   /// Requests whose prefill completed this iteration; indexed at

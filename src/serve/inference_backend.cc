@@ -46,7 +46,7 @@ InferenceBackend::InferenceBackend(InferenceEngine* engine,
       cost_model_(MakeRhoCarrier(options.rho_seconds_per_token)),
       swap_(SwapCapacity(options, engine_->pool().num_blocks())),
       prompt_rng_(options.prompt_seed) {
-  if (options.enable_prefix_sharing) engine_->EnablePrefixSharing();
+  if (options.enable_prefix_sharing) engine_->assigner().EnablePrefixSharing();
 }
 
 InferenceBackend::InferenceBackend(const ModelConfig& model,
@@ -63,27 +63,32 @@ InferenceBackend::InferenceBackend(const ModelConfig& model,
       prompt_rng_(options.prompt_seed) {
   engine_->SetSampling(sampling, weight_seed ^ 0x5851f42dULL);
   engine_->SetEncodingPolicy(options.cache_encoding);
-  if (options.enable_prefix_sharing) engine_->EnablePrefixSharing();
+  if (options.enable_prefix_sharing) engine_->assigner().EnablePrefixSharing();
 }
 
 Status InferenceBackend::Prepare(const std::vector<SimRequest>& reqs) {
-  const ModelConfig& cfg = engine_->model().config();
   // Validate the whole trace before mutating the engine, so a rejected
   // trace leaves a reusable engine behind.
-  for (const SimRequest& sr : reqs) {
-    if (sr.spec.total_len() + 1 > cfg.max_seq_len) {
-      return Status::InvalidArgument(
-          "request " + std::to_string(sr.spec.id) + " exceeds model context");
-    }
-  }
-  for (const SimRequest& sr : reqs) {
-    APT_RETURN_NOT_OK(Register(sr));
+  for (const SimRequest& sr : reqs) APT_RETURN_NOT_OK(CheckContext(sr));
+  for (const SimRequest& sr : reqs) APT_RETURN_NOT_OK(Register(sr));
+  return Status::OK();
+}
+
+Status InferenceBackend::Admit(const SimRequest& sr) {
+  APT_RETURN_NOT_OK(CheckContext(sr));
+  return Register(sr);
+}
+
+Status InferenceBackend::CheckContext(const SimRequest& sr) const {
+  if (sr.spec.total_len() + 1 > engine_->model().config().max_seq_len) {
+    return Status::InvalidArgument(
+        "request " + std::to_string(sr.spec.id) + " exceeds model context");
   }
   return Status::OK();
 }
 
 Status InferenceBackend::Register(const SimRequest& sr) {
-  const ModelConfig& cfg = engine_->model().config();
+  const int32_t vocab = engine_->model().config().vocab_size;
   // Prompts come from the trace when it carries token content (prefix
   // sharing matches on it). Length-only traces: with sharing enabled,
   // the same order-independent synthesizer the analytic backend uses
@@ -92,33 +97,17 @@ Status InferenceBackend::Register(const SimRequest& sr) {
   // bit-identical to pre-sharing behaviour. Registration order must match
   // arrival order for that stream to reproduce a whole-shard Prepare.
   std::vector<int32_t> prompt;
-  if (sr.spec.has_token_ids()) {
-    if (static_cast<int32_t>(sr.spec.token_ids.size()) !=
-        sr.spec.prompt_len) {
-      return Status::InvalidArgument(
-          "request " + std::to_string(sr.spec.id) +
-          " token_ids size does not match prompt_len");
-    }
-    prompt = sr.spec.token_ids;  // AddRequest validates the vocab range
-  } else if (options_.enable_prefix_sharing) {
-    prompt = DeterministicPromptTokens(sr.spec.id, options_.prompt_seed,
-                                       sr.spec.prompt_len, cfg.vocab_size);
+  if (sr.spec.has_token_ids() || options_.enable_prefix_sharing) {
+    // AddRequest validates the vocab range.
+    APT_ASSIGN_OR_RETURN(prompt,
+                         PromptTokenIds(sr.spec, options_.prompt_seed, vocab));
   } else {
     prompt.resize(sr.spec.prompt_len);
     for (int32_t& t : prompt) {
-      t = static_cast<int32_t>(prompt_rng_.UniformInt(0, cfg.vocab_size - 1));
+      t = static_cast<int32_t>(prompt_rng_.UniformInt(0, vocab - 1));
     }
   }
   return engine_->AddRequest(sr.spec.id, std::move(prompt), CacheType::kKV);
-}
-
-Status InferenceBackend::Admit(const SimRequest& sr) {
-  const ModelConfig& cfg = engine_->model().config();
-  if (sr.spec.total_len() + 1 > cfg.max_seq_len) {
-    return Status::InvalidArgument(
-        "request " + std::to_string(sr.spec.id) + " exceeds model context");
-  }
-  return Register(sr);
 }
 
 StatusOr<MigrationImage> InferenceBackend::ExportRequest(const SimRequest& sr) {
@@ -131,11 +120,7 @@ StatusOr<MigrationImage> InferenceBackend::ExportRequest(const SimRequest& sr) {
 
 StatusOr<MigrationImport> InferenceBackend::ImportRequest(
     const SimRequest& sr, const MigrationImage& image) {
-  const ModelConfig& cfg = engine_->model().config();
-  if (sr.spec.total_len() + 1 > cfg.max_seq_len) {
-    return Status::InvalidArgument(
-        "request " + std::to_string(sr.spec.id) + " exceeds model context");
-  }
+  APT_RETURN_NOT_OK(CheckContext(sr));
   return engine_->ImportRequest(sr.spec.id, image);
 }
 

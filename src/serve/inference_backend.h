@@ -109,12 +109,10 @@ class InferenceBackend : public ExecutionBackend {
   int64_t swap_outs() const override { return swap_.total_swap_outs(); }
   int64_t swap_ins() const override { return swap_.total_swap_ins(); }
   const PrefixStats* prefix_stats() const override {
-    const PrefixIndex* index = engine_->prefix_index();
-    return index ? &index->stats() : nullptr;
+    return engine_->assigner().prefix_stats();
   }
   int32_t ReclaimCache(int32_t min_blocks) override {
-    PrefixIndex* index = engine_->prefix_index();
-    return index ? index->EvictLru(min_blocks) : 0;
+    return engine_->assigner().ReclaimPrefixBlocks(min_blocks);
   }
 
   InferenceEngine& engine() { return *engine_; }
@@ -126,7 +124,10 @@ class InferenceBackend : public ExecutionBackend {
   }
 
  private:
-  /// Prompt synthesis + engine registration for one request (Prepare/Admit).
+  /// Rejects a request whose prompt plus output overflows the model
+  /// context; Prepare, Admit and ImportRequest run it.
+  Status CheckContext(const SimRequest& sr) const;
+  /// Prompt synthesis + engine registration.
   Status Register(const SimRequest& sr);
   /// Computes all deferred steps in one forward and samples in schedule
   /// order.

@@ -27,6 +27,11 @@ const char* RoutePolicyName(RoutePolicy p) {
 
 namespace {
 
+/// Work-estimate fallback when no cost model is provided: seconds per token
+/// of prompt + predicted output (the order of the inference backend's
+/// default virtual_item_seconds).
+constexpr double kFallbackSecondsPerToken = 1e-3;
+
 /// Per-instance mirror of a PrefixIndex's *content*: a radix tree over
 /// full block_size token chunks of the prompts routed to that instance.
 /// Matching follows PrefixIndex::Match's full-block rule, so the router's
@@ -201,7 +206,7 @@ double Router::PredictedOutputLen(const Request& r) const {
 
 double Router::EstimatedPrefillSeconds(const Request& r) const {
   if (cost_model_ == nullptr) {
-    return r.prompt_len * config_.fallback_seconds_per_token;
+    return r.prompt_len * kFallbackSecondsPerToken;
   }
   BatchWorkload w;
   w.prefill_tokens = r.prompt_len;
@@ -213,7 +218,7 @@ double Router::EstimatedPrefillSeconds(const Request& r) const {
 double Router::EstimatedServiceSeconds(const Request& r) const {
   const double out_len = PredictedOutputLen(r);
   if (cost_model_ == nullptr) {
-    return (r.prompt_len + out_len) * config_.fallback_seconds_per_token;
+    return (r.prompt_len + out_len) * kFallbackSecondsPerToken;
   }
   // One decode iteration at the request's mid-generation context length,
   // times the predicted output length.

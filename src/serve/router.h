@@ -74,10 +74,6 @@ struct RouterConfig {
   /// kLeastOutstandingWork / admission: predicted output length when the
   /// predictor has no signal for a prompt-length bucket (or none is set).
   double default_output_len = 128.0;
-  /// Work-estimate fallback when no cost model is provided: seconds per
-  /// token of prompt + predicted output (matches the inference backend's
-  /// default virtual_item_seconds order of magnitude).
-  double fallback_seconds_per_token = 1e-3;
 
   /// kPrefixAffinity: granularity of the affinity mirror. Match it to the
   /// instances' cache block size so the mirror's full-block score tracks
@@ -182,9 +178,10 @@ class Router {
  public:
   /// `cost_model` (optional, borrowed) prices work estimates for
   /// kLeastOutstandingWork, the affinity imbalance cap, and admission
-  /// control; without one, estimates fall back to
-  /// fallback_seconds_per_token. `predictor` (optional, borrowed) supplies
-  /// expected output lengths; without one, default_output_len is used.
+  /// control; without one, estimates fall back to a fixed 1 ms per token
+  /// of prompt plus predicted output. `predictor` (optional, borrowed)
+  /// supplies expected output lengths; without one, default_output_len is
+  /// used.
   explicit Router(const RouterConfig& config,
                   const CostModel* cost_model = nullptr,
                   const OutputLengthPredictor* predictor = nullptr);

@@ -1,5 +1,7 @@
 #include "workload/token_ids.h"
 
+#include <string>
+
 #include "common/logging.h"
 #include "common/rng.h"
 
@@ -17,6 +19,18 @@ std::vector<int32_t> DeterministicPromptTokens(RequestId id, uint64_t seed,
     t = static_cast<int32_t>(rng.UniformInt(0, vocab_size - 1));
   }
   return tokens;
+}
+
+StatusOr<std::vector<int32_t>> PromptTokenIds(const Request& r, uint64_t seed,
+                                              int32_t vocab_size) {
+  if (!r.has_token_ids()) {
+    return DeterministicPromptTokens(r.id, seed, r.prompt_len, vocab_size);
+  }
+  if (static_cast<int32_t>(r.token_ids.size()) != r.prompt_len) {
+    return Status::InvalidArgument("request " + std::to_string(r.id) +
+                                   " token_ids size does not match prompt_len");
+  }
+  return r.token_ids;
 }
 
 void EnsureTokenIds(std::vector<Request>* trace, uint64_t seed,

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "workload/request.h"
 
 namespace aptserve {
@@ -22,6 +23,12 @@ namespace aptserve {
 std::vector<int32_t> DeterministicPromptTokens(RequestId id, uint64_t seed,
                                                int32_t prompt_len,
                                                int32_t vocab_size);
+
+/// The prompt token ids a backend registers for `r`: the trace's own ids
+/// (InvalidArgument unless there are exactly prompt_len of them), otherwise
+/// DeterministicPromptTokens(r.id, seed, r.prompt_len, vocab_size).
+StatusOr<std::vector<int32_t>> PromptTokenIds(const Request& r, uint64_t seed,
+                                              int32_t vocab_size);
 
 /// Fills token_ids for every request of `trace` that lacks them.
 void EnsureTokenIds(std::vector<Request>* trace, uint64_t seed,

@@ -1,8 +1,7 @@
 // Tests for the chunked-prefill coalescing baselines: Sarathi-Serve and
-// DeepSpeed-FastGen.
+// DeepSpeed-FastGen (Sarathi with chunks as large as the token budget).
 #include <gtest/gtest.h>
 
-#include "baselines/fastgen_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
 #include "tests/scheduler_test_util.h"
 
@@ -85,9 +84,7 @@ TEST(FastGenSchedulerTest, SplitsOnlyWhenExceedingBudget) {
   SchedulerFixture fx(8192, 16);
   fx.AddWaiting(1, 300, 20, 0.0);
   fx.AddWaiting(2, 300, 20, 0.1);
-  FastGenConfig cfg;
-  cfg.token_budget = 512;
-  FastGenScheduler sched(cfg);
+  SarathiScheduler sched(SarathiConfig::FastGen());
   auto plan = sched.PlanIteration(fx.Input(1.0));
   // First prompt taken whole (300), second split to fill the budget (212).
   ASSERT_EQ(plan.items.size(), 2u);
@@ -99,9 +96,10 @@ TEST(FastGenSchedulerTest, DecodesFirstThenFill) {
   SchedulerFixture fx(8192, 16);
   fx.AddRunning(1, 64, 20, 4, CacheType::kKV, 0.5);
   fx.AddWaiting(2, 100, 20, 0.1);
-  FastGenConfig cfg;
+  SarathiConfig cfg;
   cfg.token_budget = 64;
-  FastGenScheduler sched(cfg);
+  cfg.chunk_size = 64;
+  SarathiScheduler sched(cfg);
   auto plan = sched.PlanIteration(fx.Input(1.0));
   ASSERT_EQ(plan.items.size(), 2u);
   EXPECT_EQ(plan.items[0].prefill_chunk, 0);
@@ -110,7 +108,7 @@ TEST(FastGenSchedulerTest, DecodesFirstThenFill) {
 
 TEST(FastGenSchedulerTest, EmptyInput) {
   SchedulerFixture fx;
-  FastGenScheduler sched;
+  SarathiScheduler sched(SarathiConfig::FastGen());
   auto plan = sched.PlanIteration(fx.Input(0.0));
   EXPECT_TRUE(plan.items.empty());
 }

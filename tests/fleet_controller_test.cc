@@ -258,7 +258,7 @@ TEST(FleetControllerTest, ElasticFleetIsThreadCountBitIdentical) {
 InferenceEngine MakeEngine(bool sharing, uint64_t seed = 42) {
   InferenceEngine engine(ModelConfig::Tiny(), seed, /*num_blocks=*/128,
                          /*block_size=*/4);
-  if (sharing) engine.EnablePrefixSharing();
+  if (sharing) engine.assigner().EnablePrefixSharing();
   return engine;
 }
 
@@ -302,7 +302,8 @@ TEST(MigrationHandoffTest, RefcountConservationAcrossExportImport) {
   ASSERT_TRUE(done.ok());
   EXPECT_TRUE(done->has_value());
   ASSERT_TRUE(dst.RemoveRequest(1).ok());
-  EXPECT_EQ(dst.pool().num_allocated(), dst.prefix_index()->indexed_blocks());
+  EXPECT_EQ(dst.pool().num_allocated(),
+            dst.assigner().prefix_index()->indexed_blocks());
 }
 
 TEST(MigrationHandoffTest, DestinationDedupeWithMidBlockCowTail) {
@@ -318,7 +319,7 @@ TEST(MigrationHandoffTest, DestinationDedupeWithMidBlockCowTail) {
   InferenceEngine dst = MakeEngine(/*sharing=*/true);
   ASSERT_TRUE(dst.AddRequest(100, prompt, CacheType::kKV).ok());
   ASSERT_TRUE(dst.Prefill(100).ok());
-  ASSERT_GT(dst.prefix_index()->num_nodes(), 0);
+  ASSERT_GT(dst.assigner().prefix_index()->num_nodes(), 0);
 
   // Source: a mid-pass request, cached span ending mid-block (6 % 4 != 0).
   InferenceEngine src = MakeEngine(/*sharing=*/true);

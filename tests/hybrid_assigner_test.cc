@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace aptserve {
 namespace {
 
@@ -128,6 +130,72 @@ TEST_F(HybridAssignerTest, UnifiedPoolSharesBlocksAcrossTypes) {
   ASSERT_TRUE(assigner_.Release(3).ok());
   ASSERT_TRUE(assigner_.CreateFilled(5, CacheType::kHidden, 64).ok());  // 16
   EXPECT_EQ(pool_.num_free(), 0);
+}
+
+std::vector<int32_t> Tokens(int32_t n) {
+  std::vector<int32_t> t(n);
+  for (int32_t i = 0; i < n; ++i) t[i] = 100 + i;
+  return t;
+}
+
+// Prefix sharing lives in the assigner: a fresh KV pass adopts the
+// published prompt blocks of an earlier pass and counts the adoption; a
+// hidden pass never looks the index up.
+TEST_F(HybridAssignerTest, PrefillAdoptsPublishedPromptBlocks) {
+  assigner_.EnablePrefixSharing();
+  const auto first = Tokens(8);
+  auto skipped = assigner_.AllocatePrefill(1, CacheType::kKV, first, 8, 8, 8);
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_EQ(*skipped, 0);
+  assigner_.PublishPrompt(1, first, 8);
+  ASSERT_TRUE(assigner_.Release(1).ok());
+  EXPECT_EQ(pool_.num_allocated(), 4);  // the index keeps both block pairs
+
+  // 12 tokens extending the first 8: both full blocks are adopted and only
+  // the last 4 positions get blocks of their own.
+  const auto second = Tokens(12);
+  skipped = assigner_.AllocatePrefill(2, CacheType::kKV, second, 12, 12, 12);
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_EQ(*skipped, 8);
+  EXPECT_EQ(assigner_.Find(2)->num_tokens(), 12);
+  EXPECT_EQ(pool_.num_allocated(), 6);
+  const PrefixStats* stats = assigner_.prefix_stats();
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->lookups, 2);
+  EXPECT_EQ(stats->hits, 1);
+  EXPECT_EQ(stats->matched_tokens, 8);
+
+  skipped = assigner_.AllocatePrefill(3, CacheType::kHidden, second, 12, 12,
+                                      12);
+  ASSERT_TRUE(skipped.ok());
+  EXPECT_EQ(*skipped, 0);
+  EXPECT_EQ(stats->lookups, 2);
+}
+
+// Seeding pins every matched block before it allocates its copy-on-write
+// tail, so when only those blocks could be evicted the seeding runs out of
+// memory. The pass then falls through to an unshared allocation, whose
+// reclaim may evict them.
+TEST(HybridAssignerSharingTest, SeedingOomFallsThroughToUnsharedPass) {
+  BlockPool pool(5, 4);
+  HybridCacheAssigner assigner(&pool);
+  assigner.EnablePrefixSharing();
+  const auto tokens = Tokens(8);
+  ASSERT_TRUE(assigner.AllocatePrefill(1, CacheType::kKV, tokens, 8, 8, 8)
+                  .ok());
+  assigner.PublishPrompt(1, tokens, 8);
+  ASSERT_TRUE(assigner.Release(1).ok());
+  ASSERT_EQ(pool.num_free(), 1);
+
+  // The same 8-token prompt matches 7 positions (one must be computed):
+  // one full block pair plus a COW tail, which needs 2 free blocks.
+  auto skipped = assigner.AllocatePrefill(2, CacheType::kKV, tokens, 8, 8, 8);
+  ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
+  EXPECT_EQ(*skipped, 0);
+  EXPECT_EQ(assigner.Find(2)->num_tokens(), 8);
+  EXPECT_EQ(assigner.num_seeded(), 0);
+  EXPECT_EQ(assigner.prefix_stats()->hits, 0);
+  EXPECT_EQ(assigner.prefix_stats()->evicted_blocks, 4);
 }
 
 }  // namespace

@@ -39,19 +39,19 @@ std::vector<int32_t> ReferenceTokens(const std::vector<int32_t>& prompt,
 
 TEST(PrefixSharingTest, SecondRequestAdoptsPrefixTokensUnchanged) {
   InferenceEngine engine(Cfg(), 42, 64, kBlock);
-  engine.EnablePrefixSharing();
+  engine.assigner().EnablePrefixSharing();
   const auto prompt = Prompt(10);  // 2 full blocks indexable, partial tail
 
   ASSERT_TRUE(engine.AddRequest(1, prompt, CacheType::kKV).ok());
   auto t1 = engine.Generate(1, 5);
   ASSERT_TRUE(t1.ok());
-  EXPECT_EQ(engine.prefix_index()->num_nodes(), 2);
+  EXPECT_EQ(engine.assigner().prefix_index()->num_nodes(), 2);
 
   ASSERT_TRUE(engine.AddRequest(2, prompt, CacheType::kKV).ok());
   auto t2 = engine.Generate(2, 5);
   ASSERT_TRUE(t2.ok());
 
-  const PrefixStats& s = engine.prefix_index()->stats();
+  const PrefixStats& s = engine.assigner().prefix_index()->stats();
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.matched_tokens, 8);   // both full blocks, block-granular
   EXPECT_EQ(s.shared_blocks, 2);
@@ -67,7 +67,7 @@ TEST(PrefixSharingTest, SecondRequestAdoptsPrefixTokensUnchanged) {
 
 TEST(PrefixSharingTest, CowOnBlockAlignedPromptTail) {
   InferenceEngine engine(Cfg(), 42, 64, kBlock);
-  engine.EnablePrefixSharing();
+  engine.assigner().EnablePrefixSharing();
   const auto prompt = Prompt(8);  // block-aligned: the match must COW
 
   ASSERT_TRUE(engine.AddRequest(1, prompt, CacheType::kKV).ok());
@@ -80,7 +80,7 @@ TEST(PrefixSharingTest, CowOnBlockAlignedPromptTail) {
   auto t2 = engine.Generate(2, 4);
   ASSERT_TRUE(t2.ok());
 
-  const PrefixStats& s = engine.prefix_index()->stats();
+  const PrefixStats& s = engine.assigner().prefix_index()->stats();
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.cow_matches, 1);
   EXPECT_EQ(s.matched_tokens, 7);
@@ -90,7 +90,7 @@ TEST(PrefixSharingTest, CowOnBlockAlignedPromptTail) {
 
 TEST(PrefixSharingTest, SharedBlocksSurviveOwnerRemovalAndPreemption) {
   InferenceEngine engine(Cfg(), 42, 64, kBlock);
-  engine.EnablePrefixSharing();
+  engine.assigner().EnablePrefixSharing();
   const auto prompt = Prompt(10);
 
   ASSERT_TRUE(engine.AddRequest(1, prompt, CacheType::kKV).ok());
@@ -107,27 +107,28 @@ TEST(PrefixSharingTest, SharedBlocksSurviveOwnerRemovalAndPreemption) {
   // Preempting the adopter drops its references but never the index's:
   // the prefix stays matchable and the resume re-adopts it.
   ASSERT_TRUE(engine.Preempt(2).ok());
-  EXPECT_EQ(engine.prefix_index()->num_nodes(), 2);
+  EXPECT_EQ(engine.assigner().prefix_index()->num_nodes(), 2);
   auto resumed = engine.Prefill(2);
   ASSERT_TRUE(resumed.ok());
-  EXPECT_EQ(engine.prefix_index()->stats().hits, 2);  // seed + resume re-seed
+  // seed + resume re-seed
+  EXPECT_EQ(engine.assigner().prefix_index()->stats().hits, 2);
   ASSERT_TRUE(engine.RemoveRequest(2).ok());
   // Only the index owns blocks now.
   EXPECT_EQ(engine.pool().num_allocated(),
-            engine.prefix_index()->indexed_blocks());
+            engine.assigner().prefix_index()->indexed_blocks());
 }
 
 TEST(PrefixSharingTest, HiddenCacheNeverShares) {
   InferenceEngine engine(Cfg(), 42, 64, kBlock);
-  engine.EnablePrefixSharing();
+  engine.assigner().EnablePrefixSharing();
   const auto prompt = Prompt(10);
   ASSERT_TRUE(engine.AddRequest(1, prompt, CacheType::kHidden).ok());
   ASSERT_TRUE(engine.Generate(1, 3).ok());
   ASSERT_TRUE(engine.AddRequest(2, prompt, CacheType::kHidden).ok());
   ASSERT_TRUE(engine.Generate(2, 3).ok());
   // Hidden-cache requests neither insert nor match.
-  EXPECT_EQ(engine.prefix_index()->num_nodes(), 0);
-  EXPECT_EQ(engine.prefix_index()->stats().hits, 0);
+  EXPECT_EQ(engine.assigner().prefix_index()->num_nodes(), 0);
+  EXPECT_EQ(engine.assigner().prefix_index()->stats().hits, 0);
   EXPECT_EQ(engine.pool().num_shared(), 0);
 }
 
@@ -139,13 +140,13 @@ TEST(PrefixSharingTest, SeedingRollsBackWhenChunkAllocationFails) {
   // evictable. Request 2 (prompt 12) adopts 1 block pair and then needs 4
   // more blocks for positions 4..12 — only 2 are free.
   InferenceEngine engine(Cfg(), 42, 6, kBlock);
-  engine.EnablePrefixSharing();
+  engine.assigner().EnablePrefixSharing();
   const auto short_prompt = Prompt(4);
   auto long_prompt = Prompt(12);
 
   ASSERT_TRUE(engine.AddRequest(1, short_prompt, CacheType::kKV).ok());
   ASSERT_TRUE(engine.Generate(1, 2).ok());
-  EXPECT_EQ(engine.prefix_index()->num_nodes(), 1);
+  EXPECT_EQ(engine.assigner().prefix_index()->num_nodes(), 1);
   EXPECT_EQ(engine.pool().num_free(), 2);
 
   ASSERT_TRUE(engine.AddRequest(2, long_prompt, CacheType::kKV).ok());
@@ -159,9 +160,9 @@ TEST(PrefixSharingTest, SeedingRollsBackWhenChunkAllocationFails) {
   EXPECT_EQ(engine.pool().num_free(), 2);
   // The failed attempt counts as a lookup but never as an adoption, so
   // hit accounting stays equal to the positions genuinely skipped.
-  EXPECT_GE(engine.prefix_index()->stats().lookups, 2);
-  EXPECT_EQ(engine.prefix_index()->stats().hits, 0);
-  EXPECT_EQ(engine.prefix_index()->stats().matched_tokens, 0);
+  EXPECT_GE(engine.assigner().prefix_index()->stats().lookups, 2);
+  EXPECT_EQ(engine.assigner().prefix_index()->stats().hits, 0);
+  EXPECT_EQ(engine.assigner().prefix_index()->stats().matched_tokens, 0);
 
   // Once request 1 leaves, the retry adopts the (still indexed) prefix and
   // completes.
@@ -177,7 +178,7 @@ TEST(PrefixSharingTest, EvictionRacingMatchNeverFreesMatchedBlocks) {
   // request matching A needs blocks the pool can only supply by evicting —
   // the eviction must take B, never A's matched (pinned) nodes.
   InferenceEngine engine(Cfg(), 42, 7, kBlock);
-  engine.EnablePrefixSharing();
+  engine.assigner().EnablePrefixSharing();
   const auto prompt_a = Prompt(8, 3);
   const auto prompt_b = Prompt(4, 11);
 
@@ -189,7 +190,7 @@ TEST(PrefixSharingTest, EvictionRacingMatchNeverFreesMatchedBlocks) {
   ASSERT_TRUE(engine.Generate(2, 1).ok());
   ASSERT_TRUE(engine.RemoveRequest(2).ok());
   // Index: A = 2 block pairs, B = 1 pair; 6 of 7 blocks allocated.
-  ASSERT_EQ(engine.prefix_index()->num_nodes(), 3);
+  ASSERT_EQ(engine.assigner().prefix_index()->num_nodes(), 3);
   ASSERT_EQ(engine.pool().num_free(), 1);
 
   // Request 3 matches A (7 usable positions, COW tail) and needs a 2-block
@@ -199,11 +200,11 @@ TEST(PrefixSharingTest, EvictionRacingMatchNeverFreesMatchedBlocks) {
   ASSERT_TRUE(t3.ok()) << t3.status().ToString();
   EXPECT_EQ(*t3, *ref_a);  // adopted blocks were valid, not evicted
 
-  const PrefixStats& s = engine.prefix_index()->stats();
+  const PrefixStats& s = engine.assigner().prefix_index()->stats();
   EXPECT_GE(s.evicted_blocks, 2);
   // B was the victim; A survived and still matches.
-  EXPECT_FALSE(engine.prefix_index()->Match(prompt_b, 3).hit());
-  EXPECT_TRUE(engine.prefix_index()->Match(prompt_a, 4).hit());
+  EXPECT_FALSE(engine.assigner().prefix_index()->Match(prompt_b, 3).hit());
+  EXPECT_TRUE(engine.assigner().prefix_index()->Match(prompt_a, 4).hit());
 }
 
 // ---- Assigner-level seeding ------------------------------------------------

@@ -397,7 +397,7 @@ TEST(QuantizedEngineTest, PrefixSharingGatesOffForInt8Kv) {
   // adopters), and both requests still generate the same stream.
   InferenceEngine engine(Cfg(), 55, 64, 4);
   engine.SetEncodingPolicy(AllInt8());
-  engine.EnablePrefixSharing();
+  engine.assigner().EnablePrefixSharing();
   ASSERT_TRUE(engine.AddRequest(1, Prompt(12), CacheType::kKV).ok());
   ASSERT_TRUE(engine.AddRequest(2, Prompt(12), CacheType::kKV).ok());
   auto t1 = engine.Generate(1, 6);

@@ -18,7 +18,6 @@
 #include "bench/sweep/runner.h"
 #include "common/rng.h"
 #include "workload/shared_prefix.h"
-#include "baselines/fastgen_scheduler.h"
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
 #include "cache/block_pool.h"
@@ -413,7 +412,9 @@ std::unique_ptr<Scheduler> MakeNamedScheduler(const std::string& kind,
                                               const SloSpec& slo) {
   if (kind == "fcfs") return std::make_unique<FcfsScheduler>();
   if (kind == "sarathi") return std::make_unique<SarathiScheduler>();
-  if (kind == "fastgen") return std::make_unique<FastGenScheduler>();
+  if (kind == "fastgen") {
+    return std::make_unique<SarathiScheduler>(SarathiConfig::FastGen());
+  }
   if (kind == "apt") {
     AptConfig c;
     c.slo = slo;

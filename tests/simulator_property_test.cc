@@ -6,7 +6,6 @@
 #include <memory>
 #include <tuple>
 
-#include "baselines/fastgen_scheduler.h"
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/random_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
@@ -27,7 +26,9 @@ class SimulatorPropertyTest
     if (kind == "fcfs") return std::make_unique<FcfsScheduler>();
     if (kind == "random") return std::make_unique<RandomScheduler>();
     if (kind == "sarathi") return std::make_unique<SarathiScheduler>();
-    if (kind == "fastgen") return std::make_unique<FastGenScheduler>();
+    if (kind == "fastgen") {
+    return std::make_unique<SarathiScheduler>(SarathiConfig::FastGen());
+  }
     if (kind == "apt") {
       AptConfig c;
       c.slo = slo;

@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "baselines/fastgen_scheduler.h"
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/random_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
@@ -51,7 +50,9 @@ std::unique_ptr<Scheduler> MakeScheduler(const std::string& kind,
   if (kind == "fcfs") return std::make_unique<FcfsScheduler>();
   if (kind == "random") return std::make_unique<RandomScheduler>();
   if (kind == "sarathi") return std::make_unique<SarathiScheduler>();
-  if (kind == "fastgen") return std::make_unique<FastGenScheduler>();
+  if (kind == "fastgen") {
+    return std::make_unique<SarathiScheduler>(SarathiConfig::FastGen());
+  }
   if (kind == "apt") {
     AptConfig c;
     c.slo = slo;

@@ -252,7 +252,7 @@ TEST(EngineSwapTest, SwapPreemptionWithSharingKeepsReferencedBlocksSafe) {
   // them at refcount 1 — i.e. no reference was leaked or double-freed
   // through the swap round trips.
   EXPECT_EQ(engine->engine().pool().num_allocated(),
-            engine->engine().prefix_index()->indexed_blocks());
+            engine->engine().assigner().prefix_index()->indexed_blocks());
   EXPECT_EQ(engine->engine().pool().num_shared(), 0);
 
   // Tokens must match the sharing-enabled recompute-mode run: swap-in
