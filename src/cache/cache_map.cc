@@ -9,12 +9,6 @@ std::vector<CacheComponent> CacheMap::Components() const {
   return {CacheComponent::kHidden};
 }
 
-void CacheMap::AppendBlocks(CacheComponent component,
-                            const std::vector<BlockId>& blocks) {
-  auto& list = blocks_[static_cast<size_t>(component)];
-  list.insert(list.end(), blocks.begin(), blocks.end());
-}
-
 void CacheMap::AdvanceTokens(int32_t n) {
   APT_CHECK_MSG(num_tokens_ + n <= capacity(),
                 "advancing past allocated cache capacity");

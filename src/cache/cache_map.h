@@ -44,10 +44,27 @@ class CacheMap {
   /// Components this map uses: {K, V} for kKV, {Hidden} for kHidden.
   std::vector<CacheComponent> Components() const;
 
+  /// Empties the map and gives it a new type and density, keeping its block
+  /// lists' storage (the assigner reuses released maps).
+  void Reset(CacheType type, int32_t block_size, BlockEncoding encoding) {
+    type_ = type;
+    block_size_ = block_size;
+    encoding_ = encoding;
+    num_tokens_ = 0;
+    for (auto& list : blocks_) list.clear();
+  }
+
   /// Appends `blocks` as the next blocks of `component`. The caller (the
   /// hybrid cache assigner) owns allocation; the map only records layout.
   void AppendBlocks(CacheComponent component,
-                    const std::vector<BlockId>& blocks);
+                    const std::vector<BlockId>& blocks) {
+    AppendBlocks(component, blocks.data(), blocks.data() + blocks.size());
+  }
+  void AppendBlocks(CacheComponent component, const BlockId* first,
+                    const BlockId* last) {
+    auto& list = blocks_[static_cast<size_t>(component)];
+    list.insert(list.end(), first, last);
+  }
 
   /// Marks `n` more token positions as filled. Requires capacity.
   void AdvanceTokens(int32_t n);

@@ -8,6 +8,13 @@ namespace aptserve {
 
 namespace {
 int32_t CeilDiv(int32_t a, int32_t b) { return (a + b - 1) / b; }
+
+constexpr CacheComponent kAllComponents[] = {
+    CacheComponent::kKey, CacheComponent::kValue, CacheComponent::kHidden};
+
+Status NoCache(RequestId id) {
+  return Status::NotFound("request " + std::to_string(id) + " has no cache");
+}
 }  // namespace
 
 HybridCacheAssigner::HybridCacheAssigner(BlockPool* pool) : pool_(pool) {
@@ -23,14 +30,31 @@ int32_t HybridCacheAssigner::BlocksNeeded(CacheType type,
 
 int32_t HybridCacheAssigner::BlocksToGrow(RequestId id,
                                           int32_t num_tokens) const {
-  auto it = maps_.find(id);
-  if (it == maps_.end()) return BlocksNeeded(CacheType::kKV, num_tokens);
-  const CacheMap& map = it->second;
-  const int32_t have = map.capacity();
+  const CacheMap* map = Find(id);
+  if (map == nullptr) return BlocksNeeded(CacheType::kKV, num_tokens);
+  const int32_t have = map->capacity();
   if (num_tokens <= have) return 0;
   // Grow at the map's own density (it may predate a policy change).
-  const int32_t extra = CeilDiv(num_tokens - have, map.block_size());
-  return map.type() == CacheType::kKV ? 2 * extra : extra;
+  const int32_t extra = CeilDiv(num_tokens - have, map->block_size());
+  return map->type() == CacheType::kKV ? 2 * extra : extra;
+}
+
+CacheMap* HybridCacheAssigner::TakeMap(CacheType type, int32_t block_size,
+                                       BlockEncoding encoding) {
+  CacheMap* map;
+  if (spare_maps_.empty()) {
+    map = &map_arena_.emplace_back();
+  } else {
+    map = spare_maps_.back();
+    spare_maps_.pop_back();
+  }
+  map->Reset(type, block_size, encoding);
+  return map;
+}
+
+void HybridCacheAssigner::Forget(RequestId id, CacheMap* map) {
+  maps_.Erase(id);
+  spare_maps_.push_back(map);
 }
 
 Status HybridCacheAssigner::AllocateWithReclaim(int32_t n,
@@ -53,18 +77,20 @@ Status HybridCacheAssigner::AllocateWithReclaim(int32_t n,
 Status HybridCacheAssigner::AllocateFor(CacheMap* map,
                                         int32_t new_blocks_per_component) {
   if (new_blocks_per_component <= 0) return Status::OK();
-  const auto components = map->Components();
-  const int32_t total =
-      new_blocks_per_component * static_cast<int32_t>(components.size());
-  std::vector<BlockId> blocks;
-  APT_RETURN_NOT_OK(AllocateWithReclaim(total, &blocks));
-  size_t cursor = 0;
-  for (CacheComponent c : components) {
-    std::vector<BlockId> slice(blocks.begin() + cursor,
-                               blocks.begin() + cursor +
-                                   new_blocks_per_component);
-    map->AppendBlocks(c, slice);
-    cursor += new_blocks_per_component;
+  const bool kv = map->type() == CacheType::kKV;
+  alloc_buffer_.clear();
+  APT_RETURN_NOT_OK(AllocateWithReclaim(
+      kv ? 2 * new_blocks_per_component : new_blocks_per_component,
+      &alloc_buffer_));
+  // Components in CacheMap::Components() order: K then V, or hidden.
+  const BlockId* first = alloc_buffer_.data();
+  const BlockId* mid = first + new_blocks_per_component;
+  if (kv) {
+    map->AppendBlocks(CacheComponent::kKey, first, mid);
+    map->AppendBlocks(CacheComponent::kValue, mid,
+                      mid + new_blocks_per_component);
+  } else {
+    map->AppendBlocks(CacheComponent::kHidden, first, mid);
   }
   return Status::OK();
 }
@@ -78,11 +104,14 @@ Status HybridCacheAssigner::CreateFilled(RequestId id, CacheType type,
     return Status::AlreadyExists("request " + std::to_string(id) +
                                  " already has a cache");
   }
-  CacheMap map(type, SlotsPerBlockFor(type), EncodingFor(type));
-  const int32_t per_component = CeilDiv(num_tokens, map.block_size());
-  APT_RETURN_NOT_OK(AllocateFor(&map, per_component));
-  map.AdvanceTokens(num_tokens);
-  maps_.emplace(id, std::move(map));
+  CacheMap* map = TakeMap(type, SlotsPerBlockFor(type), EncodingFor(type));
+  const Status st = AllocateFor(map, CeilDiv(num_tokens, map->block_size()));
+  if (!st.ok()) {
+    spare_maps_.push_back(map);
+    return st;
+  }
+  map->AdvanceTokens(num_tokens);
+  maps_.Put(id, map);
   return Status::OK();
 }
 
@@ -135,17 +164,16 @@ StatusOr<CowSeed> HybridCacheAssigner::CreateSeeded(RequestId id,
   }
 
   // 2. Build the map: shared full blocks, then the private COW tail.
-  CacheMap map(CacheType::kKV, pool_->block_size(), BlockEncoding::kFp32);
-  std::vector<BlockId> k_list = match.k_blocks;
-  std::vector<BlockId> v_list = match.v_blocks;
+  CacheMap* map =
+      TakeMap(CacheType::kKV, pool_->block_size(), BlockEncoding::kFp32);
+  map->AppendBlocks(CacheComponent::kKey, match.k_blocks);
+  map->AppendBlocks(CacheComponent::kValue, match.v_blocks);
   if (match.cow_tokens > 0) {
-    k_list.push_back(seed.dst_k);
-    v_list.push_back(seed.dst_v);
+    map->AppendBlocks(CacheComponent::kKey, &seed.dst_k, &seed.dst_k + 1);
+    map->AppendBlocks(CacheComponent::kValue, &seed.dst_v, &seed.dst_v + 1);
   }
-  map.AppendBlocks(CacheComponent::kKey, k_list);
-  map.AppendBlocks(CacheComponent::kValue, v_list);
-  map.AdvanceTokens(match.tokens);
-  maps_.emplace(id, std::move(map));
+  map->AdvanceTokens(match.tokens);
+  maps_.Put(id, map);
   ++num_seeded_;
   return seed;
 }
@@ -229,51 +257,45 @@ void HybridCacheAssigner::PublishPrompt(RequestId id,
 }
 
 Status HybridCacheAssigner::Append(RequestId id, int32_t extra_tokens) {
-  auto it = maps_.find(id);
-  if (it == maps_.end()) {
-    return Status::NotFound("request " + std::to_string(id) + " has no cache");
-  }
+  CacheMap* map = FindMutable(id);
+  if (map == nullptr) return NoCache(id);
   if (extra_tokens < 0) return Status::InvalidArgument("negative growth");
-  CacheMap& map = it->second;
-  const int32_t target = map.num_tokens() + extra_tokens;
-  if (target > map.capacity()) {
+  const int32_t target = map->num_tokens() + extra_tokens;
+  if (target > map->capacity()) {
     const int32_t extra_blocks =
-        CeilDiv(target - map.capacity(), map.block_size());
-    APT_RETURN_NOT_OK(AllocateFor(&map, extra_blocks));
+        CeilDiv(target - map->capacity(), map->block_size());
+    APT_RETURN_NOT_OK(AllocateFor(map, extra_blocks));
   }
-  map.AdvanceTokens(extra_tokens);
+  map->AdvanceTokens(extra_tokens);
   return Status::OK();
 }
 
 Status HybridCacheAssigner::Release(RequestId id) {
-  auto it = maps_.find(id);
-  if (it == maps_.end()) {
-    return Status::NotFound("request " + std::to_string(id) + " has no cache");
-  }
-  pool_->FreeMany(it->second.AllBlocks());
-  maps_.erase(it);
+  CacheMap* map = FindMutable(id);
+  if (map == nullptr) return NoCache(id);
+  // K, then V, then hidden: the order AllBlocks() lists them in.
+  for (const auto c : kAllComponents) pool_->FreeMany(map->blocks(c));
+  Forget(id, map);
   return Status::OK();
 }
 
 StatusOr<RequestCacheImage> HybridCacheAssigner::SerializeRequestCache(
     RequestId id) const {
-  auto it = maps_.find(id);
-  if (it == maps_.end()) {
-    return Status::NotFound("request " + std::to_string(id) + " has no cache");
-  }
+  const CacheMap* map = Find(id);
+  if (map == nullptr) return NoCache(id);
   RequestCacheImage image;
-  image.type = it->second.type();
-  image.num_tokens = it->second.num_tokens();
+  image.type = map->type();
+  image.num_tokens = map->num_tokens();
   return image;
 }
 
 Status HybridCacheAssigner::ReleaseExported(RequestId id) {
-  auto it = maps_.find(id);
-  if (it == maps_.end()) {
-    return Status::NotFound("request " + std::to_string(id) + " has no cache");
+  CacheMap* map = FindMutable(id);
+  if (map == nullptr) return NoCache(id);
+  for (const auto c : kAllComponents) {
+    APT_RETURN_NOT_OK(pool_->ExportBlocks(map->blocks(c)).status());
   }
-  APT_RETURN_NOT_OK(pool_->ExportBlocks(it->second.AllBlocks()).status());
-  maps_.erase(it);
+  Forget(id, map);
   return Status::OK();
 }
 
@@ -323,16 +345,6 @@ Status HybridCacheAssigner::DiscardForConversion(RequestId id) {
   APT_RETURN_NOT_OK(Release(id));
   ++num_conversions_;
   return Status::OK();
-}
-
-const CacheMap* HybridCacheAssigner::Find(RequestId id) const {
-  auto it = maps_.find(id);
-  return it == maps_.end() ? nullptr : &it->second;
-}
-
-CacheMap* HybridCacheAssigner::FindMutable(RequestId id) {
-  auto it = maps_.find(id);
-  return it == maps_.end() ? nullptr : &it->second;
 }
 
 }  // namespace aptserve

@@ -9,13 +9,14 @@
 // through it, so they agree on what a hit is worth by running this code.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/block_pool.h"
 #include "cache/cache_map.h"
+#include "common/flat_id_map.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "prefix/prefix_index.h"
@@ -45,6 +46,13 @@ struct RequestCacheImage {
   int32_t num_tokens = 0;
 };
 
+/// Per-step cost: every per-request operation resolves its map through one
+/// flat id index (common/flat_id_map.h) over maps the assigner keeps at
+/// stable addresses, so a CacheMap pointer from Find stays valid until that
+/// request's cache is released, whatever other requests do. Released maps
+/// are reused with their block-list storage, and growth allocates into one
+/// reused buffer, so a warm decode step allocates nothing here unless a
+/// block list outgrows its storage.
 class HybridCacheAssigner {
  public:
   /// The assigner borrows the pool; the pool must outlive it.
@@ -191,9 +199,15 @@ class HybridCacheAssigner {
   /// stats.
   Status DiscardForConversion(RequestId id);
 
-  bool Has(RequestId id) const { return maps_.count(id) > 0; }
-  const CacheMap* Find(RequestId id) const;
-  CacheMap* FindMutable(RequestId id);
+  bool Has(RequestId id) const { return maps_.Contains(id); }
+  const CacheMap* Find(RequestId id) const {
+    const CacheMap* const* map = maps_.Find(id);
+    return map != nullptr ? *map : nullptr;
+  }
+  CacheMap* FindMutable(RequestId id) {
+    CacheMap** map = maps_.Find(id);
+    return map != nullptr ? *map : nullptr;
+  }
 
   BlockPool* pool() const { return pool_; }
   int64_t num_conversions() const { return num_conversions_; }
@@ -213,6 +227,14 @@ class HybridCacheAssigner {
   /// No-op for a seed without a COW tail.
   void ReleaseCowSource(const CowSeed& seed);
 
+  /// A reset map for a new cache: a released one when any is spare, else
+  /// a fresh one. Not yet indexed; the caller Puts it into maps_ or pushes
+  /// it back onto spare_maps_.
+  CacheMap* TakeMap(CacheType type, int32_t block_size,
+                    BlockEncoding encoding);
+  /// Drops request `id` from the index and keeps its map for reuse (the
+  /// caller has already given its blocks back).
+  void Forget(RequestId id, CacheMap* map);
   Status AllocateFor(CacheMap* map, int32_t new_blocks_per_component);
   /// AllocateMany with one evict-and-retry round on OutOfMemory when
   /// sharing is on. Routes through ImportBlocks while a RestoreRequestCache
@@ -224,7 +246,15 @@ class HybridCacheAssigner {
 
   BlockPool* pool_;
   CacheEncodingPolicy policy_;
-  std::unordered_map<RequestId, CacheMap> maps_;
+  /// Owns every map ever created; a deque never moves its elements, so
+  /// the index's pointers stay valid as it grows.
+  std::deque<CacheMap> map_arena_;
+  /// Released maps, ready for reuse.
+  std::vector<CacheMap*> spare_maps_;
+  /// Live request -> its map in map_arena_.
+  FlatIdMap<CacheMap*> maps_;
+  /// AllocateFor's block buffer, reused across calls.
+  std::vector<BlockId> alloc_buffer_;
   /// Owns references into pool_, which outlives the assigner.
   std::unique_ptr<PrefixIndex> prefix_index_;
   PrefixIndex::MetricHooks prefix_hooks_;

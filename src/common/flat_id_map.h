@@ -1,15 +1,16 @@
 // FlatIdMap: an open-addressing RequestId -> V table for per-step hot
 // lookups (the serving loop resolves every scheduled item's id through
-// one). Linear probing over a power-of-two array of (id, value) pairs,
-// Fibonacci-hashed so runs of sequential ids spread without clustering;
-// erase shifts the probe run back, so there are no tombstones. V is a
-// small trivially copyable value (a pointer). kInvalidRequestId marks an
-// empty entry and cannot be a key. Not iterable: callers that need an
-// order keep their own.
+// one, the cache assigner every request's cache map). Linear probing over
+// a power-of-two array of (id, value) pairs, Fibonacci-hashed so runs of
+// sequential ids spread without clustering; erase shifts the probe run
+// back, so there are no tombstones. V is a small trivially copyable value
+// (a pointer). kInvalidRequestId marks an empty entry and cannot be a key.
+// Not iterable: callers that need an order keep their own.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -23,14 +24,17 @@ class FlatIdMap {
   FlatIdMap() { Rebuild(16); }
 
   /// The value stored for `id`, or null.
-  V* Find(RequestId id) {
+  const V* Find(RequestId id) const {
     for (size_t i = Home(id);; i = (i + 1) & mask_) {
-      Entry& e = entries_[i];
+      const Entry& e = entries_[i];
       if (e.id == id) return &e.value;
       if (e.id == kInvalidRequestId) return nullptr;
     }
   }
-  bool Contains(RequestId id) { return Find(id) != nullptr; }
+  V* Find(RequestId id) {
+    return const_cast<V*>(std::as_const(*this).Find(id));
+  }
+  bool Contains(RequestId id) const { return Find(id) != nullptr; }
 
   /// Inserts `id`, or overwrites its value when present.
   void Put(RequestId id, V value) {

@@ -794,7 +794,12 @@ StatusOr<FleetResult> FleetController::Serve(
                 config_.migration_imbalance_threshold) {
           break;
         }
-        const auto candidates = hottest->loop->MigratableWaiting();
+        // Only requests that have arrived may move. Below a threshold of 1
+        // a gap of one swaps which instance is hottest with every move, so
+        // a request in transit would bounce back at once, and each hop
+        // would push its arrival out by another transfer (a run that never
+        // ends).
+        const auto candidates = hottest->loop->MigratableWaiting(t);
         if (candidates.empty()) break;
         APT_RETURN_NOT_OK(migrate(*hottest, *coolest, candidates.front(), t));
         ++moved;

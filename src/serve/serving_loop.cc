@@ -274,12 +274,13 @@ int32_t ServingLoopState::NumRunning() const {
   return CountActive(RequestPhase::kRunning);
 }
 
-std::vector<RequestId> ServingLoopState::MigratableWaiting() const {
+std::vector<RequestId> ServingLoopState::MigratableWaiting(
+    double ready_by) const {
   std::vector<RequestId> ids;
   for (const auto& slot : slots_) {
     const SimRequest& sr = slot->sr;
     if (!slot->migrated_out && sr.phase == RequestPhase::kWaiting &&
-        !sr.swapped) {
+        !sr.swapped && slot->available_at <= ready_by) {
       ids.push_back(sr.spec.id);
     }
   }

@@ -24,11 +24,16 @@
 // request's id once and carries the slot from there, and stamps tokens
 // into the slot's cached metrics record. SimRequest::last_token_time is
 // the one copy of the previous-token time; it migrates with the request.
-// Finish() moves the records out rather than copying them.
+// Finish() moves the records out rather than copying them. Below the loop,
+// a decoded token costs two flat-table lookups of its cache map (the
+// scheduler's BlocksToGrow, the backend's Append; cache/hybrid_assigner.h)
+// and no allocation unless a reused map's block list outgrows its storage;
+// the cost model prices an iteration from constants computed once.
 #pragma once
 
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -226,8 +231,11 @@ class ServingLoopState {
   int32_t NumUnfinished() const {
     return static_cast<int32_t>(slots_.size() - finished_ - migrated_out_);
   }
-  /// Migration candidates in registration order: waiting, not swapped.
-  std::vector<RequestId> MigratableWaiting() const;
+  /// Migration candidates in registration order: waiting, not swapped, and
+  /// available by `ready_by` (a request still in transit from an earlier
+  /// migration becomes available later).
+  std::vector<RequestId> MigratableWaiting(
+      double ready_by = std::numeric_limits<double>::infinity()) const;
   /// (TTFT-met, total) over requests finished at time >= `since` — the
   /// SLO-attainment-guard scaling policy's rolling window.
   std::pair<int64_t, int64_t> TtftFinishesSince(double since) const;

@@ -4,6 +4,22 @@
 
 namespace aptserve {
 
+CostModel::CostModel(const ModelSpec& model, const ClusterSpec& cluster,
+                     double iteration_overhead_s)
+    : model_(model),
+      cluster_(cluster),
+      overhead_(iteration_overhead_s),
+      flops_per_token_(model.FlopsPerToken()),
+      attention_flops_per_context_token_(
+          model.AttentionFlopsPerContextToken()),
+      hidden_recompute_flops_per_token_(model.HiddenRecomputeFlopsPerToken()),
+      weight_bytes_(model.WeightBytes()),
+      kv_bytes_per_token_(model.KvBytesPerToken()),
+      hidden_bytes_per_token_(model.HiddenBytesPerToken()),
+      effective_flops_(cluster.EffectiveFlops()),
+      effective_bandwidth_(cluster.EffectiveBandwidth()),
+      analytic_rho_(hidden_recompute_flops_per_token_ / effective_flops_) {}
+
 double CostModel::IterationSeconds(const BatchWorkload& w) const {
   if (w.Empty()) return overhead_;
 
@@ -15,23 +31,22 @@ double CostModel::IterationSeconds(const BatchWorkload& w) const {
   // Compute: full forward for every processed token, attention context
   // terms, plus the hidden-cache K/V re-projection (the paper's extra
   // linear-complexity cost, Figure 3b).
-  double flops = model_.FlopsPerToken() * static_cast<double>(processed);
-  flops += model_.AttentionFlopsPerContextToken() *
-           static_cast<double>(attended);
-  flops += model_.HiddenRecomputeFlopsPerToken() *
+  double flops = flops_per_token_ * static_cast<double>(processed);
+  flops += attention_flops_per_context_token_ * static_cast<double>(attended);
+  flops += hidden_recompute_flops_per_token_ *
            static_cast<double>(w.decode_hidden_context_tokens);
-  const double compute_s = flops / cluster_.EffectiveFlops();
+  const double compute_s = flops / effective_flops_;
 
   // Memory: one pass over the weights, plus cache streaming. Hidden-cache
   // requests read half the bytes per context token.
-  double bytes = model_.WeightBytes();
-  bytes += model_.KvBytesPerToken() *
+  double bytes = weight_bytes_;
+  bytes += kv_bytes_per_token_ *
            static_cast<double>(w.decode_kv_context_tokens);
-  bytes += model_.HiddenBytesPerToken() *
+  bytes += hidden_bytes_per_token_ *
            static_cast<double>(w.decode_hidden_context_tokens);
   // Prefill writes its cache once per token (component bytes ~ KV).
-  bytes += model_.KvBytesPerToken() * static_cast<double>(w.prefill_tokens);
-  const double memory_s = bytes / cluster_.EffectiveBandwidth();
+  bytes += kv_bytes_per_token_ * static_cast<double>(w.prefill_tokens);
+  const double memory_s = bytes / effective_bandwidth_;
 
   // PCIe swap traffic does not overlap usefully with the iteration's
   // compute in practice (blocking cudaMemcpy in vLLM's swap path), so it
@@ -49,8 +64,7 @@ double CostModel::MigrationSeconds(double bytes, bool cross_cell) const {
 }
 
 double CostModel::RhoSecondsPerToken() const {
-  if (rho_override_ >= 0.0) return rho_override_;
-  return model_.HiddenRecomputeFlopsPerToken() / cluster_.EffectiveFlops();
+  return rho_override_ >= 0.0 ? rho_override_ : analytic_rho_;
 }
 
 }  // namespace aptserve

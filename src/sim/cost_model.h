@@ -47,8 +47,7 @@ struct BatchWorkload {
 class CostModel {
  public:
   CostModel(const ModelSpec& model, const ClusterSpec& cluster,
-            double iteration_overhead_s = 0.003)
-      : model_(model), cluster_(cluster), overhead_(iteration_overhead_s) {}
+            double iteration_overhead_s = 0.003);
 
   /// Wall-clock seconds for one iteration executing `w`.
   double IterationSeconds(const BatchWorkload& w) const;
@@ -82,6 +81,20 @@ class CostModel {
   ClusterSpec cluster_;
   double overhead_;
   double rho_override_ = -1.0;
+  // The spec-derived terms IterationSeconds and RhoSecondsPerToken use,
+  // computed once: model_ and cluster_ never change after construction.
+  // Each is the value the spec's accessor returns, so every formula keeps
+  // its operation order and its result bits (divisors are stored as
+  // divisors, never as reciprocals).
+  double flops_per_token_;
+  double attention_flops_per_context_token_;
+  double hidden_recompute_flops_per_token_;
+  double weight_bytes_;
+  double kv_bytes_per_token_;
+  double hidden_bytes_per_token_;
+  double effective_flops_;
+  double effective_bandwidth_;
+  double analytic_rho_;
 };
 
 }  // namespace aptserve

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 namespace aptserve {
 namespace {
 
@@ -119,6 +124,99 @@ TEST(CostModelTest, TensorParallelSpeedsUpLargeModels) {
   w.decode_reqs = 20;
   w.decode_kv_context_tokens = 20 * 400;
   EXPECT_LT(cm2.IterationSeconds(w), cm1.IterationSeconds(w));
+}
+
+// The roofline formula as written before its spec-derived terms were
+// computed once at construction: every term re-derived from the specs on
+// each call.
+double UnhoistedIterationSeconds(const CostModel& cm, const BatchWorkload& w) {
+  if (w.Empty()) return cm.overhead();
+  const ModelSpec& model = cm.model();
+  const ClusterSpec& cluster = cm.cluster();
+  const int64_t processed = w.prefill_tokens + w.decode_reqs;
+  const int64_t attended = w.prefill_attend_tokens +
+                           w.decode_kv_context_tokens +
+                           w.decode_hidden_context_tokens;
+  double flops = model.FlopsPerToken() * static_cast<double>(processed);
+  flops += model.AttentionFlopsPerContextToken() *
+           static_cast<double>(attended);
+  flops += model.HiddenRecomputeFlopsPerToken() *
+           static_cast<double>(w.decode_hidden_context_tokens);
+  const double compute_s = flops / cluster.EffectiveFlops();
+  double bytes = model.WeightBytes();
+  bytes += model.KvBytesPerToken() *
+           static_cast<double>(w.decode_kv_context_tokens);
+  bytes += model.HiddenBytesPerToken() *
+           static_cast<double>(w.decode_hidden_context_tokens);
+  bytes += model.KvBytesPerToken() * static_cast<double>(w.prefill_tokens);
+  const double memory_s = bytes / cluster.EffectiveBandwidth();
+  const double swap_s = w.swap_bytes / cluster.gpu.pcie_bandwidth;
+  return std::max(compute_s, memory_s) + swap_s + cm.overhead();
+}
+
+uint64_t Bits(double x) {
+  uint64_t b;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+std::vector<BatchWorkload> WorkloadGrid() {
+  std::vector<BatchWorkload> grid;
+  for (int64_t prefill : {0, 1, 17, 512, 4096}) {
+    for (int32_t reqs : {0, 1, 7, 64, 256}) {
+      for (int64_t ctx : {0, 33, 1500}) {
+        for (int kv_share : {0, 1, 2}) {  // all hidden, split, all KV
+          for (double swap : {0.0, 3.5e6}) {
+            BatchWorkload w;
+            w.prefill_tokens = prefill;
+            w.prefill_attend_tokens = prefill * (prefill + 1) / 2 + 3 * prefill;
+            w.decode_reqs = reqs;
+            const int64_t total = static_cast<int64_t>(reqs) * ctx;
+            w.decode_kv_context_tokens = total * kv_share / 2;
+            w.decode_hidden_context_tokens =
+                total - w.decode_kv_context_tokens;
+            w.swap_bytes = swap;
+            grid.push_back(w);
+          }
+        }
+      }
+    }
+  }
+  return grid;
+}
+
+TEST(CostModelTest, PrecomputedTermsAreBitIdenticalToTheFormula) {
+  const std::vector<BatchWorkload> grid = WorkloadGrid();
+  for (const ModelSpec& m :
+       {ModelSpec::Opt13B(), ModelSpec::Opt30B(), ModelSpec::Opt66B(),
+        ModelSpec::Llama3_8B_262K(), ModelSpec::Yi6B_200K()}) {
+    ClusterSpec cluster = ClusterSpec::ForModel(m);
+    for (int32_t gpus : {1, 2, 3, 4, 8}) {
+      cluster.n_gpus = gpus;
+      CostModel cm(m, cluster, 0.0025);
+      const double analytic_rho = m.HiddenRecomputeFlopsPerToken() /
+                                  cluster.EffectiveFlops();
+      for (double rho_override : {-1.0, 0.0, 4.2e-6}) {
+        if (rho_override >= 0.0) cm.SetRhoOverride(rho_override);
+        const double want_rho =
+            rho_override >= 0.0 ? rho_override : analytic_rho;
+        ASSERT_EQ(Bits(cm.RhoSecondsPerToken()), Bits(want_rho))
+            << m.name << " x" << gpus << " override " << rho_override;
+        // The override moves the scheduler's rho only, never the latency.
+        for (const BatchWorkload& w : grid) {
+          ASSERT_EQ(Bits(cm.IterationSeconds(w)),
+                    Bits(UnhoistedIterationSeconds(cm, w)))
+              << m.name << " x" << gpus << " prefill " << w.prefill_tokens
+              << " reqs " << w.decode_reqs << " kv "
+              << w.decode_kv_context_tokens << " hidden "
+              << w.decode_hidden_context_tokens << " swap " << w.swap_bytes;
+        }
+      }
+      // A negative override restores the analytic value.
+      cm.SetRhoOverride(-1.0);
+      EXPECT_EQ(Bits(cm.RhoSecondsPerToken()), Bits(analytic_rho));
+    }
+  }
 }
 
 }  // namespace

@@ -28,6 +28,25 @@ TEST(FlatIdMapTest, BasicOperations) {
   EXPECT_EQ(m.size(), 1u);
 }
 
+TEST(FlatIdMapTest, ConstLookupsSeeTheSameEntries) {
+  FlatIdMap<int> m;
+  const FlatIdMap<int>& view = m;
+  EXPECT_EQ(view.Find(3), nullptr);
+  EXPECT_FALSE(view.Contains(3));
+  m.Put(3, 30);
+  m.Put(3 + 4096, 31);  // same low bits: a probe run of two
+  ASSERT_NE(view.Find(3), nullptr);
+  EXPECT_EQ(*view.Find(3), 30);
+  EXPECT_EQ(*view.Find(3 + 4096), 31);
+  // Both overloads address the one stored value.
+  EXPECT_EQ(view.Find(3), m.Find(3));
+  *m.Find(3) = 32;
+  EXPECT_EQ(*view.Find(3), 32);
+  EXPECT_TRUE(m.Erase(3));
+  EXPECT_FALSE(view.Contains(3));
+  EXPECT_TRUE(view.Contains(3 + 4096));
+}
+
 void RunAgainstReference(int64_t stride, uint32_t seed) {
   FlatIdMap<int64_t> m;
   std::unordered_map<RequestId, int64_t> ref;
@@ -46,6 +65,9 @@ void RunAgainstReference(int64_t stride, uint32_t seed) {
       const int64_t* v = m.Find(id);
       auto it = ref.find(id);
       ASSERT_EQ(v != nullptr, it != ref.end()) << "id " << id;
+      const FlatIdMap<int64_t>& view = m;
+      ASSERT_EQ(view.Find(id), v);
+      ASSERT_EQ(view.Contains(id), v != nullptr);
       if (v != nullptr) {
         EXPECT_EQ(*v, it->second);
       }

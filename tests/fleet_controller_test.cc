@@ -477,5 +477,131 @@ TEST(FleetMigrationTest, MigratedFleetTokensMatchNeverMigratedRun) {
   }
 }
 
+/// Forwards to a backend and fails every import after the fleet's
+/// `*imports` reached `cap`: a planner that stops moving requests never
+/// notices, one that livelocks fails at once instead of growing forever.
+class ImportCappedBackend : public ExecutionBackend {
+ public:
+  ImportCappedBackend(std::unique_ptr<ExecutionBackend> inner,
+                      int64_t* imports, int64_t cap)
+      : inner_(std::move(inner)), imports_(imports), cap_(cap) {}
+
+  std::string name() const override { return inner_->name(); }
+  Status Prepare(const std::vector<SimRequest>& reqs) override {
+    return inner_->Prepare(reqs);
+  }
+  Status Admit(const SimRequest& sr) override { return inner_->Admit(sr); }
+  StatusOr<MigrationImage> ExportRequest(const SimRequest& sr) override {
+    return inner_->ExportRequest(sr);
+  }
+  StatusOr<MigrationImport> ImportRequest(
+      const SimRequest& sr, const MigrationImage& image) override {
+    if (++*imports_ > cap_) {
+      return Status::Internal("migration cap of " + std::to_string(cap_) +
+                              " exceeded");
+    }
+    return inner_->ImportRequest(sr, image);
+  }
+  const BlockPool* pool() const override { return inner_->pool(); }
+  const HybridCacheAssigner* assigner() const override {
+    return inner_->assigner();
+  }
+  const CostModel* cost_model() const override {
+    return inner_->cost_model();
+  }
+  void BeginIteration() override { inner_->BeginIteration(); }
+  StatusOr<double> EndIteration() override { return inner_->EndIteration(); }
+  double IdleAdvanceSeconds() const override {
+    return inner_->IdleAdvanceSeconds();
+  }
+  Status Release(const SimRequest& sr) override {
+    return inner_->Release(sr);
+  }
+  Status Convert(const SimRequest& sr, CacheType new_type) override {
+    return inner_->Convert(sr, new_type);
+  }
+  StatusOr<bool> TrySwapOut(const SimRequest& sr) override {
+    return inner_->TrySwapOut(sr);
+  }
+  StatusOr<bool> TrySwapIn(const SimRequest& sr) override {
+    return inner_->TrySwapIn(sr);
+  }
+  StatusOr<StepOutcome> ExecutePrefillChunk(const SimRequest& sr,
+                                            CacheType cache_type,
+                                            int32_t chunk) override {
+    return inner_->ExecutePrefillChunk(sr, cache_type, chunk);
+  }
+  StatusOr<StepOutcome> ExecuteDecode(const SimRequest& sr) override {
+    return inner_->ExecuteDecode(sr);
+  }
+  Status OnFinish(const SimRequest& sr) override {
+    return inner_->OnFinish(sr);
+  }
+  Status Finalize() override { return inner_->Finalize(); }
+  int64_t swap_outs() const override { return inner_->swap_outs(); }
+  int64_t swap_ins() const override { return inner_->swap_ins(); }
+  const PrefixStats* prefix_stats() const override {
+    return inner_->prefix_stats();
+  }
+  int32_t ReclaimCache(int32_t min_blocks) override {
+    return inner_->ReclaimCache(min_blocks);
+  }
+
+ private:
+  std::unique_ptr<ExecutionBackend> inner_;
+  int64_t* imports_;
+  int64_t cap_;
+};
+
+// Regression: below a threshold of 1, the hottest->coolest rebalance used
+// to move a lone waiting request to an idle peer, find the peer now hottest
+// and move it back, max_migrations_per_tick times per tick. Each hop pushed
+// the request's transfer further out, so it never became schedulable and
+// the run never ended (53,895 migrations and 233 MB at t=350 s). Requests
+// still in transit no longer move. The import cap makes a relapse fail
+// within milliseconds instead of exhausting memory.
+TEST(FleetMigrationTest, RebalanceBelowThresholdOneTerminates) {
+  SharedPrefixConfig wc;
+  wc.num_conversations = 24;
+  wc.turns_per_conversation = 5;
+  auto trace = BuildSharedPrefixTrace(wc);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+
+  const CostModel cm = Opt13();
+  FleetConfig cfg;
+  cfg.router.n_instances = 2;
+  cfg.enable_migration = true;
+  cfg.migration_imbalance_threshold = 0.0;
+  cfg.max_migrations_per_tick = 8;
+  cfg.tick_interval_s = 0.05;
+  FleetController controller(cfg, &cm);
+  const SchedulerFactory schedulers = [] {
+    SarathiConfig sc;
+    sc.chunk_size = 64;
+    sc.token_budget = 256;
+    return std::make_unique<SarathiScheduler>(sc);
+  };
+  int64_t imports = 0;
+  const BackendFactory backends =
+      [&](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
+    CostModelBackend::Options o;
+    o.pool_blocks_override = 400;
+    o.enable_prefix_sharing = true;
+    APT_ASSIGN_OR_RETURN(std::unique_ptr<CostModelBackend> backend,
+                         CostModelBackend::Create(cm, o));
+    return std::unique_ptr<ExecutionBackend>(
+        std::make_unique<ImportCappedBackend>(std::move(backend), &imports,
+                                              /*cap=*/1000));
+  };
+  auto result =
+      controller.Run(*trace, schedulers, backends, SloSpec{1.0, 1.0});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->fleet.migrations, imports);
+  EXPECT_GT(result->fleet.migrations, 0) << "the planner must still move work";
+  int32_t served = 0;
+  for (int32_t n : result->serve.requests_per_instance) served += n;
+  EXPECT_EQ(served, static_cast<int32_t>(trace->size()));
+}
+
 }  // namespace
 }  // namespace aptserve
