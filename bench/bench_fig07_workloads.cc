@@ -1,11 +1,13 @@
 // Figure 7 reproduction: input and output length distributions of the
 // sampled ShareGPT / HumanEval / LongBench serving traces (1000 requests
 // each, as in §6.2), printed as summary stats plus ASCII histograms.
-#include "bench/bench_util.h"
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/stats.h"
+#include "workload/trace.h"
 
 using namespace aptserve;
-using namespace aptserve::bench;
 
 namespace {
 

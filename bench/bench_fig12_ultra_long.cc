@@ -2,10 +2,20 @@
 // trace statistics for WikiText / Arxiv / BookCorpus, then vLLM vs
 // Apt-Serve SLO attainment with LLaMA3-8B-Instruct262K and Yi-6B-200K on
 // 1 / 2 / 4 GPUs respectively (TTFT SLO 10 s, P99 TBT SLO 1 s).
-#include "bench/bench_util.h"
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+#include <vector>
+
+#include "bench/sweep/runner.h"
+#include "serve/cost_model_backend.h"
+#include "serve/serving_loop.h"
+#include "sim/cluster_spec.h"
+#include "sim/cost_model.h"
+#include "sim/model_spec.h"
+#include "workload/trace.h"
 
 using namespace aptserve;
-using namespace aptserve::bench;
 
 namespace {
 

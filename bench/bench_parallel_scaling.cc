@@ -7,9 +7,9 @@
 // point — speed changes, results do not.
 //
 // Results land in BENCH_bench_parallel_scaling.json (the committed copy
-// under bench/results/ tracks the perf trajectory across PRs; it records
-// the hardware_concurrency of the machine that produced it, since
-// wall-clock speedup is bounded by physical cores).
+// under bench/results/ tracks the perf trajectory across PRs; like every
+// bench snapshot it records the hardware_concurrency of the machine that
+// produced it, since wall-clock speedup is bounded by physical cores).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -137,7 +137,6 @@ int main() {
     const ModelConfig cfg = BenchModel();
     bench::BenchJson::Instance()
         .config()
-        .Int("hardware_concurrency", hw)
         .Bool("multicore", multicore)
         .Int("d_model", cfg.d_model)
         .Int("n_layers", cfg.n_layers)

@@ -36,6 +36,7 @@
 #include "serve/cost_model_backend.h"
 #include "serve/fleet_controller.h"
 #include "workload/arrival.h"
+#include "workload/length_sampler.h"
 
 using namespace aptserve;
 

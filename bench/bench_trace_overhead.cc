@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "baselines/fcfs_scheduler.h"
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "obs/chrome_trace.h"

@@ -1,35 +1,31 @@
-// Shared harness for the per-figure/table reproduction benches: a
-// single-run wrapper over the sweep's scheduler factory and machine-readable
-// JSON result emission (one BENCH_<name>.json per bench). The paper's
-// rate-grid figures are sweep configs (bench/experiments/paper_*.json).
+// Machine-readable results for the bench programs: one BENCH_<name>.json
+// per program. The paper's figures and tables that are serving runs on the
+// cost model are sweep configs (bench/experiments/*.json) instead.
 #pragma once
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "baselines/fcfs_scheduler.h"
-#include "bench/sweep/runner.h"
 #include "common/json.h"
-#include "core/apt_scheduler.h"
-#include "serve/cost_model_backend.h"
-#include "serve/serving_loop.h"
-#include "workload/trace.h"
+#include "runtime/runtime_config.h"
 
 namespace aptserve {
 namespace bench {
 
-// ---- Machine-readable results ---------------------------------------------
-// Every RunOnce/RunOnceFull call is recorded automatically; benches with
-// custom drivers add entries by hand. At process exit the collected rows
-// are written as JSON to $APTSERVE_BENCH_JSON_DIR (default: the working
+// Benches add entries by hand. At process exit the collected rows are
+// written as JSON to $APTSERVE_BENCH_JSON_DIR (default: the working
 // directory) as BENCH_<name>.json, <name> defaulting to the executable
-// name. Schema:
-//   { "bench": "...", "config": {k: v, ...},
+// name. The config ends with the host's stamp (the default runtime's
+// threads, ISA and vector width, and the hardware thread count), so a
+// snapshot says where it was measured. Schema:
+//   { "bench": "...",
+//     "config": {k: v, ..., "runtime": "...", "hardware_concurrency": n},
 //     "entries": [ {k: v, ...}, ... ] }
 
 /// One JSON object rendered as an ordered list of pre-encoded key/value
@@ -98,8 +94,11 @@ class BenchJson {
         std::string(dir ? dir : ".") + "/BENCH_" + name_ + ".json";
     std::ofstream out(path);
     if (!out) return;  // result emission must never fail a bench
+    JsonObject config = config_;
+    config.Str("runtime", RuntimeConfig{}.Describe())
+        .Int("hardware_concurrency", std::thread::hardware_concurrency());
     out << "{\n  \"bench\": \"" << name_ << "\",\n  \"config\": "
-        << config_.Render() << ",\n  \"entries\": [";
+        << config.Render() << ",\n  \"entries\": [";
     for (size_t i = 0; i < entries_.size(); ++i) {
       out << (i > 0 ? ",\n    " : "\n    ") << entries_[i].Render();
     }
@@ -130,88 +129,6 @@ class BenchJson {
   std::vector<JsonObject> entries_;
   bool written_ = false;
 };
-
-/// Records one simulated run (offered load, config, attainment and latency
-/// percentiles) into the bench's JSON sink.
-inline void RecordReport(const std::string& scheduler, double rate, double cv,
-                         int32_t num_requests, const std::string& profile,
-                         const std::string& model, double slo_ttft_s,
-                         double slo_tbt_p99_s, const SloReport& r) {
-  JsonObject e;
-  e.Str("scheduler", scheduler)
-      .Num("rate_per_sec", rate)
-      .Num("cv", cv)
-      .Int("num_requests", num_requests)
-      .Str("profile", profile)
-      .Str("model", model)
-      .Num("slo_ttft_s", slo_ttft_s)
-      .Num("slo_tbt_p99_s", slo_tbt_p99_s)
-      .Num("slo_attainment", r.slo_attainment)
-      .Num("ttft_attainment", r.ttft_attainment)
-      .Num("tbt_attainment", r.tbt_attainment)
-      .Num("mean_ttft_s", r.mean_ttft)
-      .Num("p99_ttft_s", r.p99_ttft)
-      .Num("total_serving_time_s", r.total_serving_time)
-      .Num("requests_per_sec",
-           r.total_serving_time > 0 ? num_requests / r.total_serving_time
-                                    : 0.0)
-      .Int("iterations", r.iterations)
-      .Num("mean_batch_size", r.mean_batch_size)
-      .Num("batch_limit_time_ratio", r.batch_limit_time_ratio)
-      .Int("preemptions", r.preemptions)
-      .Int("conversions", r.conversions);
-  BenchJson::Instance().AddEntry(std::move(e));
-}
-
-struct RunSpec {
-  DatasetProfile profile = DatasetProfile::ShareGpt();
-  ModelSpec model = ModelSpec::Opt13B();
-  double rate = 1.0;
-  double cv = 1.0;
-  int32_t num_requests = 500;
-  uint64_t seed = 2025;
-  SloSpec slo{1.0, 1.0};
-  int32_t max_total_len = 2048;
-};
-
-/// Full simulation result (for benches that need more than the report):
-/// one ServingLoop over a default-configured CostModelBackend.
-inline ServingLoopResult RunOnceFull(const RunSpec& spec,
-                                     const std::string& scheduler) {
-  TraceConfig tc;
-  tc.profile = spec.profile;
-  tc.num_requests = spec.num_requests;
-  tc.rate_per_sec = spec.rate;
-  tc.cv = spec.cv;
-  tc.seed = spec.seed;
-  tc.max_total_len = spec.max_total_len;
-  auto trace = BuildTrace(tc);
-  if (!trace.ok()) {
-    std::fprintf(stderr, "trace: %s\n", trace.status().ToString().c_str());
-    std::abort();
-  }
-  CostModel cm(spec.model, ClusterSpec::ForModel(spec.model));
-  auto result = [&]() -> StatusOr<ServingLoopResult> {
-    APT_ASSIGN_OR_RETURN(auto sched,
-                         sweep::MakeSchedulerByName(scheduler, spec.slo));
-    APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, {}));
-    return ServingLoop(backend.get(), ServingLoopConfig{})
-        .Run(*trace, sched.get(), spec.slo);
-  }();
-  if (!result.ok()) {
-    std::fprintf(stderr, "sim(%s): %s\n", scheduler.c_str(),
-                 result.status().ToString().c_str());
-    std::abort();
-  }
-  RecordReport(scheduler, spec.rate, spec.cv, spec.num_requests,
-               spec.profile.name, spec.model.name, spec.slo.ttft_s,
-               spec.slo.tbt_p99_s, result->report);
-  return std::move(*result);
-}
-
-inline SloReport RunOnce(const RunSpec& spec, const std::string& scheduler) {
-  return RunOnceFull(spec, scheduler).report;
-}
 
 }  // namespace bench
 }  // namespace aptserve

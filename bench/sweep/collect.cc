@@ -55,7 +55,9 @@ const char* RunsCsvHeader() {
          "mean_batch_size,batch_limit_time_ratio,preemptions,conversions,"
          "rejected,deprioritized,"
          "prefill_tokens_computed,prefill_tokens_skipped,prefix_hits,"
-         "prefix_matched_tokens,tokens_generated,route_probe_count";
+         "prefix_matched_tokens,tokens_generated,route_probe_count,"
+         "ttft_p50_s,max_ttft_s,p99_tbt_p50_s,p99_tbt_p99_s,"
+         "ttft_violation_run_max,pool_blocks,peak_blocks,swap_ins";
 }
 
 void WriteRunsCsv(const std::vector<CollectedRun>& runs, std::ostream* out) {
@@ -105,7 +107,16 @@ void WriteRunsCsv(const std::vector<CollectedRun>& runs, std::ostream* out) {
          << result.GetInt("prefix_hits", 0) << ','
          << result.GetInt("prefix_matched_tokens", 0) << ','
          << result.GetInt("tokens_generated", 0) << ','
-         << result.GetInt("route_probe_count", 0) << "\n";
+         << result.GetInt("route_probe_count", 0);
+    for (const char* key :
+         {"ttft_p50_s", "max_ttft_s", "p99_tbt_p50_s", "p99_tbt_p99_s"}) {
+      *out << ',';
+      Number(out, result.GetNumber(key, 0.0));
+    }
+    *out << ',' << result.GetInt("ttft_violation_run_max", 0) << ','
+         << result.GetInt("pool_blocks", 0) << ','
+         << result.GetInt("peak_blocks", 0) << ','
+         << result.GetInt("swap_ins", 0) << "\n";
   }
 }
 

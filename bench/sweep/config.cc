@@ -93,6 +93,9 @@ Status ApplyParamKey(const char* where, const std::string& key,
   if (key == "system_prompt_len") return i32(&params->system_prompt_len);
   if (key == "output_len_mean") return i32(&params->output_len_mean);
   if (key == "think_time_s") return num(&params->think_time_s);
+  if (key == "preemption_mode") return str(&params->preemption_mode);
+  if (key == "violation_decay") return num(&params->violation_decay);
+  if (key == "prediction_quantile") return num(&params->prediction_quantile);
   return UnknownKey(where, key);
 }
 
@@ -108,11 +111,31 @@ Status ValidateParams(const CellParams& p) {
   if (p.n_instances < 1) {
     return Status::InvalidArgument("sweep config: n_instances must be >= 1");
   }
+  // FleetController checks this with APT_CHECK, which would abort every
+  // cell in flight; reject it while parsing instead.
+  if (p.num_cells < 1 || p.num_cells > p.n_instances) {
+    return Status::InvalidArgument(
+        "sweep config: num_cells must be in [1, n_instances]");
+  }
   if (p.num_requests < 1) {
     return Status::InvalidArgument("sweep config: num_requests must be >= 1");
   }
   if (p.block_size < 1) {
     return Status::InvalidArgument("sweep config: block_size must be >= 1");
+  }
+  if (p.preemption_mode != "recompute" && p.preemption_mode != "swap") {
+    return Status::InvalidArgument(
+        "sweep config: preemption_mode must be \"recompute\" or \"swap\", "
+        "got \"" +
+        p.preemption_mode + "\"");
+  }
+  if (!(p.violation_decay >= 0 && p.violation_decay <= 1)) {
+    return Status::InvalidArgument(
+        "sweep config: violation_decay must be in [0, 1]");
+  }
+  if (!(p.prediction_quantile >= 0 && p.prediction_quantile < 1)) {
+    return Status::InvalidArgument(
+        "sweep config: prediction_quantile must be in [0, 1)");
   }
   return Status::OK();
 }
@@ -225,6 +248,9 @@ json::JsonValue CellParams::ToJson() const {
   o.Set("system_prompt_len", json::JsonValue::Int(system_prompt_len));
   o.Set("output_len_mean", json::JsonValue::Int(output_len_mean));
   o.Set("think_time_s", json::JsonValue::Number(think_time_s));
+  o.Set("preemption_mode", json::JsonValue::String(preemption_mode));
+  o.Set("violation_decay", json::JsonValue::Number(violation_decay));
+  o.Set("prediction_quantile", json::JsonValue::Number(prediction_quantile));
   return o;
 }
 

@@ -51,6 +51,14 @@ struct CellParams {
   int32_t system_prompt_len = 64;
   int32_t output_len_mean = 16;
   double think_time_s = 2.0;
+  /// "recompute" or "swap" (ServingLoopConfig::preemption_mode).
+  std::string preemption_mode = "recompute";
+  /// Apt, Apt-KVonly and Apt-S (other schedulers ignore it): 0 demotes
+  /// violated requests to epsilon, (0, 1] is the §6.6 decay factor.
+  double violation_decay = 0.0;
+  /// Apt and Apt-KVonly (other schedulers ignore it): the output-length
+  /// prediction quantile; 0 = off.
+  double prediction_quantile = 0.0;
 
   /// Canonical JSON rendering (fixed member order) — the params part of
   /// the resume key.

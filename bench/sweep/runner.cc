@@ -1,5 +1,6 @@
 #include "bench/sweep/runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -11,10 +12,10 @@
 #include "bench/sweep/fs_util.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
+#include "obs/metrics_registry.h"
 #include "runtime/runtime_config.h"
 #include "runtime/thread_pool.h"
 #include "serve/cost_model_backend.h"
-#include "serve/multi_instance.h"
 #include "serve/router.h"
 #include "sim/cluster_spec.h"
 #include "sim/cost_model.h"
@@ -44,6 +45,10 @@ StatusOr<AdmissionMode> ParseAdmissionMode(const std::string& name) {
   if (name == "reject") return AdmissionMode::kReject;
   if (name == "deprioritize") return AdmissionMode::kDeprioritize;
   return Status::InvalidArgument("unknown admission mode: " + name);
+}
+
+SloSpec CellSlo(const CellParams& params) {
+  return SloSpec{params.slo_ttft_s, params.slo_tbt_p99_s};
 }
 
 StatusOr<std::vector<Request>> BuildCellTrace(const RunCell& cell) {
@@ -83,11 +88,31 @@ json::JsonValue CdfJson(const SampleSet& samples, size_t max_points) {
   return arr;
 }
 
-json::JsonValue ResultJson(const RunCell& cell, size_t trace_size,
-                           const MultiInstanceResult& r) {
+/// Fig. 4's convoy: the longest run of consecutive TTFT misses in request
+/// id (arrival) order.
+int64_t LongestTtftViolationRun(
+    const std::unordered_map<RequestId, RequestRecord>& records,
+    const SloSpec& slo) {
+  std::vector<const RequestRecord*> rows;
+  rows.reserve(records.size());
+  for (const auto& [id, rec] : records) rows.push_back(&rec);
+  std::sort(rows.begin(), rows.end(),
+            [](const RequestRecord* a, const RequestRecord* b) {
+              return a->spec.id < b->spec.id;
+            });
+  int64_t longest = 0, current = 0;
+  for (const RequestRecord* rec : rows) {
+    current = rec->MeetsTtft(slo) ? 0 : current + 1;
+    longest = std::max(longest, current);
+  }
+  return longest;
+}
+
+json::JsonValue ResultJson(const RunCell& cell, const CellRun& run) {
+  const MultiInstanceResult& r = run.fleet;
   const SloReport& c = r.combined;
   json::JsonValue o = json::JsonValue::Object();
-  o.Set("requests", json::JsonValue::Int(static_cast<int64_t>(trace_size)));
+  o.Set("requests", json::JsonValue::Int(run.requests));
   o.Set("slo_attainment", json::JsonValue::Number(c.slo_attainment));
   o.Set("ttft_attainment", json::JsonValue::Number(c.ttft_attainment));
   o.Set("tbt_attainment", json::JsonValue::Number(c.tbt_attainment));
@@ -129,9 +154,19 @@ json::JsonValue ResultJson(const RunCell& cell, size_t trace_size,
     per_instance.Append(json::JsonValue::Int(n));
   }
   o.Set("requests_per_instance", std::move(per_instance));
+  // Latency distribution summaries (Figs. 4 and 10).
+  o.Set("ttft_p50_s", json::JsonValue::Number(c.ttfts.Quantile(0.5)));
+  o.Set("max_ttft_s", json::JsonValue::Number(c.ttfts.Max()));
+  o.Set("p99_tbt_p50_s", json::JsonValue::Number(c.p99_tbts.Quantile(0.5)));
+  o.Set("p99_tbt_p99_s", json::JsonValue::Number(c.p99_tbts.P99()));
+  o.Set("ttft_violation_run_max",
+        json::JsonValue::Int(
+            LongestTtftViolationRun(run.records, CellSlo(cell.params))));
+  o.Set("pool_blocks", json::JsonValue::Int(run.pool_blocks));
+  o.Set("peak_blocks", json::JsonValue::Int(run.peak_blocks));
+  o.Set("swap_ins", json::JsonValue::Int(run.swap_ins));
   // Bounded-size CDF for the report's TTFT plot (seconds, cum. fraction).
   o.Set("ttft_cdf", CdfJson(c.ttfts, 64));
-  (void)cell;
   return o;
 }
 
@@ -167,7 +202,8 @@ Status WriteJsonFile(const std::string& path, const json::JsonValue& value) {
 }  // namespace
 
 StatusOr<std::unique_ptr<Scheduler>> MakeSchedulerByName(
-    const std::string& kind, const SloSpec& slo) {
+    const std::string& kind, const SloSpec& slo, double violation_decay,
+    double prediction_quantile) {
   if (kind == "vLLM") return std::unique_ptr<Scheduler>(
       std::make_unique<FcfsScheduler>());
   if (kind == "Random")
@@ -183,44 +219,57 @@ StatusOr<std::unique_ptr<Scheduler>> MakeSchedulerByName(
     c.allow_hidden_fallback = true;
     return std::unique_ptr<Scheduler>(std::make_unique<FcfsScheduler>(c));
   }
-  if (kind == "Apt" || kind == "Apt*" || kind == "Apt-KVonly") {
+  if (kind == "Apt" || kind == "Apt-KVonly") {
     AptConfig c;
     c.slo = slo;
-    if (kind == "Apt*") c.violation_decay = 0.4;
-    if (kind == "Apt-KVonly") c.enable_hidden = false;
+    c.violation_decay = violation_decay;
+    c.prediction_quantile = prediction_quantile;
+    c.enable_hidden = kind == "Apt";
     return std::unique_ptr<Scheduler>(std::make_unique<AptScheduler>(c));
   }
   if (kind == "Apt-S") {
     AptSarathiConfig c;
     c.slo = slo;
+    c.violation_decay = violation_decay;
     return std::unique_ptr<Scheduler>(
         std::make_unique<AptSarathiScheduler>(c));
   }
   return Status::InvalidArgument("unknown scheduler kind: " + kind);
 }
 
-StatusOr<json::JsonValue> ExecuteCell(const RunCell& cell) {
+StatusOr<CellRun> ExecuteCell(const RunCell& cell) {
   APT_ASSIGN_OR_RETURN(std::vector<Request> trace, BuildCellTrace(cell));
   APT_ASSIGN_OR_RETURN(ModelSpec model, ModelSpec::ByName(cell.params.model));
   const CostModel cost_model(model, ClusterSpec::ForModel(model));
-  const SloSpec slo{cell.params.slo_ttft_s, cell.params.slo_tbt_p99_s};
+  const SloSpec slo = CellSlo(cell.params);
 
-  RouterConfig rc;
-  rc.n_instances = cell.params.n_instances;
-  APT_ASSIGN_OR_RETURN(rc.policy, ParseRoutePolicy(cell.router_policy));
-  APT_ASSIGN_OR_RETURN(rc.admission, ParseAdmissionMode(cell.admission));
-  rc.admission_slack = cell.params.admission_slack;
-  rc.block_size = cell.params.block_size;
-  rc.default_slo = slo;
-  const Router router(rc, &cost_model);
+  FleetConfig fc;
+  fc.router.n_instances = cell.params.n_instances;
+  APT_ASSIGN_OR_RETURN(fc.router.policy, ParseRoutePolicy(cell.router_policy));
+  APT_ASSIGN_OR_RETURN(fc.router.admission,
+                       ParseAdmissionMode(cell.admission));
+  fc.router.admission_slack = cell.params.admission_slack;
+  fc.router.block_size = cell.params.block_size;
+  fc.router.default_slo = slo;
+  fc.loop.preemption_mode = cell.params.preemption_mode == "swap"
+                                ? PreemptionMode::kSwap
+                                : PreemptionMode::kRecompute;
+  // Each cell runs its fleet serially: sweep-level parallelism comes from
+  // running many cells at once, and nested pools would oversubscribe.
+  fc.runtime.num_threads = 1;
+  fc.cells.num_cells = cell.params.num_cells;
+  obs::MetricsRegistry metrics;
+  fc.metrics = &metrics;
 
   // Validate the scheduler name once up front; the per-instance factory
   // then can't fail (SchedulerFactory has no error channel).
-  APT_RETURN_NOT_OK(MakeSchedulerByName(cell.scheduler, slo).status());
-  const std::string scheduler_kind = cell.scheduler;
-  SchedulerFactory make_scheduler = [scheduler_kind, slo]() {
-    auto sched = MakeSchedulerByName(scheduler_kind, slo);
-    return std::move(sched).value();
+  const std::string kind = cell.scheduler;
+  const double decay = cell.params.violation_decay;
+  const double quantile = cell.params.prediction_quantile;
+  APT_RETURN_NOT_OK(
+      MakeSchedulerByName(kind, slo, decay, quantile).status());
+  SchedulerFactory make_scheduler = [kind, slo, decay, quantile]() {
+    return MakeSchedulerByName(kind, slo, decay, quantile).value();
   };
 
   CostModelBackend::Options backend_options;
@@ -235,16 +284,26 @@ StatusOr<json::JsonValue> ExecuteCell(const RunCell& cell) {
     return std::unique_ptr<ExecutionBackend>(std::move(backend));
   };
 
-  // Each cell runs its fleet serially: sweep-level parallelism comes from
-  // running many cells at once, and nested pools would oversubscribe.
-  RuntimeConfig serial;
-  serial.num_threads = 1;
-  CellRouterConfig cells;
-  cells.num_cells = cell.params.num_cells;
-  MultiInstanceRunner runner(router, ServingLoopConfig{}, serial, cells);
-  APT_ASSIGN_OR_RETURN(MultiInstanceResult result,
-                       runner.Run(trace, make_scheduler, make_backend, slo));
-  return ResultJson(cell, trace.size(), result);
+  CellRun run;
+  run.requests = static_cast<int64_t>(trace.size());
+  APT_ASSIGN_OR_RETURN(run.pool_blocks, CostModelBackend::DerivePoolBlocks(
+                                            cost_model, backend_options));
+  APT_ASSIGN_OR_RETURN(
+      FleetResult result,
+      FleetController(fc, &cost_model)
+          .Run(trace, make_scheduler, make_backend, slo));
+  run.fleet = std::move(result.serve);
+  for (size_t i = 0; i < run.fleet.records_per_instance.size(); ++i) {
+    run.records.merge(run.fleet.records_per_instance[i]);
+    const std::string label = "instance=\"" + std::to_string(i) + "\"";
+    run.peak_blocks = std::max(
+        run.peak_blocks,
+        static_cast<int32_t>(
+            metrics.GetGauge("aptserve_pool_blocks_peak", label)->value()));
+    run.swap_ins +=
+        metrics.GetCounter("aptserve_swap_ins_total", label)->value();
+  }
+  return run;
 }
 
 StatusOr<SweepRunResult> RunSweep(const SweepConfig& config,
@@ -308,9 +367,18 @@ StatusOr<SweepRunResult> RunSweep(const SweepConfig& config,
       status = WriteJsonFile(run_dir + "/meta.json", MetaJson(cell));
     }
     if (status.ok()) {
-      auto result = ExecuteCell(cell);
-      status = result.ok() ? WriteJsonFile(run_dir + "/result.json", *result)
-                           : result.status();
+      // result.json last: it marks the cell complete for --resume.
+      auto run = ExecuteCell(cell);
+      status = run.status();
+      if (status.ok()) {
+        status = WriteFile(run_dir + "/requests.csv", [&](std::ostream* out) {
+          WriteRequestRecordsCsv(run->records, CellSlo(cell.params), out);
+        });
+      }
+      if (status.ok()) {
+        status =
+            WriteJsonFile(run_dir + "/result.json", ResultJson(cell, *run));
+      }
     }
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -1,22 +1,24 @@
 // Sweep execution: runs every expanded RunCell in-process through the
-// Router + MultiInstanceRunner + CostModelBackend stack, with bounded
-// concurrency on the runtime ThreadPool. Each cell owns one directory
-// under <exp_dir>/runs/<run_id>/ holding meta.json (the resolved cell plus
-// the environment stamp) and result.json (the metrics readout). --resume
-// skips a cell iff its meta.json "cell" subtree equals the freshly
-// expanded cell AND result.json parses — so editing any knob reruns
-// exactly the cells it touches, and a crashed cell (meta written, result
-// missing) reruns too.
+// FleetController + CostModelBackend stack, with bounded concurrency on
+// the runtime ThreadPool. Each cell owns one directory under
+// <exp_dir>/runs/<run_id>/ holding meta.json (the resolved cell plus the
+// environment stamp), requests.csv (one row per served request) and
+// result.json (the metrics readout). --resume skips a cell iff its
+// meta.json "cell" subtree equals the freshly expanded cell AND
+// result.json parses — so editing any knob reruns exactly the cells it
+// touches, and a crashed cell (meta written, result missing) reruns too.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/sweep/config.h"
 #include "common/json.h"
 #include "common/status.h"
+#include "serve/fleet_controller.h"
 #include "sim/metrics.h"
 #include "sim/scheduler.h"
 
@@ -62,15 +64,36 @@ struct SweepRunResult {
 StatusOr<SweepRunResult> RunSweep(const SweepConfig& config,
                                   const SweepOptions& options);
 
-/// Executes one cell in-process and returns its result document. Exposed
-/// for sweep_test so cell metrics can be checked without a directory tree.
-StatusOr<json::JsonValue> ExecuteCell(const RunCell& cell);
+/// One executed cell: the fleet's result plus what result.json and
+/// requests.csv read beyond it.
+struct CellRun {
+  /// Requests in the cell's trace (admitted or not).
+  int64_t requests = 0;
+  MultiInstanceResult fleet;
+  /// Every instance's per-request records, moved out of
+  /// fleet.records_per_instance into one map.
+  std::unordered_map<RequestId, RequestRecord> records;
+  /// Blocks per instance pool (CostModelBackend::DerivePoolBlocks).
+  int32_t pool_blocks = 0;
+  /// Largest per-instance peak of allocated blocks, and swap-ins summed
+  /// over the fleet (the aptserve_pool_blocks_peak and
+  /// aptserve_swap_ins_total series of the fleet's metrics registry).
+  int32_t peak_blocks = 0;
+  int64_t swap_ins = 0;
+};
+
+/// Executes one cell in-process on a FleetController over cost-model
+/// backends. Exposed so tests can check a cell without a directory tree.
+StatusOr<CellRun> ExecuteCell(const RunCell& cell);
 
 /// The one table of scheduler names ("vLLM", "Apt", "Apt-S", ...): sweep
 /// config validation, every sweep cell and the bench programs build their
-/// schedulers here. Unknown kinds are InvalidArgument.
+/// schedulers here. `violation_decay` reaches Apt, Apt-KVonly and Apt-S,
+/// `prediction_quantile` (0 = off) Apt and Apt-KVonly; the other
+/// schedulers ignore both. Unknown kinds are InvalidArgument.
 StatusOr<std::unique_ptr<Scheduler>> MakeSchedulerByName(
-    const std::string& kind, const SloSpec& slo);
+    const std::string& kind, const SloSpec& slo, double violation_decay = 0.0,
+    double prediction_quantile = 0.0);
 
 }  // namespace sweep
 }  // namespace aptserve

@@ -87,7 +87,8 @@ class HybridCacheAssigner {
   /// Creates a cache of `type` for request `id` able to hold `num_tokens`
   /// tokens and marks all of them filled (a completed prefill).
   /// AlreadyExists if the request already has a cache; OutOfMemory if blocks
-  /// are unavailable (the pool is left unchanged).
+  /// are unavailable (no block is allocated, but the failed attempt may
+  /// already have evicted index-only prefix blocks).
   Status CreateFilled(RequestId id, CacheType type, int32_t num_tokens);
 
   // ---- Prefix sharing -----------------------------------------------------
@@ -129,8 +130,9 @@ class HybridCacheAssigner {
   /// match (CreateSeeded, COW tail through `copy`); seeding that runs out
   /// of memory falls through to an unshared pass. Returns the positions
   /// adopted; the pass then computes min(chunk, target - adopted) of them
-  /// after the adopted span. OutOfMemory leaves the pool and the request
-  /// unchanged (a seeded map is released again) and counts no adoption.
+  /// after the adopted span. OutOfMemory leaves the request without a new
+  /// cache (a seeded map is released again) and counts no adoption; the
+  /// failed allocation may already have evicted index-only prefix blocks.
   StatusOr<int32_t> AllocatePrefill(RequestId id, CacheType type,
                                     const std::vector<int32_t>& tokens,
                                     int32_t prompt_len, int32_t target,
@@ -152,13 +154,15 @@ class HybridCacheAssigner {
   /// tail allocation so the reclaimer's eviction can never free matched
   /// blocks; the source of a COW tail stays pinned until ReleaseCowSource.
   /// OutOfMemory (tail pair unavailable even after reclaim) leaves the
-  /// pool and the request unchanged. AllocatePrefill and
+  /// request without a cache; the reclaim may have evicted index-only
+  /// prefix blocks. AllocatePrefill and
   /// RestoreRequestCache are its callers.
   StatusOr<CowSeed> CreateSeeded(RequestId id, const PrefixMatch& match);
 
   /// Extends request `id`'s cache by `extra_tokens` filled positions,
   /// allocating blocks on demand (decode growth, one token per iteration in
-  /// steady state). OutOfMemory leaves the existing cache intact.
+  /// steady state). OutOfMemory leaves the existing cache intact; the
+  /// failed allocation may already have evicted index-only prefix blocks.
   Status Append(RequestId id, int32_t extra_tokens);
 
   /// Releases all blocks of request `id` (finish or preemption).
@@ -185,8 +189,9 @@ class HybridCacheAssigner {
   /// remaining positions get fresh blocks through BlockPool::ImportBlocks.
   /// The adoption counts once the restore succeeded. Returns the positions
   /// deduped (the caller transfers only [deduped, image.num_tokens)).
-  /// OutOfMemory leaves the pool and the request unchanged (the caller
-  /// falls back to a cold import).
+  /// OutOfMemory leaves the request without a cache (the caller falls back
+  /// to a cold import); the failed allocation may already have evicted
+  /// index-only prefix blocks.
   StatusOr<int32_t> RestoreRequestCache(RequestId id,
                                         const RequestCacheImage& image,
                                         const std::vector<int32_t>& tokens,

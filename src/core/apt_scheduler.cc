@@ -41,7 +41,7 @@ void AptScheduler::UpdatePredictor(const SchedulerInput& input) {
 
 BatchPlan AptScheduler::PlanIteration(const SchedulerInput& input) {
   BatchPlan plan;
-  if (config_.enable_prediction) UpdatePredictor(input);
+  if (config_.prediction_quantile > 0) UpdatePredictor(input);
   if (input.waiting.empty() && input.running.empty()) return plan;
 
   // Stage 1: iteration type by cumulative pending time (urgency) of the two
@@ -83,7 +83,7 @@ BatchPlan AptScheduler::PlanPrefill(const SchedulerInput& input,
   for (const SimRequest* sr : input.waiting) {
     CandidateInfo c =
         BuildCandidate(*sr, input.now, *input.assigner, config_.slo);
-    if (config_.enable_prediction) {
+    if (config_.prediction_quantile > 0) {
       // Account for the memory the request is *predicted* to reach, not
       // just its current size: m_i covers the prompt plus the expected
       // remaining output.

@@ -36,11 +36,10 @@ struct AptConfig {
   /// learning-to-rank [27]): learn output lengths online from completed
   /// requests and account for each candidate's *predicted* final memory at
   /// admission, instead of only the memory used so far. Reduces
-  /// admit-then-evict churn under long-output workloads.
-  bool enable_prediction = false;
-  /// Quantile of the learned output-length distribution used for the
-  /// memory estimate (higher = more conservative admission).
-  double prediction_quantile = 0.5;
+  /// admit-then-evict churn under long-output workloads. The value is the
+  /// quantile of the learned output-length distribution used for the
+  /// memory estimate (higher = more conservative admission); 0 = off.
+  double prediction_quantile = 0.0;
 };
 
 class AptScheduler : public Scheduler {

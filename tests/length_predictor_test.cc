@@ -66,7 +66,7 @@ TEST(PredictiveAptTest, ServesAndLearns) {
   const SloSpec slo{1.0, 1.0};
   AptConfig cfg;
   cfg.slo = slo;
-  cfg.enable_prediction = true;
+  cfg.prediction_quantile = 0.5;
   AptScheduler sched(cfg);
   const ModelSpec model = ModelSpec::Opt13B();
   CostModel cm(model, ClusterSpec::ForModel(model));
@@ -98,7 +98,7 @@ TEST(PredictiveAptTest, PredictionReducesPreemptionsUnderPressure) {
   AptConfig base;
   base.slo = slo;
   AptConfig pred = base;
-  pred.enable_prediction = true;
+  pred.prediction_quantile = 0.5;
   AptScheduler s_base(base), s_pred(pred);
   auto b_base = CostModelBackend::Create(cm, {});
   auto b_pred = CostModelBackend::Create(cm, {});

@@ -27,7 +27,6 @@
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
 #include "serve/cost_model_backend.h"
-#include "serve/multi_instance.h"
 #include "serve/serving_loop.h"
 #include "workload/trace.h"
 
@@ -526,21 +525,28 @@ INSTANTIATE_TEST_SUITE_P(Schedulers, ParityTest,
                          [](const auto& info) { return info.param; });
 
 // ---------------------------------------------------------------------------
-// Fleet-of-one parity: the paper's single-instance figures run as sweep
-// configs (bench/experiments/paper_*.json, n_instances 1), i.e. through a
-// one-instance MultiInstanceRunner with round-robin routing and no
-// admission. That reproduces the figure programs' plain ServingLoop::Run
-// only if the two paths agree exactly for every scheduler name the sweep
-// accepts. The premise is pinned on a trace without tied arrivals: the
-// loop orders arrivals with an unstable sort while the fleet injects them
-// in trace order, so tied arrivals may be admitted in different orders.
+// Fleet-of-one parity: the paper's single-instance figures and ablations
+// run as sweep configs (bench/experiments/*.json, n_instances 1), i.e.
+// through sweep::ExecuteCell's one-instance fleet with round-robin routing
+// and no admission. That reproduces the programs they replaced — a plain
+// ServingLoop::Run — only if the two paths agree exactly for every
+// scheduler name the sweep accepts and every cell key those configs set.
+// The premise is pinned on a trace without tied arrivals: the loop orders
+// arrivals with an unstable sort while the fleet injects them in trace
+// order, so tied arrivals may be admitted in different orders.
 // ---------------------------------------------------------------------------
 
 TEST(FleetOfOneParityTest, MatchesServingLoopForEverySweepScheduler) {
-  const SloSpec slo{1.0, 1.0};
-  const CostModel cm = MakeCostModel();
   // Loaded enough that Apt preempts and converts to hidden cache.
-  const auto trace = MakeTrace(8.0, 150, 5);
+  sweep::RunCell cell;
+  cell.router_policy = "round-robin";
+  cell.admission = "none";
+  cell.rate = 8.0;
+  cell.seed = 5;
+  sweep::CellParams base;
+  base.num_requests = 150;
+  base.n_instances = 1;
+  const auto trace = MakeTrace(cell.rate, base.num_requests, cell.seed);
   std::vector<double> arrivals;
   for (const Request& r : trace) arrivals.push_back(r.arrival);
   std::sort(arrivals.begin(), arrivals.end());
@@ -548,39 +554,60 @@ TEST(FleetOfOneParityTest, MatchesServingLoopForEverySweepScheduler) {
             arrivals.end())
       << "the parity premise needs a trace without tied arrivals";
 
-  RouterConfig rc;
-  rc.n_instances = 1;
-  rc.policy = RoutePolicy::kRoundRobin;
-  RuntimeConfig serial;
-  serial.num_threads = 1;
-  MultiInstanceRunner runner(Router(rc, &cm), ServingLoopConfig{}, serial);
-  const BackendFactory make_backend =
-      [&cm](int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
-    APT_ASSIGN_OR_RETURN(auto backend, CostModelBackend::Create(cm, {}));
-    return std::unique_ptr<ExecutionBackend>(std::move(backend));
+  struct Case {
+    const char* scheduler;
+    const char* overrides;  ///< sweep cell keys, applied onto `base`
   };
+  const Case cases[] = {
+      {"vLLM", "{}"},
+      {"Random", "{}"},
+      {"Sarathi", "{}"},
+      {"FastGen", "{}"},
+      {"FCFS-hybrid", "{}"},
+      {"Apt", "{}"},
+      {"Apt-KVonly", "{}"},
+      {"Apt-S", "{}"},
+      {"Apt", R"({"violation_decay": 0.2})"},
+      {"Apt", R"({"violation_decay": 0.4})"},
+      {"Apt", R"({"violation_decay": 1.0})"},
+      {"Apt", R"({"prediction_quantile": 0.7})"},
+      {"Apt", R"({"preemption_mode": "swap"})"},
+      {"Apt", R"({"block_size": 8})"},
+  };
+  int64_t swap_ins = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.scheduler) + " " + c.overrides);
+    auto overrides = json::ParseJson(c.overrides);
+    ASSERT_TRUE(overrides.ok()) << overrides.status().ToString();
+    auto params = sweep::ApplyOverrides(base, *overrides);
+    ASSERT_TRUE(params.ok()) << params.status().ToString();
+    cell.scheduler = c.scheduler;
+    cell.params = *params;
+    const SloSpec slo{params->slo_ttft_s, params->slo_tbt_p99_s};
 
-  for (const std::string kind : {"vLLM", "Random", "Sarathi", "FastGen",
-                                 "FCFS-hybrid", "Apt", "Apt*", "Apt-KVonly",
-                                 "Apt-S"}) {
-    SCOPED_TRACE(kind);
-    auto sched = sweep::MakeSchedulerByName(kind, slo);
+    // The replaced programs' path: one ServingLoop over one backend.
+    const CostModel cm = MakeCostModel();
+    auto sched = sweep::MakeSchedulerByName(c.scheduler, slo,
+                                            params->violation_decay,
+                                            params->prediction_quantile);
     ASSERT_TRUE(sched.ok()) << sched.status().ToString();
-    auto backend = CostModelBackend::Create(cm, {});
+    CostModelBackend::Options opts;
+    opts.block_size = params->block_size;
+    auto backend = CostModelBackend::Create(cm, opts);
     ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-    auto single = ServingLoop(backend->get(), ServingLoopConfig{})
-                      .Run(trace, sched->get(), slo);
+    ServingLoopConfig loop;
+    if (params->preemption_mode == "swap") {
+      loop.preemption_mode = PreemptionMode::kSwap;
+    }
+    auto single =
+        ServingLoop(backend->get(), loop).Run(trace, sched->get(), slo);
     ASSERT_TRUE(single.ok()) << single.status().ToString();
-    auto fleet = runner.Run(
-        trace,
-        [&kind, &slo] {
-          return std::move(sweep::MakeSchedulerByName(kind, slo)).value();
-        },
-        make_backend, slo);
+
+    auto fleet = sweep::ExecuteCell(cell);
     ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
 
     const SloReport& a = single->report;
-    const SloReport& b = fleet->combined;
+    const SloReport& b = fleet->fleet.combined;
     EXPECT_EQ(a.slo_attainment, b.slo_attainment);
     EXPECT_EQ(a.ttft_attainment, b.ttft_attainment);
     EXPECT_EQ(a.tbt_attainment, b.tbt_attainment);
@@ -593,6 +620,7 @@ TEST(FleetOfOneParityTest, MatchesServingLoopForEverySweepScheduler) {
     EXPECT_EQ(a.batch_limit_time_ratio, b.batch_limit_time_ratio);
     EXPECT_EQ(a.preemptions, b.preemptions);
     EXPECT_EQ(a.conversions, b.conversions);
+    EXPECT_EQ(a.ttfts.Max(), b.ttfts.Max());
     for (const double q : {0.5, 0.9, 0.99}) {
       EXPECT_EQ(a.ttfts.Quantile(q), b.ttfts.Quantile(q)) << q;
       EXPECT_EQ(a.p99_tbts.Quantile(q), b.p99_tbts.Quantile(q)) << q;
@@ -607,7 +635,24 @@ TEST(FleetOfOneParityTest, MatchesServingLoopForEverySweepScheduler) {
     EXPECT_EQ(ttfts_a, ttfts_b);
     EXPECT_NEAR(a.jain_fairness_ttft, b.jain_fairness_ttft,
                 1e-12 * a.jain_fairness_ttft);
+    // The cell's own readouts: pool size, peak and swap-ins from the
+    // fleet's metrics registry, and the per-request records behind
+    // requests.csv.
+    EXPECT_EQ(fleet->requests, static_cast<int64_t>(trace.size()));
+    EXPECT_EQ(fleet->pool_blocks, (*backend)->pool_blocks());
+    EXPECT_EQ(fleet->peak_blocks, single->peak_blocks);
+    EXPECT_EQ(fleet->swap_ins, single->swap_ins);
+    swap_ins += fleet->swap_ins;
+    ASSERT_EQ(fleet->records.size(), single->records.size());
+    for (const auto& [id, rec] : single->records) {
+      auto it = fleet->records.find(id);
+      ASSERT_NE(it, fleet->records.end()) << id;
+      EXPECT_EQ(rec.ttft, it->second.ttft) << id;
+      EXPECT_EQ(rec.finish_time, it->second.finish_time) << id;
+      EXPECT_EQ(rec.tbt_samples, it->second.tbt_samples) << id;
+    }
   }
+  EXPECT_GT(swap_ins, 0) << "the swap case must exercise swap-in";
 }
 
 // ---------------------------------------------------------------------------

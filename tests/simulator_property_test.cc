@@ -37,7 +37,7 @@ class SimulatorPropertyTest
     if (kind == "apt_pred") {
       AptConfig c;
       c.slo = slo;
-      c.enable_prediction = true;
+      c.prediction_quantile = 0.5;
       return std::make_unique<AptScheduler>(c);
     }
     AptSarathiConfig c;

@@ -114,6 +114,10 @@ TEST(SweepConfigTest, StrictParsingRejectsTyposAndBadNames) {
   expect_bad(R"({"name":"x","out_root":"o","base":{"workload":"zipf"}})");
   expect_bad(
       R"({"name":"x","out_root":"o","ablations":[{"name":"a","extra":1}]})");
+  // A hierarchical fleet needs an instance per cell; the fleet would abort.
+  expect_bad(
+      R"({"name":"x","out_root":"o","base":{"n_instances":1,"num_cells":2}})");
+  expect_bad(R"({"name":"x","out_root":"o","base":{"num_cells":0}})");
 
   auto good = json::ParseJson(
       R"({"name":"x","out_root":"o","matrix":{"schedulers":["Apt"]}})");
@@ -151,6 +155,16 @@ TEST_F(SweepTest, RunsProduceMetaAndResultPerCell) {
     auto result = json::ParseJsonFile(run_dir + "/result.json");
     ASSERT_TRUE(result.ok()) << run_dir;
     EXPECT_EQ(result->GetInt("requests", -1), 8);
+    EXPECT_GT(result->GetInt("pool_blocks", 0), 0);
+    EXPECT_GT(result->GetInt("peak_blocks", 0), 0);
+
+    // One requests.csv row per served request, after the header.
+    std::ifstream requests(run_dir + "/requests.csv");
+    ASSERT_TRUE(requests.good()) << run_dir;
+    std::string line;
+    int64_t lines = 0;
+    while (std::getline(requests, line)) ++lines;
+    EXPECT_EQ(lines, 1 + 8);
     EXPECT_GT(result->GetNumber("total_serving_time_s", 0.0), 0.0);
     ASSERT_NE(result->Find("ttft_cdf"), nullptr);
     EXPECT_FALSE(result->Find("ttft_cdf")->items().empty());
@@ -337,13 +351,65 @@ TEST(SweepCollectTest, EffectiveCsvReducesEachRateSeriesAtBothThresholds) {
 TEST(SweepSchedulerTest, MakeSchedulerByNameCoversBenchNamesAndFailsClosed) {
   const SloSpec slo{1.0, 1.0};
   for (const char* kind : {"vLLM", "Random", "Sarathi", "FastGen",
-                           "FCFS-hybrid", "Apt", "Apt*", "Apt-KVonly",
-                           "Apt-S"}) {
+                           "FCFS-hybrid", "Apt", "Apt-KVonly", "Apt-S"}) {
     auto sched = MakeSchedulerByName(kind, slo);
     ASSERT_TRUE(sched.ok()) << kind;
     EXPECT_NE(sched->get(), nullptr) << kind;
   }
   EXPECT_FALSE(MakeSchedulerByName("Apt-Typo", slo).ok());
+  // "Apt*" was Apt with violation_decay 0.4; that is a cell key now.
+  EXPECT_TRUE(MakeSchedulerByName("Apt*", slo).status().IsInvalidArgument());
+  auto doc = json::ParseJson(
+      R"({"name":"x","out_root":"o","matrix":{"schedulers":["Apt*"]}})");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_TRUE(ParseSweepConfig(*doc).status().IsInvalidArgument());
+}
+
+TEST(SweepConfigTest, ServingKnobsParseAndRejectOutOfRangeValues) {
+  const auto parse = [](const std::string& base) {
+    auto doc = json::ParseJson(R"({"name":"x","out_root":"o","base":)" +
+                               base + "}");
+    EXPECT_TRUE(doc.ok()) << base;
+    return ParseSweepConfig(*doc);
+  };
+  auto good = parse(
+      R"({"preemption_mode":"swap","violation_decay":1,)"
+      R"("prediction_quantile":0.9})");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->base.preemption_mode, "swap");
+  EXPECT_EQ(good->base.violation_decay, 1.0);
+  EXPECT_EQ(good->base.prediction_quantile, 0.9);
+  EXPECT_TRUE(parse(R"({"violation_decay":0,"prediction_quantile":0})").ok());
+
+  for (const char* bad :
+       {R"({"preemption_mode":"evict"})", R"({"preemption_mode":1})",
+        R"({"violation_decay":-0.1})", R"({"violation_decay":1.5})",
+        R"({"prediction_quantile":-0.5})", R"({"prediction_quantile":1})"}) {
+    EXPECT_TRUE(parse(bad).status().IsInvalidArgument()) << bad;
+  }
+  // An ablation override is validated the same way.
+  auto doc = json::ParseJson(
+      R"({"name":"x","out_root":"o","ablations":[)"
+      R"({"name":"a","overrides":{"violation_decay":2}}]})");
+  ASSERT_TRUE(doc.ok());
+  EXPECT_TRUE(ParseSweepConfig(*doc).status().IsInvalidArgument());
+}
+
+TEST(SweepCollectTest, RunsCsvHeaderIsPinned) {
+  // Committed bench/results/*/runs.csv files are compared byte for byte;
+  // new columns go at the end.
+  EXPECT_STREQ(
+      RunsCsvHeader(),
+      "run_id,ablation,scheduler,router_policy,admission,prefix_sharing,"
+      "workload,profile,model,n_instances,num_cells,rate,seed,requests,"
+      "slo_attainment,ttft_attainment,tbt_attainment,goodput_rps,"
+      "mean_ttft_s,p99_ttft_s,total_serving_time_s,iterations,"
+      "mean_batch_size,batch_limit_time_ratio,preemptions,conversions,"
+      "rejected,deprioritized,prefill_tokens_computed,"
+      "prefill_tokens_skipped,prefix_hits,prefix_matched_tokens,"
+      "tokens_generated,route_probe_count,ttft_p50_s,max_ttft_s,"
+      "p99_tbt_p50_s,p99_tbt_p99_s,ttft_violation_run_max,pool_blocks,"
+      "peak_blocks,swap_ins");
 }
 
 TEST(SweepConfigTest, CommittedExampleConfigsParseAndExpand) {
