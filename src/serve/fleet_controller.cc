@@ -29,9 +29,9 @@ void AddPrefixStats(const PrefixStats& from, PrefixStats* into) {
 
 /// One serving instance of the elastic fleet.
 struct Instance {
-  enum class State { kWarming, kLive, kDraining, kRetired };
-  State state = State::kLive;
+  InstanceState state = InstanceState::kLive;
   int32_t id = 0;
+  int32_t cell = 0;
   double add_time = 0.0;
   double live_at = 0.0;
   double retire_time = -1.0;
@@ -40,11 +40,70 @@ struct Instance {
   std::unique_ptr<ServingLoopState> loop;
   Status status = Status::OK();
 
-  bool Alive() const { return state != State::kRetired; }
-  bool Routable() const { return state == State::kLive; }
+  bool Alive() const { return state != InstanceState::kRetired; }
+  bool Routable() const { return state == InstanceState::kLive; }
 };
 
 using Fleet = std::vector<std::unique_ptr<Instance>>;
+
+/// Instance `inst`'s view at tick `t`, read from its loop and pool.
+InstanceView ViewOf(const Instance& inst, const FleetConfig& config,
+                    double t) {
+  const ServingLoopState& loop = *inst.loop;
+  InstanceView v;
+  v.id = inst.id;
+  v.state = inst.state;
+  v.cell = inst.cell;
+  v.waiting = loop.NumWaiting();
+  v.unfinished = loop.NumUnfinished();
+  v.pool_utilization = inst.backend->pool()->utilization();
+  v.live_at = inst.live_at;
+  for (const ScalingRule& rule : config.scaling) {
+    v.ttft_finishes.push_back(
+        rule.kind == ScalingRule::Kind::kSloAttainmentGuard
+            ? loop.TtftFinishesSince(t - rule.window_s)
+            : std::pair<int64_t, int64_t>{0, 0});
+  }
+  if (config.enable_migration) {
+    v.migratable = static_cast<int32_t>(loop.MigratableWaiting().size());
+    v.ready = static_cast<int32_t>(loop.MigratableWaiting(t).size());
+  }
+  return v;
+}
+
+std::vector<InstanceView> Snapshot(const Fleet& fleet,
+                                   const FleetConfig& config, double t) {
+  std::vector<InstanceView> views;
+  for (const auto& inst : fleet) views.push_back(ViewOf(*inst, config, t));
+  return views;
+}
+
+/// Prices a migration on the bytes that crossed the interconnect (after
+/// the destination's dedupe); instantaneous without a cost model.
+std::function<double(const MigrationImport&)> TransferDelay(
+    const CostModel* cost_model, bool cross_cell) {
+  return [cost_model, cross_cell](const MigrationImport& import) {
+    return cost_model != nullptr
+               ? cost_model->MigrationSeconds(import.bytes, cross_cell)
+               : 0.0;
+  };
+}
+
+/// The routable instance other than `exclude` with the fewest waiting
+/// requests (lowest id on ties), from cell `cell` when that cell has one;
+/// -1 when no instance is routable.
+int32_t PickCoolest(const std::vector<InstanceView>& fleet, int32_t exclude,
+                    int32_t cell) {
+  int32_t same = -1, any = -1;
+  for (const InstanceView& v : fleet) {
+    if (!v.Routable() || v.id == exclude) continue;
+    if (any < 0 || v.waiting < fleet[any].waiting) any = v.id;
+    if (v.cell == cell && (same < 0 || v.waiting < fleet[same].waiting)) {
+      same = v.id;
+    }
+  }
+  return same >= 0 ? same : any;
+}
 
 }  // namespace
 
@@ -112,14 +171,18 @@ class VirtualExecutor final : public FleetExecutor {
 
   StatusOr<bool> Advance(Fleet& fleet, double window_end,
                          double next_arrival) override {
+    const auto step = [window_end](Instance& inst) {
+      if (inst.Alive() && inst.status.ok()) {
+        inst.status = inst.loop->StepUntil(window_end);
+      }
+    };
     const int32_t n_now = static_cast<int32_t>(fleet.size());
     if (pool_ != nullptr) {
-      pool_->ParallelForEach(0, n_now, 1, [&](int64_t i) {
-        StepUntil(*fleet[i], window_end);
-      });
+      pool_->ParallelForEach(0, n_now, 1,
+                             [&](int64_t i) { step(*fleet[i]); });
     } else {
       for (int32_t i = 0; i < n_now; ++i) {
-        StepUntil(*fleet[i], window_end);
+        step(*fleet[i]);
         if (!fleet[i]->status.ok()) break;  // fail fast, as before
       }
     }
@@ -134,26 +197,6 @@ class VirtualExecutor final : public FleetExecutor {
   }
 
  private:
-  void StepUntil(Instance& inst, double t_end) const {
-    if (!inst.Alive() || !inst.status.ok()) return;
-    while (inst.loop->now() < t_end) {
-      if (inst.loop->AllServed()) break;  // parked; the cap cannot apply
-      if (inst.loop->iterations() >= config_.loop.max_iterations) {
-        inst.status = Status::Internal(
-            "serving loop hit the iteration cap with " +
-            std::to_string(inst.loop->NumUnfinished()) +
-            " unfinished requests");
-        return;
-      }
-      auto progress = inst.loop->Step();
-      if (!progress.ok()) {
-        inst.status = progress.status();
-        return;
-      }
-      if (*progress == ServingLoopState::Progress::kDrained) break;
-    }
-  }
-
   const FleetConfig& config_;
   std::unique_ptr<runtime::ThreadPool> pool_;
 };
@@ -328,22 +371,18 @@ class WallExecutor final : public FleetExecutor {
   /// well-formed). Blocking is deadlock-free: the destination drains its
   /// arrival queue every iteration and cannot fill the event queue.
   Status Forward(AsyncEvent ev) {
-    int32_t dst = ev.instance;
-    int32_t best_depth = std::numeric_limits<int32_t>::max();
+    std::vector<InstanceView> depths(workers_.size());
     for (size_t i = 0; i < workers_.size(); ++i) {
-      if (static_cast<int32_t>(i) == ev.instance) continue;
-      const int32_t d =
+      depths[i].id = static_cast<int32_t>(i);
+      depths[i].waiting =
           workers_[i]->waiting_depth.load(std::memory_order_acquire);
-      if (d < best_depth) {
-        best_depth = d;
-        dst = static_cast<int32_t>(i);
-      }
     }
+    const int32_t dst = PickCoolest(depths, ev.instance, /*cell=*/-1);
     ++sheds_per_instance_[ev.instance];
     AsyncCommand cmd;
     cmd.kind = AsyncCommand::Kind::kReceive;
     cmd.migrated = std::move(ev.migrated);
-    return Send(dst, std::move(cmd));
+    return Send(dst >= 0 ? dst : ev.instance, std::move(cmd));
   }
 
   /// One instance's continuous batching loop.
@@ -369,12 +408,10 @@ class WallExecutor final : public FleetExecutor {
       // availability and this instance's own clock, plus the priced
       // interconnect delay over post-dedupe bytes.
       const double base = std::max(cmd.migrated.available_at, loop.now());
-      const auto delay = [&](const MigrationImport& import) {
-        return migration_cost_model_ != nullptr
-                   ? migration_cost_model_->MigrationSeconds(import.bytes)
-                   : 0.0;
-      };
-      return loop.Receive(std::move(cmd.migrated), base, delay).status();
+      return loop
+          .Receive(std::move(cmd.migrated), base,
+                   TransferDelay(migration_cost_model_, /*cross_cell=*/false))
+          .status();
     };
 
     int64_t reported = 0;  // finishes already posted to the controller
@@ -528,7 +565,6 @@ StatusOr<FleetResult> FleetController::Serve(
   const bool hierarchical = num_cells > 1;
   CellRouter cell_router(config_.cells, router_.config().block_size);
   fm.num_cells = num_cells;
-  std::vector<int32_t> alive_per_cell(num_cells, 0);
   std::vector<std::vector<int32_t>> cell_live_ids(num_cells);
 
   // Observability is opt-in and purely observational: with no recorder or
@@ -570,12 +606,16 @@ StatusOr<FleetResult> FleetController::Serve(
     // Cell assignment: the least-populated (alive) cell, tie to the lowest
     // cell id — the initial fleet round-robins across cells and later
     // spawns refill whichever cell lost an instance.
+    std::vector<int32_t> alive_per_cell(num_cells, 0);
+    for (const auto& other : fleet) {
+      alive_per_cell[other->cell] += other->Alive() ? 1 : 0;
+    }
     int32_t cell = 0;
     for (int32_t c = 1; c < num_cells; ++c) {
       if (alive_per_cell[c] < alive_per_cell[cell]) cell = c;
     }
+    inst->cell = cell;
     fm.instance_cell.push_back(cell);
-    ++alive_per_cell[cell];
     inst->scheduler = make_scheduler();
     APT_ASSIGN_OR_RETURN(inst->backend, make_backend(id));
     inst->loop =
@@ -589,7 +629,7 @@ StatusOr<FleetResult> FleetController::Serve(
     APT_RETURN_NOT_OK(inst->loop->Start({}, inst->scheduler.get(), slo));
     inst->add_time = t;
     inst->live_at = cold ? t + config_.instance_warmup_s : t;
-    inst->state = cold ? Instance::State::kWarming : Instance::State::kLive;
+    inst->state = cold ? InstanceState::kWarming : InstanceState::kLive;
     record_event(t, id, FleetScaleEvent::Kind::kAdd);
     if (cold) {
       ++fm.cold_starts;
@@ -605,229 +645,7 @@ StatusOr<FleetResult> FleetController::Serve(
     APT_RETURN_NOT_OK(spawn(0.0, /*cold=*/false));
   }
 
-  // Live migration of one waiting request, cache state included. The
-  // transfer is priced on post-dedupe bytes; the request becomes
-  // schedulable at the destination once the virtual transfer completes.
-  const auto migrate = [&](Instance& src, Instance& dst, RequestId id,
-                           double t) -> Status {
-    APT_ASSIGN_OR_RETURN(MigratedRequest m, src.loop->Extract(id));
-    const bool carried_cache = m.image.carries_cache();
-    const double base = std::max(t, m.available_at);
-    // A transfer that leaves the source's cell rides the slower cross-cell
-    // interconnect tier (racks/pods), not the intra-cell fabric.
-    const bool cross_cell =
-        fm.instance_cell[src.id] != fm.instance_cell[dst.id];
-    const auto delay = [&](const MigrationImport& import) {
-      return migration_cost_model_ != nullptr
-                 ? migration_cost_model_->MigrationSeconds(import.bytes,
-                                                           cross_cell)
-                 : 0.0;
-    };
-    APT_ASSIGN_OR_RETURN(const MigrationImport import,
-                         dst.loop->Receive(std::move(m), base, delay));
-    ++fm.migrations;
-    if (carried_cache) ++fm.migrations_with_cache;
-    if (cross_cell) {
-      ++fm.cross_cell_migrations;
-      fm.cross_cell_migration_bytes += import.bytes;
-    }
-    fm.migration_deduped_tokens += import.deduped_tokens;
-    fm.migration_copied_tokens += import.copied_tokens;
-    fm.migration_bytes += import.bytes;
-    fm.migration_seconds += delay(import);
-    return Status::OK();
-  };
-
-  // Coolest routable destination, preferring `preferred_cell` so drain
-  // evacuations stay on the intra-cell interconnect when any same-cell
-  // destination exists (a flat fleet has one cell, so the preference is
-  // vacuous and the pick matches the pre-cell controller exactly).
-  const auto pick_coolest = [&](const Instance* exclude,
-                                int32_t preferred_cell) -> Instance* {
-    Instance* best_same = nullptr;
-    Instance* best_any = nullptr;
-    for (const auto& inst : fleet) {
-      if (!inst->Routable() || inst.get() == exclude) continue;
-      if (best_any == nullptr ||
-          inst->loop->NumWaiting() < best_any->loop->NumWaiting()) {
-        best_any = inst.get();
-      }
-      if (fm.instance_cell[inst->id] == preferred_cell &&
-          (best_same == nullptr ||
-           inst->loop->NumWaiting() < best_same->loop->NumWaiting())) {
-        best_same = inst.get();
-      }
-    }
-    return best_same != nullptr ? best_same : best_any;
-  };
-
   double last_scale_change = -std::numeric_limits<double>::infinity();
-
-  // One controller tick: warmups, scaling-policy votes, the migration
-  // planner, drain retirements, and the fleet-size timeline entry.
-  const auto tick = [&](double t) -> Status {
-    ++fm.ticks;
-    for (size_t i = 0; i < fleet.size(); ++i) {
-      Instance& inst = *fleet[i];
-      if (inst.state == Instance::State::kWarming && t >= inst.live_at) {
-        inst.state = Instance::State::kLive;
-        record_event(inst.live_at, static_cast<int32_t>(i),
-                     FleetScaleEvent::Kind::kLive);
-      }
-    }
-    std::vector<Instance*> live;
-    for (const auto& inst : fleet) {
-      if (inst->Routable()) live.push_back(inst.get());
-    }
-    int32_t alive = 0;
-    for (const auto& inst : fleet) alive += inst->Alive() ? 1 : 0;
-
-    // Scaling votes.
-    if (!config_.scaling.empty() && !live.empty()) {
-      int64_t total_waiting = 0;
-      double util_sum = 0.0;
-      for (Instance* inst : live) {
-        total_waiting += inst->loop->NumWaiting();
-        util_sum += inst->backend->pool()->utilization();
-      }
-      const double queue_per_instance =
-          static_cast<double>(total_waiting) / live.size();
-      const double mean_util = util_sum / live.size();
-
-      bool vote_up = false, vote_down = false, hold = false;
-      for (const ScalingRule& rule : config_.scaling) {
-        switch (rule.kind) {
-          case ScalingRule::Kind::kQueueDepth:
-            if (queue_per_instance > rule.queue_high) {
-              vote_up = true;
-            } else if (queue_per_instance < rule.queue_low) {
-              vote_down = true;
-            } else {
-              hold = true;
-            }
-            break;
-          case ScalingRule::Kind::kTargetUtilization:
-            if (mean_util > rule.util_high) {
-              vote_up = true;
-            } else if (mean_util < rule.util_low) {
-              vote_down = true;
-            } else {
-              hold = true;
-            }
-            break;
-          case ScalingRule::Kind::kSloAttainmentGuard: {
-            int64_t met = 0, total = 0;
-            for (const auto& inst : fleet) {
-              const auto [m, n] =
-                  inst->loop->TtftFinishesSince(t - rule.window_s);
-              met += m;
-              total += n;
-            }
-            if (total > 0 &&
-                static_cast<double>(met) / total < rule.attainment_floor) {
-              vote_up = true;
-            }
-            break;
-          }
-        }
-      }
-      if (vote_up && alive < max_n &&
-          t - last_scale_change >= config_.scale_up_cooldown_s) {
-        APT_RETURN_NOT_OK(spawn(t, /*cold=*/true));
-        last_scale_change = t;
-        ++alive;
-      } else if (!vote_up && vote_down && !hold &&
-                 t - last_scale_change >= config_.scale_down_cooldown_s &&
-                 static_cast<int32_t>(live.size()) > config_.min_instances) {
-        // Drain the live instance with the least unfinished work (tie:
-        // the newest — LIFO keeps long-lived instances' caches warm).
-        Instance* victim = nullptr;
-        int32_t victim_id = -1;
-        for (size_t i = 0; i < fleet.size(); ++i) {
-          Instance& inst = *fleet[i];
-          if (!inst.Routable()) continue;
-          if (victim == nullptr ||
-              inst.loop->NumUnfinished() <= victim->loop->NumUnfinished()) {
-            victim = &inst;
-            victim_id = static_cast<int32_t>(i);
-          }
-        }
-        if (victim != nullptr) {
-          victim->state = Instance::State::kDraining;
-          record_event(t, victim_id, FleetScaleEvent::Kind::kDrainStart);
-          last_scale_change = t;
-        }
-      }
-    }
-
-    // Migration planner: evacuate draining instances, then shed queue
-    // depth from the hottest live instance to the coolest.
-    if (config_.enable_migration) {
-      int32_t moved = 0;
-      for (auto& src : fleet) {
-        if (src->state != Instance::State::kDraining) continue;
-        for (RequestId id : src->loop->MigratableWaiting()) {
-          if (moved >= config_.max_migrations_per_tick) break;
-          Instance* dst =
-              pick_coolest(src.get(), fm.instance_cell[src->id]);
-          if (dst == nullptr) break;
-          APT_RETURN_NOT_OK(migrate(*src, *dst, id, t));
-          ++moved;
-        }
-      }
-      while (moved < config_.max_migrations_per_tick) {
-        Instance* hottest = nullptr;
-        Instance* coolest = nullptr;
-        for (const auto& inst : fleet) {
-          if (!inst->Routable()) continue;
-          if (hottest == nullptr ||
-              inst->loop->NumWaiting() > hottest->loop->NumWaiting()) {
-            hottest = inst.get();
-          }
-          if (coolest == nullptr ||
-              inst->loop->NumWaiting() < coolest->loop->NumWaiting()) {
-            coolest = inst.get();
-          }
-        }
-        if (hottest == nullptr || coolest == nullptr || hottest == coolest ||
-            hottest->loop->NumWaiting() - coolest->loop->NumWaiting() <=
-                config_.migration_imbalance_threshold) {
-          break;
-        }
-        // Only requests that have arrived may move. Below a threshold of 1
-        // a gap of one swaps which instance is hottest with every move, so
-        // a request in transit would bounce back at once, and each hop
-        // would push its arrival out by another transfer (a run that never
-        // ends).
-        const auto candidates = hottest->loop->MigratableWaiting(t);
-        if (candidates.empty()) break;
-        APT_RETURN_NOT_OK(migrate(*hottest, *coolest, candidates.front(), t));
-        ++moved;
-      }
-    }
-
-    // Retire drained instances.
-    for (size_t i = 0; i < fleet.size(); ++i) {
-      Instance& inst = *fleet[i];
-      if (inst.state == Instance::State::kDraining &&
-          inst.loop->AllServed()) {
-        inst.state = Instance::State::kRetired;
-        // Billing runs to the instance's own last iteration (which may
-        // overshoot the tick); the event is logged at the tick that
-        // observed the retirement so the scale-event log stays
-        // chronological.
-        inst.retire_time = std::max(t, inst.loop->now());
-        record_event(t, static_cast<int32_t>(i),
-                     FleetScaleEvent::Kind::kRetire);
-        --alive;
-        --alive_per_cell[fm.instance_cell[i]];
-      }
-    }
-
-    fm.size_timeline.emplace_back(t, alive);
-    fm.peak_instances = std::max(fm.peak_instances, alive);
-    return Status::OK();
-  };
 
   int64_t total_rejected = 0;
   int64_t total_deprioritized = 0;
@@ -840,7 +658,71 @@ StatusOr<FleetResult> FleetController::Serve(
     size_t next_route = 0;
     double window_start = 0.0;
     while (true) {
-      if (elastic) APT_RETURN_NOT_OK(tick(window_start));
+      if (elastic) {
+        // A tick applies DecideScale's and NextMove's decisions in order:
+        // promote, scale, migrate, retire.
+        const double t = window_start;
+        ++fm.ticks;
+        const ScaleDecision scale = DecideScale(
+            Snapshot(fleet, config_, t), config_, t, last_scale_change);
+        for (int32_t id : scale.promote) {
+          fleet[id]->state = InstanceState::kLive;
+          record_event(fleet[id]->live_at, id, FleetScaleEvent::Kind::kLive);
+        }
+        if (scale.spawn) APT_RETURN_NOT_OK(spawn(t, /*cold=*/true));
+        if (scale.drain >= 0) {
+          fleet[scale.drain]->state = InstanceState::kDraining;
+          record_event(t, scale.drain, FleetScaleEvent::Kind::kDrainStart);
+        }
+        if (scale.spawn || scale.drain >= 0) last_scale_change = t;
+        std::vector<InstanceView> views = Snapshot(fleet, config_, t);
+        for (int32_t moved = 0;; ++moved) {
+          const std::optional<MigrationMove> move =
+              NextMove(views, config_, moved);
+          if (!move.has_value()) break;
+          // The source's front candidate moves with its cache; the transfer
+          // is priced on post-dedupe bytes at the tier it crosses.
+          Instance& src = *fleet[move->src];
+          Instance& dst = *fleet[move->dst];
+          const std::vector<RequestId> ids = src.loop->MigratableWaiting(
+              move->drain ? std::numeric_limits<double>::infinity() : t);
+          APT_ASSIGN_OR_RETURN(MigratedRequest m,
+                               src.loop->Extract(ids.front()));
+          ++fm.migrations;
+          fm.migrations_with_cache += m.image.carries_cache() ? 1 : 0;
+          const double base = std::max(t, m.available_at);
+          const bool cross_cell = src.cell != dst.cell;
+          const auto delay = TransferDelay(migration_cost_model_, cross_cell);
+          APT_ASSIGN_OR_RETURN(const MigrationImport import,
+                               dst.loop->Receive(std::move(m), base, delay));
+          if (cross_cell) {
+            ++fm.cross_cell_migrations;
+            fm.cross_cell_migration_bytes += import.bytes;
+          }
+          fm.migration_deduped_tokens += import.deduped_tokens;
+          fm.migration_copied_tokens += import.copied_tokens;
+          fm.migration_bytes += import.bytes;
+          fm.migration_seconds += delay(import);
+          // Re-read both ends: only the destination's loop knows whether
+          // the request it received is ready this tick.
+          views[src.id] = ViewOf(src, config_, t);
+          views[dst.id] = ViewOf(dst, config_, t);
+        }
+        int32_t alive = 0;
+        for (auto& inst : fleet) {
+          if (inst->state == InstanceState::kDraining &&
+              inst->loop->AllServed()) {
+            inst->state = InstanceState::kRetired;
+            // Billed to its own last iteration (which may overshoot the
+            // tick), logged at this tick so the log stays chronological.
+            inst->retire_time = std::max(t, inst->loop->now());
+            record_event(t, inst->id, FleetScaleEvent::Kind::kRetire);
+          }
+          alive += inst->Alive() ? 1 : 0;
+        }
+        fm.size_timeline.emplace_back(t, alive);
+        fm.peak_instances = std::max(fm.peak_instances, alive);
+      }
       const double window_end = exec.WindowEnd(window_start);
 
       // Route every due arrival against the live set (constant within the
@@ -850,10 +732,9 @@ StatusOr<FleetResult> FleetController::Serve(
       // fleet width.
       if (next_route < trace.size()) {
         for (auto& ids : cell_live_ids) ids.clear();
-        for (size_t i = 0; i < fleet.size(); ++i) {
-          if (fleet[i]->Routable()) {
-            cell_live_ids[fm.instance_cell[i]].push_back(
-                static_cast<int32_t>(i));
+        for (const auto& inst : fleet) {
+          if (inst->Routable()) {
+            cell_live_ids[inst->cell].push_back(inst->id);
           }
         }
         if (hierarchical) {
@@ -934,9 +815,9 @@ StatusOr<FleetResult> FleetController::Serve(
   }
   for (int32_t i = 0; i < total_instances; ++i) {
     Instance& inst = *fleet[i];
-    // An instance that never saw a request reports all-zeros, exactly like
-    // the classic runner's skipped empty shard.
-    if (inst.loop->NumRegistered() > 0) {
+    // An instance that never saw a request reports all-zeros; one whose
+    // requests all migrated away still reports its iterations.
+    if (inst.loop->EverRegistered()) {
       APT_ASSIGN_OR_RETURN(ServingLoopResult r, inst.loop->Finish());
       result.per_instance[i] = r.report;
       result.requests_per_instance[i] =
@@ -954,16 +835,12 @@ StatusOr<FleetResult> FleetController::Serve(
     const double end = inst.retire_time >= 0 ? inst.retire_time : fleet_end;
     fm.instance_seconds += std::max(0.0, end - inst.add_time);
   }
-  if (elastic) {
-    int32_t alive = 0;
-    for (const auto& inst : fleet) alive += inst->Alive() ? 1 : 0;
-    fm.size_timeline.emplace_back(fleet_end, alive);
-    fm.peak_instances = std::max(fm.peak_instances, alive);
-  } else {
-    fm.instance_seconds = total_instances * fleet_end;
-    fm.peak_instances = total_instances;
-    fm.size_timeline.emplace_back(fleet_end, total_instances);
-  }
+  int32_t alive = 0;
+  for (const auto& inst : fleet) alive += inst->Alive() ? 1 : 0;
+  fm.size_timeline.emplace_back(fleet_end, alive);
+  fm.peak_instances = std::max(fm.peak_instances, alive);
+  // A static fleet bills every instance for the whole makespan.
+  if (!elastic) fm.instance_seconds = total_instances * fleet_end;
 
   result.combined =
       MergeReports(result.per_instance, result.requests_per_instance);
@@ -1015,6 +892,93 @@ StatusOr<FleetResult> FleetController::Serve(
         ->Set(static_cast<double>(fm.peak_instances));
   }
   return out;
+}
+
+ScaleDecision DecideScale(const std::vector<InstanceView>& fleet,
+                          const FleetConfig& config, double t,
+                          double last_scale_change) {
+  ScaleDecision d;
+  // Elapsed warmups are promoted first, so those instances vote as live.
+  std::vector<const InstanceView*> live;
+  int32_t alive = 0;
+  int64_t total_waiting = 0;
+  double util_sum = 0.0;
+  for (const InstanceView& v : fleet) {
+    alive += v.state != InstanceState::kRetired ? 1 : 0;
+    const bool warmed = v.state == InstanceState::kWarming && t >= v.live_at;
+    if (warmed) d.promote.push_back(v.id);
+    if (!warmed && !v.Routable()) continue;
+    live.push_back(&v);
+    total_waiting += v.waiting;
+    util_sum += v.pool_utilization;
+  }
+  if (config.scaling.empty() || live.empty()) return d;
+  const double queue_per_instance =
+      static_cast<double>(total_waiting) / live.size();
+  const double mean_util = util_sum / live.size();
+
+  bool vote_up = false, vote_down = false, hold = false;
+  const auto vote = [&](double value, double high, double low) {
+    (value > high ? vote_up : value < low ? vote_down : hold) = true;
+  };
+  for (size_t r = 0; r < config.scaling.size(); ++r) {
+    const ScalingRule& rule = config.scaling[r];
+    if (rule.kind == ScalingRule::Kind::kQueueDepth) {
+      vote(queue_per_instance, rule.queue_high, rule.queue_low);
+    } else if (rule.kind == ScalingRule::Kind::kTargetUtilization) {
+      vote(mean_util, rule.util_high, rule.util_low);
+    } else {  // kSloAttainmentGuard: up-only, abstains on an empty window
+      int64_t met = 0, total = 0;
+      for (const InstanceView& v : fleet) {
+        met += v.ttft_finishes[r].first;
+        total += v.ttft_finishes[r].second;
+      }
+      vote_up = vote_up || (total > 0 && static_cast<double>(met) / total <
+                                             rule.attainment_floor);
+    }
+  }
+  if (vote_up) {
+    d.spawn = alive < config.MaxInstances() &&
+              t - last_scale_change >= config.scale_up_cooldown_s;
+  } else if (vote_down && !hold &&
+             t - last_scale_change >= config.scale_down_cooldown_s &&
+             static_cast<int32_t>(live.size()) > config.min_instances) {
+    // Drain the live instance with the least unfinished work (tie: the
+    // newest — LIFO keeps long-lived instances' caches warm).
+    for (const InstanceView* v : live) {
+      if (d.drain < 0 || v->unfinished <= fleet[d.drain].unfinished) {
+        d.drain = v->id;
+      }
+    }
+  }
+  return d;
+}
+
+std::optional<MigrationMove> NextMove(const std::vector<InstanceView>& fleet,
+                                      const FleetConfig& config,
+                                      int32_t moved) {
+  if (!config.enable_migration || moved >= config.max_migrations_per_tick) {
+    return std::nullopt;
+  }
+  for (const InstanceView& src : fleet) {
+    if (src.state != InstanceState::kDraining || src.migratable == 0) continue;
+    const int32_t dst = PickCoolest(fleet, src.id, src.cell);
+    if (dst < 0) return std::nullopt;  // nothing is routable
+    return MigrationMove{src.id, dst, /*drain=*/true};
+  }
+  int32_t hot = -1;
+  for (const InstanceView& v : fleet) {
+    if (v.Routable() && (hot < 0 || v.waiting > fleet[hot].waiting)) {
+      hot = v.id;
+    }
+  }
+  const int32_t cool = PickCoolest(fleet, /*exclude=*/-1, /*cell=*/-1);
+  if (hot < 0 || fleet[hot].ready == 0 ||
+      fleet[hot].waiting - fleet[cool].waiting <=
+          std::max(config.migration_imbalance_threshold, 1.0)) {
+    return std::nullopt;
+  }
+  return MigrationMove{hot, cool, /*drain=*/false};
 }
 
 SloReport MergeReports(const std::vector<SloReport>& reports,

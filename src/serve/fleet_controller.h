@@ -13,14 +13,13 @@
 // Routing (flat and hierarchical), instance construction with its
 // observability, and result assembly are shared by both.
 //
-// Each tick evaluates pluggable scaling policies to grow the fleet (cold
-// start with a configurable warmup latency) or drain-and-remove instances,
-// and a migration planner that moves queued or preempted requests off hot
-// or draining instances *with their hybrid KV/hidden cache state*
-// (ServingLoopState::Extract/Receive over the backends'
-// ExportRequest/ImportRequest — shared prefix blocks re-resolve through the
-// destination's PrefixIndex so they dedupe instead of copying, and the
-// interconnect transfer is priced by CostModel::MigrationSeconds).
+// Each tick applies what two pure functions decide over InstanceView
+// snapshots: DecideScale votes the pluggable scaling policies (cold start
+// after a warmup latency, drain-and-remove), and NextMove plans migrations
+// of queued or preempted requests off draining or hot instances *with their
+// hybrid KV/hidden cache state* (ServingLoopState::Extract/Receive; shared
+// prefix blocks dedupe through the destination's PrefixIndex, and
+// CostModel::MigrationSeconds prices the bytes that cross).
 //
 // Requests are routed live, at arrival, against the currently-live
 // instance set (Router::RouteOne); scale events only happen at tick
@@ -31,18 +30,20 @@
 // independent epochs between barriers. Results are therefore bit-identical
 // at any thread count.
 //
-// The static fleet is the degenerate case: no scaling rules, no migration.
-// In virtual time it runs as a single infinite window — route everything,
-// run every instance to completion — which is operation-for-operation the
-// classic MultiInstanceRunner (pinned by the router parity and serving-loop
-// parity suites). Its live set never changes, so the wall executor routes
-// every request to the same instance as the virtual one.
+// The static fleet is the degenerate case: no scaling rules, no migration,
+// no ticks. In virtual time it runs as a single infinite window — route
+// everything, run every instance to completion (MultiInstanceRunner is a
+// facade over it; the router and serving-loop parity suites pin it). Its
+// live set never changes, so the wall executor routes every request to the
+// same instance as the virtual one.
 #pragma once
 
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/length_predictor.h"
@@ -194,6 +195,8 @@ struct FleetConfig {
   bool enable_migration = false;
   /// Hot-rebalance trigger: (max - min) waiting-queue depth across live
   /// instances must exceed this before a rebalance migration happens.
+  /// Thresholds below 1 act as 1: a move at a gap of one would only swap
+  /// which instance is hottest.
   double migration_imbalance_threshold = 8.0;
   /// Per-tick cap on planner moves (drain evacuation + rebalance).
   int32_t max_migrations_per_tick = 8;
@@ -216,6 +219,58 @@ struct FleetConfig {
   }
 };
 
+enum class InstanceState { kWarming, kLive, kDraining, kRetired };
+
+/// What a tick's decisions read of one instance; a fleet's views are
+/// indexed by instance id (`views[i].id == i`).
+struct InstanceView {
+  int32_t id = 0;
+  InstanceState state = InstanceState::kLive;
+  int32_t cell = 0;
+  int32_t waiting = 0;
+  int32_t unfinished = 0;
+  double pool_utilization = 0.0;
+  double live_at = 0.0;
+  /// Per FleetConfig::scaling rule, (TTFT-met, total) finishes in its
+  /// window if it is a kSloAttainmentGuard, else zeros.
+  std::vector<std::pair<int64_t, int64_t>> ttft_finishes;
+  int32_t migratable = 0;  ///< waiting and not swapped out
+  int32_t ready = 0;       ///< of those, arrived (not in transit)
+  bool Routable() const { return state == InstanceState::kLive; }
+};
+
+/// Warmups that elapsed, then at most one of a spawn or a drain (the live
+/// instance to start draining).
+struct ScaleDecision {
+  std::vector<int32_t> promote;
+  bool spawn = false;
+  int32_t drain = -1;
+};
+
+/// Votes the scaling rules over `fleet` at tick `t`, subject to the
+/// cooldowns since `last_scale_change` and the instance bounds.
+ScaleDecision DecideScale(const std::vector<InstanceView>& fleet,
+                          const FleetConfig& config, double t,
+                          double last_scale_change);
+
+/// One migration: the front candidate of `src` moves to `dst`. A drain
+/// move takes any migratable request, a rebalance move an arrived one.
+struct MigrationMove {
+  int32_t src = -1;
+  int32_t dst = -1;
+  bool drain = false;
+};
+
+/// The tick's next migration after `moved` moves, or none. Draining
+/// instances evacuate first, to the coolest routable instance (same cell
+/// preferred); then the hottest routable instance sheds to the coolest
+/// while their waiting gap exceeds max(migration_imbalance_threshold, 1).
+/// A move never inverts the pair and lowers Σ waiting² by at least 2, so
+/// a tick's moves terminate.
+std::optional<MigrationMove> NextMove(const std::vector<InstanceView>& fleet,
+                                      const FleetConfig& config,
+                                      int32_t moved);
+
 struct FleetResult {
   MultiInstanceResult serve;
   FleetMetrics fleet;
@@ -235,12 +290,10 @@ class FleetController {
                            const CostModel* cost_model = nullptr,
                            const OutputLengthPredictor* predictor = nullptr);
 
-  /// Serves `trace` (sorted by arrival) on the elastic fleet. Scheduler
-  /// and backend factories run eagerly for every spawned instance —
-  /// routing is live, so (unlike the historical shard-and-run runner,
-  /// which skipped empty shards) an instance's backend exists before
-  /// anyone knows whether traffic will reach it. Factories must therefore
-  /// succeed for every instance id up to the scale ceiling.
+  /// Serves `trace` (sorted by arrival) in virtual time. Routing is live,
+  /// so the factories run for every spawned instance before anyone knows
+  /// whether traffic will reach it: they must succeed for every instance
+  /// id up to the scale ceiling.
   StatusOr<FleetResult> Run(const std::vector<Request>& trace,
                             const SchedulerFactory& make_scheduler,
                             const BackendFactory& make_backend,

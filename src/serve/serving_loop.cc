@@ -8,6 +8,20 @@
 
 namespace aptserve {
 
+namespace {
+
+Status Validate(const Request& r) {
+  if (r.prompt_len <= 0 || r.output_len <= 0) {
+    return Status::InvalidArgument("request lengths must be positive");
+  }
+  if (r.id == kInvalidRequestId) {
+    return Status::InvalidArgument("request id must be valid");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 ServingLoopState::ServingLoopState(ExecutionBackend* backend,
                                    const ServingLoopConfig& config)
     : backend_(backend), config_(config) {
@@ -27,14 +41,9 @@ Status ServingLoopState::Start(const std::vector<Request>& trace,
   std::vector<SimRequest> reqs;
   reqs.reserve(trace.size());
   for (const Request& r : trace) {
+    APT_RETURN_NOT_OK(Validate(r));
     SimRequest sr;
     sr.spec = r;
-    if (r.prompt_len <= 0 || r.output_len <= 0) {
-      return Status::InvalidArgument("request lengths must be positive");
-    }
-    if (r.id == kInvalidRequestId) {
-      return Status::InvalidArgument("request id must be valid");
-    }
     reqs.push_back(sr);
     metrics_.RegisterRequest(r);  // trace order: the report's sum order
   }
@@ -50,18 +59,17 @@ Status ServingLoopState::Start(const std::vector<Request>& trace,
     slot->record = metrics_.Find(sr.spec.id);
     slot->available_at = sr.spec.arrival;
     slot->obs_enqueued_at = sr.spec.arrival;
-    slot->seq = next_seq_++;
-    index_.Put(sr.spec.id, slot.get());
-    pending_.push_back(slot.get());  // sorted input => sorted pending
-    slots_.push_back(std::move(slot));
-  }
-  if (trace_) {
-    for (const auto& slot : slots_) {
-      trace_.Instant(obs::TraceOp::kArrival, slot->available_at,
-                     slot->sr.spec.id);
-    }
+    trace_.Instant(obs::TraceOp::kArrival, slot->available_at, sr.spec.id);
+    Adopt(std::move(slot));  // sorted input: each lands at the back
   }
   return Status::OK();
+}
+
+void ServingLoopState::Adopt(std::unique_ptr<Slot> slot) {
+  slot->seq = next_seq_++;
+  index_.Put(slot->sr.spec.id, slot.get());
+  InsertPending(slot.get());
+  slots_.push_back(std::move(slot));
 }
 
 void ServingLoopState::InsertPending(Slot* slot) {
@@ -75,37 +83,19 @@ void ServingLoopState::InsertPending(Slot* slot) {
       std::upper_bound(pending_.begin(), pending_.end(), slot, before), slot);
 }
 
-Status ServingLoopState::Register(const Request& r, double available_at,
-                                  bool admit_backend) {
-  if (r.prompt_len <= 0 || r.output_len <= 0) {
-    return Status::InvalidArgument("request lengths must be positive");
-  }
-  if (r.id == kInvalidRequestId) {
-    return Status::InvalidArgument("request id must be valid");
-  }
+Status ServingLoopState::Inject(const Request& r, double available_at,
+                                double wall_arrival) {
+  APT_CHECK_MSG(started_ && !finished_run_, "Inject outside a live run");
+  APT_RETURN_NOT_OK(Validate(r));
   if (index_.Contains(r.id)) {
     return Status::AlreadyExists("request " + std::to_string(r.id) +
                                  " already registered with this instance");
   }
   auto slot = std::make_unique<Slot>();
   slot->sr.spec = r;
-  slot->available_at = available_at;
-  slot->seq = next_seq_++;
-  Slot* raw = slot.get();
-  raw->record = metrics_.RegisterRequest(r);
-  if (admit_backend) APT_RETURN_NOT_OK(backend_->Admit(raw->sr));
-  index_.Put(r.id, raw);
-  InsertPending(raw);
-  slots_.push_back(std::move(slot));
-  return Status::OK();
-}
-
-Status ServingLoopState::Inject(const Request& r, double available_at,
-                                double wall_arrival) {
-  APT_CHECK_MSG(started_ && !finished_run_, "Inject outside a live run");
-  APT_RETURN_NOT_OK(
-      Register(r, std::max(available_at, r.arrival), /*admit_backend=*/true));
-  Slot* slot = *index_.Find(r.id);
+  slot->available_at = std::max(available_at, r.arrival);
+  slot->record = metrics_.RegisterRequest(r);
+  APT_RETURN_NOT_OK(backend_->Admit(slot->sr));
   if (wall_clock_ != nullptr) {
     wall_metrics_.OnArrival(r.id, wall_arrival);
     slot->obs_enqueued_at = wall_arrival;
@@ -113,6 +103,7 @@ Status ServingLoopState::Inject(const Request& r, double available_at,
     slot->obs_enqueued_at = slot->available_at;
   }
   trace_.Instant(obs::TraceOp::kArrival, slot->obs_enqueued_at, r.id);
+  Adopt(std::move(slot));
   return Status::OK();
 }
 
@@ -168,19 +159,11 @@ StatusOr<MigratedRequest> ServingLoopState::Extract(RequestId id) {
         "only queued or preempted (non-swapped) requests are migratable");
   }
   MigratedRequest m;
-  m.spec = sr.spec;
-  m.cache_type = sr.cache_type;
-  m.generated = sr.generated;
-  m.cached_tokens = sr.cached_tokens;
-  m.prefill_progress = sr.prefill_progress;
-  m.has_first_token = sr.has_first_token;
-  m.last_token_time = sr.last_token_time;
-  m.preemptions = sr.preemptions;
-  m.conversions = sr.conversions;
+  m.sr = sr;
   m.available_at = slot->available_at;
   APT_ASSIGN_OR_RETURN(m.image, backend_->ExportRequest(sr));
-  // The previous-token time travels in last_token_time above: the record
-  // carries only the history.
+  // The previous-token time travels in m.sr: the record carries only the
+  // history.
   m.record = metrics_.ExtractRecord(id);
   slot->record = nullptr;
   if (wall_clock_ != nullptr) {
@@ -193,15 +176,17 @@ StatusOr<MigratedRequest> ServingLoopState::Extract(RequestId id) {
     m.obs_export_ts = ObsNow();
     m.obs_flow =
         trace_.FlowBegin(obs::TraceOp::kMigrationExport, m.obs_export_ts, id,
-                         static_cast<double>(m.cached_tokens));
+                         static_cast<double>(sr.cached_tokens));
   }
-  slot->migrated_out = true;
-  ++migrated_out_;
+  // The request is no longer this instance's: release its slot (the rest
+  // keep their order), so slots_ grows with owned requests, not with hops.
   index_.Erase(id);
   active_.erase(std::remove(active_.begin(), active_.end(), slot),
                 active_.end());
   pending_.erase(std::remove(pending_.begin(), pending_.end(), slot),
                  pending_.end());
+  slots_.erase(std::find_if(slots_.begin(), slots_.end(),
+                            [slot](const auto& s) { return s.get() == slot; }));
   return m;
 }
 
@@ -209,26 +194,16 @@ StatusOr<MigrationImport> ServingLoopState::Receive(
     MigratedRequest m, double base_available_at,
     const std::function<double(const MigrationImport&)>& transfer_delay) {
   APT_CHECK_MSG(started_ && !finished_run_, "Receive outside a live run");
-  if (index_.Contains(m.spec.id)) {
-    return Status::AlreadyExists("request " + std::to_string(m.spec.id) +
+  if (index_.Contains(m.sr.spec.id)) {
+    return Status::AlreadyExists("request " + std::to_string(m.sr.spec.id) +
                                  " already live on this instance");
   }
   auto slot = std::make_unique<Slot>();
   SimRequest& sr = slot->sr;
-  sr.spec = m.spec;
-  sr.phase = RequestPhase::kWaiting;
-  sr.cache_type = m.cache_type;
-  sr.generated = m.generated;
-  sr.has_first_token = m.has_first_token;
-  sr.last_token_time = m.last_token_time;
-  sr.preemptions = m.preemptions;
-  sr.conversions = m.conversions;
+  sr = m.sr;
   APT_ASSIGN_OR_RETURN(MigrationImport import,
                        backend_->ImportRequest(sr, m.image));
-  if (import.cache_restored) {
-    sr.cached_tokens = m.cached_tokens;
-    sr.prefill_progress = m.prefill_progress;
-  } else {
+  if (!import.cache_restored) {
     // Cold import (destination pool full): the request re-prefills here,
     // the migration analogue of a recompute preemption.
     sr.cached_tokens = 0;
@@ -251,10 +226,7 @@ StatusOr<MigrationImport> ServingLoopState::Receive(
                    m.obs_flow, import.cache_restored ? 1.0 : 0.0,
                    static_cast<double>(import.copied_tokens));
   }
-  slot->seq = next_seq_++;
-  index_.Put(sr.spec.id, slot.get());
-  InsertPending(slot.get());
-  slots_.push_back(std::move(slot));
+  Adopt(std::move(slot));
   return import;
 }
 
@@ -276,14 +248,21 @@ int32_t ServingLoopState::NumRunning() const {
 
 std::vector<RequestId> ServingLoopState::MigratableWaiting(
     double ready_by) const {
-  std::vector<RequestId> ids;
-  for (const auto& slot : slots_) {
-    const SimRequest& sr = slot->sr;
-    if (!slot->migrated_out && sr.phase == RequestPhase::kWaiting &&
-        !sr.swapped && slot->available_at <= ready_by) {
-      ids.push_back(sr.spec.id);
+  // Unfinished requests are all admitted (active_) or pending.
+  std::vector<const Slot*> found;
+  const auto consider = [&](const Slot* s) {
+    if (s->sr.phase == RequestPhase::kWaiting && !s->sr.swapped &&
+        s->available_at <= ready_by) {
+      found.push_back(s);
     }
-  }
+  };
+  for (const Slot* s : active_) consider(s);
+  for (const Slot* s : pending_) consider(s);
+  std::sort(found.begin(), found.end(),
+            [](const Slot* a, const Slot* b) { return a->seq < b->seq; });
+  std::vector<RequestId> ids;
+  ids.reserve(found.size());
+  for (const Slot* s : found) ids.push_back(s->sr.spec.id);
   return ids;
 }
 
@@ -372,27 +351,25 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
       metrics_.OnConversion();
       if (obs_.preempt_conversion != nullptr) obs_.preempt_conversion->Inc();
       trace_.Instant(obs::TraceOp::kPreempt, obs_iter_start, p.id, 3.0);
-    } else if (swap_mode && sr.phase == RequestPhase::kRunning) {
-      APT_ASSIGN_OR_RETURN(const bool swapped_out, backend_->TrySwapOut(sr));
-      if (swapped_out) {
-        // Swap-based preemption: the cache moves to host memory; the
-        // request keeps its logical progress and resumes via a swap-in
-        // instead of a recompute prefill.
-        metrics_.OnPreemption();
-        if (obs_.preempt_swap_out != nullptr) obs_.preempt_swap_out->Inc();
-        trace_.Instant(obs::TraceOp::kPreempt, obs_iter_start, p.id, 2.0);
-        ++sr.preemptions;
-        sr.phase = RequestPhase::kWaiting;
-        sr.swapped = true;
-        sr.prefill_progress = sr.cached_tokens;
-        continue;
-      }
-      // Full-swap-space fallback: recompute preemption.
-      APT_RETURN_NOT_OK(backend_->Release(sr));
-      metrics_.OnPreemption();
-      if (obs_.preempt_scheduler != nullptr) obs_.preempt_scheduler->Inc();
-      trace_.Instant(obs::TraceOp::kPreempt, obs_iter_start, p.id, 0.0);
     } else {
+      if (swap_mode && sr.phase == RequestPhase::kRunning) {
+        APT_ASSIGN_OR_RETURN(const bool swapped_out,
+                             backend_->TrySwapOut(sr));
+        if (swapped_out) {
+          // Swap-based preemption: the cache moves to host memory; the
+          // request keeps its logical progress and resumes via a swap-in
+          // instead of a recompute prefill.
+          metrics_.OnPreemption();
+          if (obs_.preempt_swap_out != nullptr) obs_.preempt_swap_out->Inc();
+          trace_.Instant(obs::TraceOp::kPreempt, obs_iter_start, p.id, 2.0);
+          ++sr.preemptions;
+          sr.phase = RequestPhase::kWaiting;
+          sr.swapped = true;
+          sr.prefill_progress = sr.cached_tokens;
+          continue;
+        }
+        // Full swap space: fall back to a recompute preemption.
+      }
       APT_RETURN_NOT_OK(backend_->Release(sr));
       metrics_.OnPreemption();
       if (obs_.preempt_scheduler != nullptr) obs_.preempt_scheduler->Inc();
@@ -676,14 +653,25 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
   return Progress::kExecuted;
 }
 
+Status ServingLoopState::StepUntil(double t_end) {
+  while (now_ < t_end && !AllServed()) {
+    if (iterations_done_ >= config_.max_iterations) return CapError();
+    APT_ASSIGN_OR_RETURN(const Progress progress, Step());
+    if (progress == Progress::kDrained) break;
+  }
+  return Status::OK();
+}
+
+Status ServingLoopState::CapError() const {
+  return Status::Internal("serving loop hit the iteration cap with " +
+                          std::to_string(NumUnfinished()) +
+                          " unfinished requests");
+}
+
 StatusOr<ServingLoopResult> ServingLoopState::Finish() {
   APT_CHECK_MSG(started_ && !finished_run_, "Finish outside a live run");
   finished_run_ = true;
-  if (!AllServed()) {
-    return Status::Internal("serving loop hit the iteration cap with " +
-                            std::to_string(NumUnfinished()) +
-                            " unfinished requests");
-  }
+  if (!AllServed()) return CapError();
   APT_RETURN_NOT_OK(backend_->Finalize());
   result_.swap_outs = backend_->swap_outs();
   result_.swap_ins = backend_->swap_ins();
@@ -713,12 +701,7 @@ StatusOr<ServingLoopResult> ServingLoop::Run(const std::vector<Request>& trace,
                                              const SloSpec& slo) {
   ServingLoopState state(backend_, config_);
   APT_RETURN_NOT_OK(state.Start(trace, scheduler, slo));
-  while (state.iterations() < config_.max_iterations) {
-    if (state.AllServed()) break;
-    APT_ASSIGN_OR_RETURN(const ServingLoopState::Progress progress,
-                         state.Step());
-    if (progress == ServingLoopState::Progress::kDrained) break;
-  }
+  APT_RETURN_NOT_OK(state.StepUntil(std::numeric_limits<double>::infinity()));
   return state.Finish();
 }
 

@@ -11,13 +11,14 @@
 // loop state per instance. Preemption and swap semantics live here, once.
 //
 // The loop body is a resumable state machine (ServingLoopState): Start()
-// registers a trace, Step() runs exactly one classic loop iteration, and
-// Finish() produces the report. ServingLoop::Run composes them and is
-// bit-identical to the historical monolithic loop. The event-driven
-// FleetController (serve/fleet_controller.h) drives states directly,
-// injecting live-routed arrivals mid-run (Inject) and moving queued or
-// preempted requests between instances with their cache state
-// (Extract/Receive — live migration).
+// registers a trace, Step() runs one iteration, StepUntil() steps to a
+// clock, and Finish() produces the report; ServingLoop::Run is Start,
+// StepUntil(infinity), Finish. The FleetController
+// (serve/fleet_controller.h) drives states directly, injecting live-routed
+// arrivals mid-run (Inject) and moving queued or preempted requests between
+// instances with their cache state (Extract/Receive — live migration).
+// Extract releases the sender's slot: an instance holds slots only for the
+// requests it owns, however often requests hop.
 //
 // Per-step cost: Step() reuses its scratch (the scheduler's queue views and
 // the applied-item list keep their capacity), resolves each scheduled
@@ -98,22 +99,13 @@ struct ServingLoopResult {
   WallClockMetrics wall_metrics;
 };
 
-/// Everything that travels when a request migrates between instances: its
-/// immutable spec, the loop's mirrored progress, the backend cache image
-/// (cache/migration_image.h), and its metrics record so TTFT/TBT history
-/// survives the move.
+/// Everything that travels when a request migrates between instances: the
+/// loop's view of it (spec, mirrored progress, counters, and the
+/// inter-token clock the destination's first TBT gap is measured from),
+/// the backend cache image (cache/migration_image.h), and its metrics
+/// record so TTFT/TBT history survives the move.
 struct MigratedRequest {
-  Request spec;
-  CacheType cache_type = CacheType::kKV;
-  int32_t generated = 0;
-  int32_t cached_tokens = 0;
-  int32_t prefill_progress = 0;
-  bool has_first_token = false;
-  /// The inter-token clock: the destination's first TBT gap is measured
-  /// from it (the record below carries history only).
-  TimePoint last_token_time = 0.0;
-  int32_t preemptions = 0;
-  int32_t conversions = 0;
+  SimRequest sr;
   /// When the request had (or would have) become schedulable at the source.
   double available_at = 0.0;
   MigrationImage image;
@@ -154,6 +146,10 @@ class ServingLoopState {
   /// Runs exactly one iteration of the classic serving loop (admission,
   /// plan, preempt, execute, price, emit). kDrained consumes no iteration.
   StatusOr<Progress> Step();
+
+  /// Steps until the clock reaches `t_end`, every request is served, or the
+  /// instance drains; hitting config.max_iterations first is an error.
+  Status StepUntil(double t_end);
 
   /// Registers one more request mid-run (live routing): it becomes
   /// schedulable once the clock reaches `available_at` (>= its arrival).
@@ -216,24 +212,25 @@ class ServingLoopState {
   const obs::TraceSink& trace_sink() const { return trace_; }
 
   // ---- Introspection (fleet controller policies / planner) -----------------
-  bool started() const { return started_; }
   double now() const { return now_; }
   int64_t iterations() const { return iterations_done_; }
-  /// Every registered request finished here or migrated away.
-  bool AllServed() const {
-    return finished_ + migrated_out_ == slots_.size();
-  }
+  /// Every request this instance owns (migrated-out ones it no longer
+  /// does) has finished.
+  bool AllServed() const { return finished_ == slots_.size(); }
+  /// Requests this instance owns: finished or live, never migrated away.
   size_t NumRegistered() const { return slots_.size(); }
+  /// Whether any request was ever registered here, even if all moved on.
+  bool EverRegistered() const { return next_seq_ > 0; }
   /// Requests finished on THIS instance (migrated-in included, -out not).
   int64_t NumServed() const { return static_cast<int64_t>(finished_); }
   int32_t NumWaiting() const;
   int32_t NumRunning() const;
   int32_t NumUnfinished() const {
-    return static_cast<int32_t>(slots_.size() - finished_ - migrated_out_);
+    return static_cast<int32_t>(slots_.size() - finished_);
   }
   /// Migration candidates in registration order: waiting, not swapped, and
   /// available by `ready_by` (a request still in transit from an earlier
-  /// migration becomes available later).
+  /// migration becomes available later). Costs O(live requests).
   std::vector<RequestId> MigratableWaiting(
       double ready_by = std::numeric_limits<double>::infinity()) const;
   /// (TTFT-met, total) over requests finished at time >= `since` — the
@@ -250,15 +247,16 @@ class ServingLoopState {
     /// resolved once at registration and re-pointed on Receive.
     RequestRecord* record = nullptr;
     double available_at = 0.0;
-    uint64_t seq = 0;
-    bool migrated_out = false;
+    uint64_t seq = 0;  ///< registration order
     /// Trace bookkeeping: when the request joined this instance's queue
     /// (in the trace clock frame) and whether its queue-wait span closed.
     double obs_enqueued_at = 0.0;
     bool obs_first_run = false;
   };
 
-  Status Register(const Request& r, double available_at, bool admit_backend);
+  /// Registers a new slot: sequence number, id index, pending queue.
+  void Adopt(std::unique_ptr<Slot> slot);
+  Status CapError() const;
   int32_t CountActive(RequestPhase phase) const;
   void InsertPending(Slot* slot);
 
@@ -293,8 +291,10 @@ class ServingLoopState {
   /// Timestamp in the trace clock frame (wall when attached, else virtual).
   double ObsNow() const { return wall_clock_ ? wall_clock_->Now() : now_; }
 
+  /// The requests this instance owns, in registration order; Extract
+  /// releases a migrated-out slot.
   std::vector<std::unique_ptr<Slot>> slots_;
-  /// Live requests by id (finished ones stay; migrated-out ones leave).
+  /// Owned requests by id (finished ones stay).
   FlatIdMap<Slot*> index_;
   /// Not-yet-available requests, sorted by (available_at, seq).
   std::deque<Slot*> pending_;
@@ -319,7 +319,6 @@ class ServingLoopState {
 
   double now_ = 0.0;
   size_t finished_ = 0;
-  size_t migrated_out_ = 0;
   int64_t iterations_done_ = 0;
   int32_t consecutive_idle_ = 0;
   uint64_t next_seq_ = 0;

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/sarathi_scheduler.h"
+#include "common/env.h"
+#include "common/rng.h"
 #include "engine/inference_engine.h"
 #include "serve/cost_model_backend.h"
 #include "serve/inference_backend.h"
@@ -394,7 +398,7 @@ TEST(MigrationHandoffTest, HiddenCachePayloadMigrates) {
 TEST(FleetMigrationTest, MigratedFleetTokensMatchNeverMigratedRun) {
   SharedPrefixConfig wc;
   wc.system_prompt_len = 12;
-  wc.num_conversations = 4;
+  wc.num_conversations = 8;
   wc.turns_per_conversation = 3;
   wc.tokens_per_turn = 8;
   wc.output_len_mean = 4;
@@ -432,8 +436,10 @@ TEST(FleetMigrationTest, MigratedFleetTokensMatchNeverMigratedRun) {
     FleetConfig cfg;
     cfg.router.n_instances = 3;
     if (migrate) {
-      // Hot-rebalance on a static fleet: any queue-depth gap moves work
-      // (with its cache) between the replicas, every tick.
+      // Hot-rebalance on a static fleet: every queue-depth gap of two or
+      // more moves work (with its cache) between the replicas, every tick
+      // (threshold 0 acts as 1). Eight conversations queue deep enough to
+      // migrate; four never open a gap of two.
       cfg.tick_interval_s = 0.1;
       cfg.enable_migration = true;
       cfg.migration_imbalance_threshold = 0.0;
@@ -597,10 +603,191 @@ TEST(FleetMigrationTest, RebalanceBelowThresholdOneTerminates) {
       controller.Run(*trace, schedulers, backends, SloSpec{1.0, 1.0});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->fleet.migrations, imports);
-  EXPECT_GT(result->fleet.migrations, 0) << "the planner must still move work";
+  // Moves happen only at a queue gap of two or more (threshold 0 acts as
+  // 1); a rule that also moved at a gap of one made 375 moves here.
+  EXPECT_EQ(result->fleet.migrations, 11);
   int32_t served = 0;
   for (int32_t n : result->serve.requests_per_instance) served += n;
   EXPECT_EQ(served, static_cast<int32_t>(trace->size()));
+}
+
+// ---- The tick's decisions over fake instance views -------------------------
+
+InstanceView View(int32_t id, InstanceState state, int32_t waiting) {
+  InstanceView v;
+  v.id = id;
+  v.state = state;
+  v.waiting = waiting;
+  v.unfinished = waiting;
+  return v;
+}
+
+TEST(FleetDecisionTest, DecideScalePromotesSpawnsAndDrainsTheNewestIdle) {
+  FleetConfig cfg;
+  cfg.router.n_instances = 2;
+  cfg.max_instances = 3;
+  cfg.scaling = {ScalingRule::QueueDepth(/*high=*/4.0, /*low=*/1.0)};
+  // The warming instance's warmup elapsed: it is promoted and votes as
+  // live, so the mean queue is 12 / 3 = 4 (a hold), not 12 / 2 (an up).
+  std::vector<InstanceView> fleet = {
+      View(0, InstanceState::kLive, 6), View(1, InstanceState::kLive, 6),
+      View(2, InstanceState::kWarming, 0)};
+  fleet[2].live_at = 1.0;
+  ScaleDecision d = DecideScale(fleet, cfg, 1.0, -1e9);
+  EXPECT_EQ(d.promote, std::vector<int32_t>{2});
+  EXPECT_FALSE(d.spawn);
+  EXPECT_EQ(d.drain, -1);
+  // Still warming at t=0.5: two live instances, mean 6 > 4 votes up, but
+  // the fleet is at its ceiling of three.
+  d = DecideScale(fleet, cfg, 0.5, -1e9);
+  EXPECT_TRUE(d.promote.empty());
+  EXPECT_FALSE(d.spawn);
+  cfg.max_instances = 4;
+  EXPECT_TRUE(DecideScale(fleet, cfg, 0.5, -1e9).spawn);
+  EXPECT_FALSE(DecideScale(fleet, cfg, 0.5, 0.0).spawn) << "up cooldown";
+  // Quiet: every rule votes down; the least-loaded live instance drains,
+  // the newest on ties.
+  fleet = {View(0, InstanceState::kLive, 0), View(1, InstanceState::kLive, 0),
+           View(2, InstanceState::kDraining, 0)};
+  EXPECT_EQ(DecideScale(fleet, cfg, 20.0, 0.0).drain, 1);
+  EXPECT_EQ(DecideScale(fleet, cfg, 10.0, 0.0).drain, -1) << "down cooldown";
+  cfg.min_instances = 2;
+  EXPECT_EQ(DecideScale(fleet, cfg, 20.0, 0.0).drain, -1) << "at the floor";
+}
+
+/// One fake instance for the NextMove property: its migration candidates
+/// in registration order, each arrived (true) or still in transit.
+struct FakeInstance {
+  std::deque<bool> candidates;
+  int32_t pinned = 0;  ///< waiting but not migratable (swapped out)
+};
+
+/// What the apply step re-reads from the two loops a move touched.
+void Refresh(const std::vector<FakeInstance>& fakes, int32_t i,
+             std::vector<InstanceView>* views) {
+  InstanceView& v = (*views)[i];
+  v.migratable = static_cast<int32_t>(fakes[i].candidates.size());
+  v.ready = static_cast<int32_t>(std::count(
+      fakes[i].candidates.begin(), fakes[i].candidates.end(), true));
+  v.waiting = v.migratable + fakes[i].pinned;
+}
+
+int32_t RoutableSpread(const std::vector<InstanceView>& views) {
+  int32_t lo = std::numeric_limits<int32_t>::max();
+  int32_t hi = std::numeric_limits<int32_t>::min();
+  for (const InstanceView& v : views) {
+    if (!v.Routable()) continue;
+    lo = std::min(lo, v.waiting);
+    hi = std::max(hi, v.waiting);
+  }
+  return hi - lo;
+}
+
+TEST(FleetDecisionTest, NextMoveShrinksTheGapAndStopsPerTick) {
+  const double thresholds[] = {0.0, 0.5, 1, 2, 3, 4, 5, 6, 7, 8};
+  const InstanceState states[] = {
+      InstanceState::kLive, InstanceState::kLive, InstanceState::kLive,
+      InstanceState::kDraining, InstanceState::kWarming,
+      InstanceState::kRetired};
+  for (uint64_t seed : env::FuzzSeedsFromEnv({1, 2, 3})) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    int64_t rebalances = 0, drains = 0, cross_cell = 0, capped = 0;
+    for (int32_t round = 0; round < 3000; ++round) {
+      FleetConfig cfg;
+      cfg.enable_migration = true;
+      cfg.migration_imbalance_threshold = thresholds[rng.UniformInt(0, 9)];
+      cfg.max_migrations_per_tick = static_cast<int32_t>(rng.UniformInt(1, 12));
+      const int32_t n = static_cast<int32_t>(rng.UniformInt(1, 8));
+      const int32_t cells = static_cast<int32_t>(rng.UniformInt(1, 3));
+      std::vector<FakeInstance> fakes(n);
+      std::vector<InstanceView> views(n);
+      for (int32_t i = 0; i < n; ++i) {
+        views[i].id = i;
+        views[i].state = states[rng.UniformInt(0, 5)];
+        views[i].cell = static_cast<int32_t>(rng.UniformInt(0, cells - 1));
+        const int64_t queued = rng.UniformInt(0, 14);
+        for (int64_t q = 0; q < queued; ++q) {
+          fakes[i].candidates.push_back(rng.Uniform() < 0.8);
+        }
+        fakes[i].pinned = static_cast<int32_t>(rng.UniformInt(0, 2));
+        Refresh(fakes, i, &views);
+      }
+
+      std::vector<bool> received(n, false);
+      bool rebalanced = false;
+      int32_t moved = 0;
+      while (const std::optional<MigrationMove> move =
+                 NextMove(views, cfg, moved)) {
+        ASSERT_LT(moved, cfg.max_migrations_per_tick)
+            << "a tick makes at most max_migrations_per_tick moves";
+        const InstanceView& src = views.at(move->src);
+        const InstanceView& dst = views.at(move->dst);
+        ASSERT_NE(move->src, move->dst);
+        ASSERT_TRUE(dst.Routable());
+        int32_t coolest = std::numeric_limits<int32_t>::max();
+        bool same_cell_exists = false;
+        for (const InstanceView& v : views) {
+          if (!v.Routable()) continue;
+          coolest = std::min(coolest, v.waiting);
+          same_cell_exists = same_cell_exists || v.cell == src.cell;
+        }
+        if (move->drain) {
+          ASSERT_FALSE(rebalanced) << "drain evacuation comes first";
+          ASSERT_EQ(src.state, InstanceState::kDraining);
+          ASSERT_GT(src.migratable, 0);
+          if (same_cell_exists) {
+            ASSERT_EQ(dst.cell, src.cell)
+                << "a drain stays in its cell when it can";
+          } else {
+            ASSERT_EQ(dst.waiting, coolest);
+            ++cross_cell;
+          }
+          fakes[move->src].candidates.pop_front();
+          ++drains;
+        } else {
+          rebalanced = true;
+          ASSERT_TRUE(src.Routable());
+          for (const InstanceView& v : views) {
+            if (v.Routable()) ASSERT_LE(v.waiting, src.waiting)
+                << "the source is the hottest routable instance";
+          }
+          ASSERT_EQ(dst.waiting, coolest);
+          ASSERT_GE(src.waiting - dst.waiting, 2) << "gap before the move";
+          ASSERT_GT(src.waiting - dst.waiting,
+                    cfg.migration_imbalance_threshold);
+          ASSERT_FALSE(received[move->src])
+              << "an instance that received a rebalance move became a "
+                 "source in the same tick";
+          ASSERT_GT(src.ready, 0);
+          auto& queue = fakes[move->src].candidates;
+          queue.erase(std::find(queue.begin(), queue.end(), true));
+          received[move->dst] = true;
+          ++rebalances;
+        }
+        const int32_t spread_before = RoutableSpread(views);
+        // Only the destination's loop knows whether the received request
+        // is ready this tick: either may happen.
+        fakes[move->dst].candidates.push_back(rng.Uniform() < 0.7);
+        Refresh(fakes, move->src, &views);
+        Refresh(fakes, move->dst, &views);
+        if (!move->drain) {
+          ASSERT_LE(RoutableSpread(views), spread_before)
+              << "a rebalance move never widens the routable spread";
+        }
+        ++moved;
+      }
+      if (moved == cfg.max_migrations_per_tick) {
+        ++capped;
+        EXPECT_FALSE(NextMove(views, cfg, moved).has_value());
+      }
+    }
+    // The rounds must reach every path the assertions guard.
+    EXPECT_GT(rebalances, 0);
+    EXPECT_GT(drains, 0);
+    EXPECT_GT(cross_cell, 0);
+    EXPECT_GT(capped, 0);
+  }
 }
 
 }  // namespace

@@ -234,17 +234,19 @@ TEST(PrefixGoldenTest, EngineFleetWithMigrationMatchesRecording) {
 
   const FleetMetrics& fm = result->fleet;
   const MultiInstanceResult& r = result->serve;
-  EXPECT_EQ(fm.migrations, 34);
-  EXPECT_EQ(fm.migrations_with_cache, 17);
-  EXPECT_EQ(fm.migration_deduped_tokens, 268);
-  EXPECT_EQ(fm.migration_copied_tokens, 76);
-  EXPECT_EQ(r.prefill_tokens_computed, 289);
-  EXPECT_EQ(r.prefill_tokens_skipped, 259);
+  // Threshold 0 acts as 1: only gaps of two or more move work, so the
+  // gap-one bounces of the original recording (34 moves) are gone.
+  EXPECT_EQ(fm.migrations, 2);
+  EXPECT_EQ(fm.migrations_with_cache, 2);
+  EXPECT_EQ(fm.migration_deduped_tokens, 40);
+  EXPECT_EQ(fm.migration_copied_tokens, 8);
+  EXPECT_EQ(r.prefill_tokens_computed, 323);
+  EXPECT_EQ(r.prefill_tokens_skipped, 253);
   EXPECT_EQ(TokenDigest(tokens), 0xa3d152113e2bd13bull);
-  ExpectStats(r.prefix, {39, 35, 527, 131, 1, 96, 32});
+  ExpectStats(r.prefix, {25, 21, 293, 71, 3, 120, 52});
   ASSERT_EQ(r.prefix_per_instance.size(), 2u);
-  ExpectStats(r.prefix_per_instance[0], {18, 16, 259, 64, 1, 46, 14});
-  ExpectStats(r.prefix_per_instance[1], {21, 19, 268, 67, 0, 50, 18});
+  ExpectStats(r.prefix_per_instance[0], {13, 11, 159, 39, 1, 64, 32});
+  ExpectStats(r.prefix_per_instance[1], {12, 10, 134, 32, 2, 56, 20});
 }
 
 }  // namespace

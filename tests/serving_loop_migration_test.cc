@@ -165,5 +165,48 @@ TEST_F(MigrationClockTest, RequestMovedBeforeItsFirstTokenCarriesNoTbt) {
   EXPECT_EQ(rec.tbt_samples[0], b2 - b1);
 }
 
+// Extract releases the sender's slot: however often a request bounces
+// between two instances, each keeps slots only for the requests it owns.
+TEST_F(MigrationClockTest, BouncedRequestLeavesNoSlotBehind) {
+  ASSERT_TRUE(
+      a_->Start({Make(1, 0.0, 64, 2), Make(3, 0.0, 32, 2)}, &sched_a_, slo_)
+          .ok());
+  ASSERT_TRUE(b_->Start({}, &sched_b_, slo_).ok());
+  sched_a_.hold = {1};
+  sched_b_.hold = {1};
+  StepExecuted(a_.get());  // request 3's prefill
+  StepExecuted(a_.get());  // and its last decode
+  ASSERT_EQ(a_->NumServed(), 1);
+
+  ServingLoopState* from = a_.get();
+  ServingLoopState* to = b_.get();
+  for (int32_t hop = 0; hop < 50; ++hop) {
+    auto moved = from->Extract(1);
+    ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+    ASSERT_TRUE(to->Receive(std::move(*moved), to->now()).ok());
+    // A owns finished request 3 throughout; the holder also owns 1.
+    const auto owned = [&](const ServingLoopState* s) {
+      return size_t{s == a_.get()} + size_t{s == to};
+    };
+    EXPECT_LE(from->NumRegistered(), owned(from)) << "hop " << hop;
+    EXPECT_LE(to->NumRegistered(), owned(to)) << "hop " << hop;
+    EXPECT_TRUE(from->MigratableWaiting().empty()) << "hop " << hop;
+    EXPECT_EQ(to->MigratableWaiting(), std::vector<RequestId>{1});
+    std::swap(from, to);
+  }
+  // After an even number of hops request 1 is home; B owns nothing but
+  // still closes its run.
+  EXPECT_EQ(b_->NumRegistered(), 0u);
+  EXPECT_TRUE(b_->AllServed());
+  EXPECT_TRUE(b_->EverRegistered());
+  sched_a_.hold.clear();
+  Drain(a_.get());
+  auto result_a = a_->Finish();
+  auto result_b = b_->Finish();
+  ASSERT_TRUE(result_a.ok() && result_b.ok());
+  EXPECT_EQ(result_a->records.size(), 2u);
+  EXPECT_TRUE(result_b->records.empty());
+}
+
 }  // namespace
 }  // namespace aptserve

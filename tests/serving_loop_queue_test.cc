@@ -1,7 +1,8 @@
 // ServingLoopState's live queue counts. NumWaiting/NumRunning are derived
 // from the admission queue plus the not-yet-available requests; this suite
 // recounts both by brute force over every registered slot after each
-// Step, Inject, Extract and Receive of a two-instance run that covers
+// Step, Inject, Extract and Receive (and the migration candidates, in
+// registration order) of a two-instance run that covers
 // swap-mode preemption (swap-out and swap-in), finishes, mid-run
 // injection and live migration in both directions.
 #include <gtest/gtest.h>
@@ -18,16 +19,28 @@
 namespace aptserve {
 
 struct ServingLoopStateTestPeer {
-  /// (waiting, running) over every slot not migrated away.
+  /// (waiting, running) over every slot (migrated-out ones are released).
   static std::pair<int32_t, int32_t> BruteForceCounts(
       const ServingLoopState& s) {
     int32_t waiting = 0, running = 0;
     for (const auto& slot : s.slots_) {
-      if (slot->migrated_out) continue;
       if (slot->sr.phase == RequestPhase::kWaiting) ++waiting;
       if (slot->sr.phase == RequestPhase::kRunning) ++running;
     }
     return {waiting, running};
+  }
+
+  /// MigratableWaiting's answer by a scan of every owned slot, which are
+  /// kept in registration order.
+  static std::vector<RequestId> BruteForceMigratable(
+      const ServingLoopState& s) {
+    std::vector<RequestId> ids;
+    for (const auto& slot : s.slots_) {
+      if (slot->sr.phase == RequestPhase::kWaiting && !slot->sr.swapped) {
+        ids.push_back(slot->sr.spec.id);
+      }
+    }
+    return ids;
   }
 };
 
@@ -78,6 +91,10 @@ void ExpectCountsMatch(const ServingLoopState& s, const char* where) {
   const auto [waiting, running] = ServingLoopStateTestPeer::BruteForceCounts(s);
   EXPECT_EQ(s.NumWaiting(), waiting) << where;
   EXPECT_EQ(s.NumRunning(), running) << where;
+  EXPECT_EQ(s.MigratableWaiting(),
+            ServingLoopStateTestPeer::BruteForceMigratable(s))
+      << where;
+  EXPECT_EQ(s.NumUnfinished(), waiting + running) << where;
 }
 
 TEST(ServingLoopQueueTest, LiveCountsMatchBruteForceThroughSwapAndMigration) {
