@@ -131,18 +131,6 @@ int main() {
   }
   {
     KernelResult r;
-    r.kernel = "MatVecTransposed";
-    r.flops_per_call = 2.0 * rows * cols;
-    r.dispatch_s = TimePerCall([&] {
-      ops::MatVecTransposed(w.data(), x.data(), y.data(), rows, cols);
-    });
-    r.scalar_s = TimePerCall([&] {
-      ops::scalar::MatVecTransposed(w.data(), x.data(), y.data(), rows, cols);
-    });
-    results.push_back(r);
-  }
-  {
-    KernelResult r;
     r.kernel = "MatMat";
     r.flops_per_call = 2.0 * batch * rows * cols;
     r.dispatch_s = TimePerCall([&] {
@@ -184,25 +172,6 @@ int main() {
       for (int32_t b = 0; b < batch; ++b) {
         ops::scalar::LayerNorm(x.data() + b * cols, gain.data(), bias.data(),
                                y.data() + b * cols, cols);
-      }
-    });
-    results.push_back(r);
-  }
-  {
-    KernelResult r;
-    r.kernel = "FusedLayerNormMatMat";
-    r.flops_per_call = (2.0 * rows + 9.0) * batch * cols;
-    r.dispatch_s = TimePerCall([&] {
-      ops::FusedLayerNormMatMat(x.data(), gain.data(), bias.data(), w.data(),
-                                y.data(), batch, rows, cols);
-    });
-    std::vector<float> norm(static_cast<size_t>(cols));
-    r.scalar_s = TimePerCall([&] {
-      for (int32_t b = 0; b < batch; ++b) {
-        ops::scalar::LayerNorm(x.data() + b * cols, gain.data(), bias.data(),
-                               norm.data(), cols);
-        ops::scalar::MatVec(w.data(), norm.data(), y.data() + b * rows, rows,
-                            cols);
       }
     });
     results.push_back(r);

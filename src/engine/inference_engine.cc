@@ -11,7 +11,7 @@ InferenceEngine::InferenceEngine(const ModelConfig& config, uint64_t seed,
                                  int32_t num_blocks, int32_t block_size,
                                  const RuntimeConfig& runtime)
     : storage_(num_blocks, block_size, config.n_layers, config.d_model),
-      model_(ModelWeights::Random(config, seed)),
+      model_(TransformerModel::Shared(config, seed)),
       pool_(num_blocks, block_size),
       assigner_(&pool_) {
   if (runtime.ResolvedNumThreads() > 1) {
@@ -119,7 +119,7 @@ Status InferenceEngine::AddRequest(RequestId id, std::vector<int32_t> prompt,
   }
   if (prompt.empty()) return Status::InvalidArgument("empty prompt");
   for (int32_t t : prompt) {
-    if (t < 0 || t >= model_.config().vocab_size) {
+    if (t < 0 || t >= model_->config().vocab_size) {
       return Status::InvalidArgument("prompt token out of vocabulary");
     }
   }
@@ -147,7 +147,7 @@ StatusOr<PendingStep> InferenceEngine::PreparePrefillChunk(
     return Status::InvalidArgument("chunk must be positive");
   }
   const int32_t target = gs.PrefillTarget();
-  if (target > model_.config().max_seq_len) {
+  if (target > model_->config().max_seq_len) {
     return Status::InvalidArgument("sequence exceeds max_seq_len");
   }
 
@@ -206,7 +206,7 @@ StatusOr<PendingStep> InferenceEngine::PrepareDecode(RequestId id) {
   }
   const int32_t pos = gs.cached_tokens;
   APT_CHECK(pos < static_cast<int32_t>(gs.tokens.size()));
-  if (pos >= model_.config().max_seq_len) {
+  if (pos >= model_->config().max_seq_len) {
     return Status::InvalidArgument("sequence reached max_seq_len");
   }
   APT_RETURN_NOT_OK(assigner_.Append(id, 1));
@@ -258,7 +258,7 @@ void InferenceEngine::ComputeSteps(PendingStep* steps, size_t n) {
     items.push_back(item);
     owners.push_back(&step);
   }
-  model_.ForwardBatch(items.data(), static_cast<int32_t>(items.size()),
+  model_->ForwardBatch(items.data(), static_cast<int32_t>(items.size()),
                       &storage_, thread_pool_.get());
   for (size_t i = 0; i < items.size(); ++i) {
     owners[i]->compute_status = std::move(items[i].status);
@@ -353,8 +353,8 @@ Status InferenceEngine::SwapOut(RequestId id) {
   if (map == nullptr || gs.cached_tokens == 0) {
     return Status::FailedPrecondition("request holds no cache to swap");
   }
-  const int32_t d = model_.config().d_model;
-  const int32_t layers = model_.config().n_layers;
+  const int32_t d = model_->config().d_model;
+  const int32_t layers = model_->config().n_layers;
   SwappedCache host;
   host.type = gs.cache_type;
   host.tokens = gs.cached_tokens;
@@ -386,8 +386,8 @@ Status InferenceEngine::SwapIn(RequestId id) {
   const SwappedCache& host = swap_it->second;
   APT_RETURN_NOT_OK(assigner_.CreateFilled(id, host.type, host.tokens));
   const CacheMap* map = assigner_.Find(id);
-  const int32_t d = model_.config().d_model;
-  const int32_t layers = model_.config().n_layers;
+  const int32_t d = model_->config().d_model;
+  const int32_t layers = model_->config().n_layers;
   int64_t cursor = 0;
   for (CacheComponent c : map->Components()) {
     for (int32_t l = 0; l < layers; ++l) {
@@ -423,8 +423,8 @@ StatusOr<MigrationImage> InferenceEngine::ExportRequest(RequestId id) {
   if (gs.cached_tokens > 0) {
     const CacheMap* map = assigner_.Find(id);
     APT_CHECK_MSG(map != nullptr, "cached tokens without a cache map");
-    const int32_t d = model_.config().d_model;
-    const int32_t layers = model_.config().n_layers;
+    const int32_t d = model_->config().d_model;
+    const int32_t layers = model_->config().n_layers;
     const auto components = map->Components();
     const int64_t vectors = static_cast<int64_t>(components.size()) * layers *
                             gs.cached_tokens;
@@ -513,8 +513,8 @@ StatusOr<MigrationImport> InferenceEngine::ImportRequest(
   // Scatter the transferred span [deduped, cached) from the payload.
   const CacheMap* map = assigner_.Find(id);
   APT_CHECK(map != nullptr);
-  const int32_t d = model_.config().d_model;
-  const int32_t layers = model_.config().n_layers;
+  const int32_t d = model_->config().d_model;
+  const int32_t layers = model_->config().n_layers;
   const auto components = map->Components();
   const int64_t vectors = static_cast<int64_t>(components.size()) * layers *
                           image.cached_tokens;
@@ -582,7 +582,7 @@ StatusOr<std::vector<int32_t>> InferenceEngine::Generate(
   }
   while (produced < max_new_tokens) {
     if (static_cast<int32_t>(it->second.tokens.size()) >=
-        model_.config().max_seq_len) {
+        model_->config().max_seq_len) {
       break;
     }
     APT_ASSIGN_OR_RETURN(int32_t next, DecodeStep(id));

@@ -81,7 +81,9 @@ struct PendingStep {
 
 class InferenceEngine {
  public:
-  /// Builds a model with seeded random weights and a unified pool of
+  /// Attaches to the live model of (config, seed) when another engine
+  /// holds one, else builds it with seeded random weights
+  /// (TransformerModel::Shared), and creates a unified pool of
   /// `num_blocks` blocks of `block_size` token positions each. `runtime`
   /// sizes the engine's thread pool (default: serial; see RuntimeConfig).
   InferenceEngine(const ModelConfig& config, uint64_t seed, int32_t num_blocks,
@@ -217,7 +219,7 @@ class InferenceEngine {
                                           int32_t eos_token = -1);
 
   const GenerationState* Find(RequestId id) const;
-  const TransformerModel& model() const { return model_; }
+  const TransformerModel& model() const { return *model_; }
   BlockPool& pool() { return pool_; }
   HybridCacheAssigner& assigner() { return assigner_; }
   BlockStorage& storage() { return storage_; }
@@ -248,7 +250,9 @@ class InferenceEngine {
   /// The engine's largest buffer: a mapping of its own, outside the heap,
   /// whose pages are committed only as the pool's blocks are first written.
   BlockStorage storage_;
-  TransformerModel model_;
+  /// Shared with every live engine of the same (config, seed): the
+  /// weights are read-only (TransformerModel::Shared).
+  std::shared_ptr<const TransformerModel> model_;
   BlockPool pool_;
   /// Owns the prefix index (assigner().EnablePrefixSharing()); declared
   /// after pool_ so destruction releases index references first.

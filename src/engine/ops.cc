@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "engine/ops_simd.h"
 #include "runtime/thread_pool.h"
@@ -51,16 +50,6 @@ void MatVec(const float* w, const float* x, float* y, int32_t rows,
     float acc = 0.0f;
     for (int32_t c = 0; c < cols; ++c) acc += row[c] * x[c];
     y[r] = acc;
-  }
-}
-
-void MatVecTransposed(const float* w, const float* x, float* y, int32_t rows,
-                      int32_t cols) {
-  for (int32_t c = 0; c < cols; ++c) y[c] = 0.0f;
-  for (int32_t r = 0; r < rows; ++r) {
-    const float* row = w + static_cast<int64_t>(r) * cols;
-    const float xr = x[r];
-    for (int32_t c = 0; c < cols; ++c) y[c] += row[c] * xr;
   }
 }
 
@@ -170,20 +159,6 @@ void MatVec(const float* w, const float* x, float* y, int32_t rows,
             int32_t cols) {
   for (int32_t r = 0; r < rows; ++r) {
     y[r] = Dot(w + static_cast<int64_t>(r) * cols, x, cols);
-  }
-}
-
-void MatVecTransposed(const float* w, const float* x, float* y, int32_t rows,
-                      int32_t cols) {
-  if (!kUseSimd) {
-    scalar::MatVecTransposed(w, x, y, rows, cols);
-    return;
-  }
-  // simd::Axpy is bit-identical to the scalar per-row update (one multiply
-  // and one add per element), so this path matches the reference exactly.
-  for (int32_t c = 0; c < cols; ++c) y[c] = 0.0f;
-  for (int32_t r = 0; r < rows; ++r) {
-    simd::Axpy(w + static_cast<int64_t>(r) * cols, x[r], y, cols);
   }
 }
 
@@ -328,31 +303,6 @@ void LayerNormBatch(const float* x, const float* gain, const float* bias,
   runtime::ParallelFor(pool, 0, batch, grain, [&](int64_t lo, int64_t hi) {
     for (int64_t b = lo; b < hi; ++b) {
       LayerNorm(x + b * n, gain, bias, out + b * n, n);
-    }
-  });
-}
-
-void FusedLayerNormMatMat(const float* x, const float* gain,
-                          const float* bias, const float* w, float* y,
-                          int32_t batch, int32_t rows, int32_t cols,
-                          runtime::ThreadPool* pool) {
-  const int64_t tasks =
-      ParallelTasks(pool, static_cast<int64_t>(batch) * rows * cols);
-  if (tasks > 1 && batch < 2 * tasks && rows >= 4 * kRowTile) {
-    // Few batch rows but a tall W (e.g. logits): normalize once, then let
-    // the GEMM parallelize over W rows.
-    std::vector<float> normed(static_cast<size_t>(batch) * cols);
-    LayerNormBatch(x, gain, bias, normed.data(), batch, cols, pool);
-    MatMat(w, normed.data(), y, batch, rows, cols, pool);
-    return;
-  }
-  const int64_t grain = CeilDiv(batch, tasks);
-  runtime::ParallelFor(pool, 0, batch, grain, [&](int64_t lo, int64_t hi) {
-    std::vector<float> ln(cols);
-    for (int64_t b = lo; b < hi; ++b) {
-      LayerNorm(x + b * cols, gain, bias, ln.data(), cols);
-      MatMatTile(w, ln.data(), y + b * rows, rows, cols, 0, 1, 0, rows,
-                 PostAct::kNone);
     }
   });
 }

@@ -50,11 +50,6 @@ int32_t VectorWidthFloats();
 void MatVec(const float* w, const float* x, float* y, int32_t rows,
             int32_t cols);
 
-/// y = W^T x, where W is [rows, cols] row-major and x has `rows` elements;
-/// y gets `cols` elements. Used for the tied output projection (E^T h).
-void MatVecTransposed(const float* w, const float* x, float* y, int32_t rows,
-                      int32_t cols);
-
 /// x += y elementwise.
 void AddInPlace(float* x, const float* y, int32_t n);
 
@@ -105,8 +100,6 @@ namespace scalar {
 
 void MatVec(const float* w, const float* x, float* y, int32_t rows,
             int32_t cols);
-void MatVecTransposed(const float* w, const float* x, float* y, int32_t rows,
-                      int32_t cols);
 void AddInPlace(float* x, const float* y, int32_t n);
 void ScaleInPlace(float* x, float s, int32_t n);
 float Dot(const float* a, const float* b, int32_t n);
@@ -152,14 +145,6 @@ void MatVecBlocked(const float* w, const float* x, float* y, int32_t rows,
 void LayerNormBatch(const float* x, const float* gain, const float* bias,
                     float* out, int32_t batch, int32_t n,
                     runtime::ThreadPool* pool = nullptr);
-
-/// Fused LayerNorm + batched MatVec: y_b = W LayerNorm(x_b). The normalized
-/// row never materializes outside a per-task scratch buffer. Bit-identical
-/// to LayerNorm followed by MatVec per row.
-void FusedLayerNormMatMat(const float* x, const float* gain,
-                          const float* bias, const float* w, float* y,
-                          int32_t batch, int32_t rows, int32_t cols,
-                          runtime::ThreadPool* pool = nullptr);
 
 /// Fused batched MatVec + activation: y_b = act(W x_b) with act = ReLU or
 /// tanh-GELU, applied to each output tile while it is cache-hot.

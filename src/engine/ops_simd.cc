@@ -281,19 +281,6 @@ void LayerNorm(const float* x, const float* gain, const float* bias,
   for (; i < n; ++i) out[i] = (x[i] - mean) * inv * gain[i] + bias[i];
 }
 
-void Axpy(const float* row, float xr, float* y, int32_t n) {
-  // mul + add (not fmadd): each y[i] sees the same two roundings as the
-  // scalar reference, so the kernel is bit-identical.
-  const __m256 vx = _mm256_set1_ps(xr);
-  int32_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i,
-                     _mm256_add_ps(_mm256_mul_ps(_mm256_loadu_ps(row + i), vx),
-                                   _mm256_loadu_ps(y + i)));
-  }
-  for (; i < n; ++i) y[i] += row[i] * xr;
-}
-
 void WeightedSum(const float* weights, const float* rows, int64_t stride,
                  int32_t n_rows, int32_t len, float* out) {
   // Four independent 8-lane sums per pass over the rows; mul + add (not
@@ -512,6 +499,10 @@ void LayerNorm(const float* x, const float* gain, const float* bias,
   for (; i < n; ++i) out[i] = (x[i] - mean) * inv * gain[i] + bias[i];
 }
 
+namespace {
+
+/// y[i] += row[i] * xr, mul then add per element: WeightedSum's per-row
+/// step.
 void Axpy(const float* row, float xr, float* y, int32_t n) {
   const float32x4_t vx = vdupq_n_f32(xr);
   int32_t i = 0;
@@ -521,6 +512,8 @@ void Axpy(const float* row, float xr, float* y, int32_t n) {
   }
   for (; i < n; ++i) y[i] += row[i] * xr;
 }
+
+}  // namespace
 
 void WeightedSum(const float* weights, const float* rows, int64_t stride,
                  int32_t n_rows, int32_t len, float* out) {
@@ -635,7 +628,6 @@ float Dot(const float*, const float*, int32_t) { return 0.0f; }
 void ScoreKeys(const float*, const float*, int64_t, int32_t, int32_t, float,
                float*) {}
 void LayerNorm(const float*, const float*, const float*, float*, int32_t) {}
-void Axpy(const float*, float, float*, int32_t) {}
 void WeightedSum(const float*, const float*, int64_t, int32_t, int32_t,
                  float*) {}
 void AddInPlace(float*, const float*, int32_t) {}

@@ -14,7 +14,7 @@
 // summation order than the scalar reference and therefore agree only to
 // bounded ulp; ScoreKeys replays Dot's order exactly, so it is
 // bit-identical to a per-key Dot; elementwise primitives (AddInPlace,
-// ScaleInPlace, Relu, Axpy, WeightedSum) use one multiply/add per element
+// ScaleInPlace, Relu, WeightedSum) use one multiply/add per element
 // in scalar order and are bit-identical to the reference. Transcendental
 // kernels (Softmax, Gelu) replace libm exp/tanh with a vector polynomial
 // (Cephes-style range reduction) and agree with the scalar reference only
@@ -55,13 +55,10 @@ void ScoreKeys(const float* q, const float* keys, int64_t stride,
 void LayerNorm(const float* x, const float* gain, const float* bias,
                float* out, int32_t n);
 
-/// y[i] += row[i] * xr — the MatVecTransposed inner step. One multiply and
-/// one add per element (no FMA), so bit-identical to the scalar reference.
-void Axpy(const float* row, float xr, float* y, int32_t n);
-
 /// out = sum_j weights[j] * rows[j * stride ..], rows in order from zero,
-/// mul then add per element (no FMA): bit-identical to zero-fill plus an
-/// Axpy per row, with the running sums held in registers.
+/// mul then add per element (no FMA): bit-identical to zero-fill plus
+/// `out[i] += weights[j] * row_j[i]` per row, with the running sums held
+/// in registers.
 void WeightedSum(const float* weights, const float* rows, int64_t stride,
                  int32_t n_rows, int32_t len, float* out);
 

@@ -4,6 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <mutex>
+#include <tuple>
 #include <utility>
 
 #include "engine/ops.h"
@@ -51,6 +54,33 @@ TransformerModel::TransformerModel(ModelWeights weights)
     : weights_(std::move(weights)) {
   Status st = weights_.config.Validate();
   APT_CHECK_MSG(st.ok(), st.ToString());
+}
+
+std::shared_ptr<const TransformerModel> TransformerModel::Shared(
+    const ModelConfig& config, uint64_t seed) {
+  // Every ModelConfig field is part of the key: the binding stops
+  // compiling when ModelConfig gains a field, which must then join it.
+  const auto& [vocab_size, d_model, n_heads, n_layers, d_ff, max_seq_len,
+               use_relu] = config;
+  using Key = std::tuple<int32_t, int32_t, int32_t, int32_t, int32_t, int32_t,
+                         bool, uint64_t>;
+  const Key key{vocab_size, d_model,     n_heads,  n_layers,
+                d_ff,       max_seq_len, use_relu, seed};
+  static std::mutex mu;
+  static std::map<Key, std::weak_ptr<const TransformerModel>> live;
+  std::lock_guard<std::mutex> lock(mu);
+  for (auto it = live.begin(); it != live.end();) {
+    it = it->second.expired() ? live.erase(it) : std::next(it);
+  }
+  auto& slot = live[key];
+  std::shared_ptr<const TransformerModel> model = slot.lock();
+  if (model == nullptr) {
+    // Not make_shared: a weak reference must not pin the model's storage.
+    model = std::shared_ptr<const TransformerModel>(
+        new TransformerModel(ModelWeights::Random(config, seed)));
+    slot = model;
+  }
+  return model;
 }
 
 void TransformerModel::Activation(float* x, int32_t n) const {

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cache/cache_map.h"
@@ -55,6 +56,19 @@ struct ForwardItem {
 class TransformerModel {
  public:
   explicit TransformerModel(ModelWeights weights);
+
+  /// The model with ModelWeights::Random(config, seed), shared by everyone
+  /// holding it: while any holder of a (config, seed) model is alive, every
+  /// call with that key returns the same instance; once the last holder
+  /// drops it the weights are freed, and the next call builds them anew
+  /// (bit-identical, being seeded). The registry keeps only weak
+  /// references, pruned on lookup, under one process-wide mutex that is
+  /// held through the build: concurrent callers of one key get one model,
+  /// and builds of different keys run one after the other. The model is
+  /// immutable and every forward keeps its scratch per call, so holders
+  /// may run it concurrently.
+  static std::shared_ptr<const TransformerModel> Shared(
+      const ModelConfig& config, uint64_t seed);
 
   const ModelConfig& config() const { return weights_.config; }
   const ModelWeights& weights() const { return weights_; }

@@ -76,7 +76,8 @@ class InferenceBackend : public ExecutionBackend {
   InferenceBackend(InferenceEngine* engine, const InferenceBackendOptions& options);
 
   /// Owns a freshly built engine (multi-instance fleets build one engine
-  /// per instance through this constructor).
+  /// per instance through this constructor; engines alive together share
+  /// the model of one (model, weight_seed)).
   InferenceBackend(const ModelConfig& model, uint64_t weight_seed,
                    int32_t num_blocks, int32_t block_size,
                    const SamplingParams& sampling,

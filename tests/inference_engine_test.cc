@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <thread>
+
 #include "obs/metrics_registry.h"
 
 namespace aptserve {
@@ -221,6 +225,106 @@ TEST(InferenceEngineTest, ManyConcurrentRequestsShareThePool) {
     ASSERT_TRUE(eng.RemoveRequest(id).ok());
   }
   EXPECT_EQ(eng.pool().num_allocated(), 0);
+}
+
+TEST(InferenceEngineTest, LiveEnginesOfOneKeyShareOneModel) {
+  InferenceEngine a(Cfg(), 42, 16, 4);
+  InferenceEngine b(Cfg(), 42, 8, 2);  // pool shape is not part of the key
+  EXPECT_EQ(&a.model(), &b.model());
+}
+
+TEST(InferenceEngineTest, EveryConfigFieldAndTheSeedSeparateModels) {
+  const InferenceEngine base(Cfg(), 42, 16, 4);
+  // Each variant changes one field; both engines are alive at once.
+  const auto expect_separate = [&](const char* name, auto edit) {
+    ModelConfig config = Cfg();
+    edit(config);
+    const InferenceEngine other(config, 42, 16, 4);
+    EXPECT_NE(&other.model(), &base.model()) << name;
+    const ModelConfig& got = other.model().config();
+    EXPECT_TRUE(got.vocab_size == config.vocab_size &&
+                got.d_model == config.d_model &&
+                got.n_heads == config.n_heads &&
+                got.n_layers == config.n_layers && got.d_ff == config.d_ff &&
+                got.max_seq_len == config.max_seq_len &&
+                got.use_relu == config.use_relu)
+        << name;
+  };
+  expect_separate("vocab_size", [](ModelConfig& c) { ++c.vocab_size; });
+  expect_separate("d_model", [](ModelConfig& c) { c.d_model += c.n_heads; });
+  expect_separate("n_heads", [](ModelConfig& c) { c.n_heads *= 2; });
+  expect_separate("n_layers", [](ModelConfig& c) { ++c.n_layers; });
+  expect_separate("d_ff", [](ModelConfig& c) { ++c.d_ff; });
+  expect_separate("max_seq_len", [](ModelConfig& c) { ++c.max_seq_len; });
+  expect_separate("use_relu", [](ModelConfig& c) { c.use_relu = !c.use_relu; });
+  const InferenceEngine reseeded(Cfg(), 43, 16, 4);
+  EXPECT_NE(&reseeded.model(), &base.model());
+}
+
+TEST(InferenceEngineTest, LastEngineFreesTheModelAndARebuildMatchesIt) {
+  const std::vector<int32_t> tokens = Prompt(9);
+  std::weak_ptr<const TransformerModel> first;
+  std::vector<float> first_logits;
+  {
+    InferenceEngine a(Cfg(), 77, 16, 4);
+    {
+      InferenceEngine b(Cfg(), 77, 16, 4);
+      first = TransformerModel::Shared(Cfg(), 77);
+      EXPECT_EQ(first.lock().get(), &b.model());
+    }
+    ASSERT_FALSE(first.expired());  // `a` still holds it
+    auto logits = a.model().ForwardFull(tokens);
+    ASSERT_TRUE(logits.ok()) << logits.status().ToString();
+    first_logits = std::move(*logits);
+  }
+  EXPECT_TRUE(first.expired());  // no model outlives its last engine
+  InferenceEngine rebuilt(Cfg(), 77, 16, 4);
+  auto logits = rebuilt.model().ForwardFull(tokens);
+  ASSERT_TRUE(logits.ok()) << logits.status().ToString();
+  EXPECT_EQ(*logits, first_logits);
+}
+
+TEST(InferenceEngineTest, ConcurrentBuildsOfOneKeyShareOneModel) {
+  constexpr int kThreads = 4;
+  std::vector<std::unique_ptr<InferenceEngine>> engines(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      engines[i] = std::make_unique<InferenceEngine>(Cfg(), 4242, 16, 4);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(&engines[i]->model(), &engines[0]->model()) << i;
+  }
+}
+
+TEST(InferenceEngineTest, EnginesOfOneModelGenerateConcurrently) {
+  // Two engines attached to one model generate at once on two threads:
+  // each must produce the tokens a lone engine produces.
+  const auto generate = [](InferenceEngine* engine, RequestId id) {
+    EXPECT_TRUE(engine->AddRequest(id, Prompt(7, 5), CacheType::kKV).ok());
+    auto tokens = engine->Generate(id, 12);
+    EXPECT_TRUE(tokens.ok()) << tokens.status().ToString();
+    return tokens.ok() ? *tokens : std::vector<int32_t>{};
+  };
+  std::vector<int32_t> want;
+  {
+    InferenceEngine alone(Cfg(), 99, 64, 4);
+    want = generate(&alone, 1);
+  }
+  InferenceEngine a(Cfg(), 99, 64, 4), b(Cfg(), 99, 64, 4);
+  ASSERT_EQ(&a.model(), &b.model());
+  std::vector<int32_t> got_a, got_b;
+  std::thread ta([&] { got_a = generate(&a, 1); });
+  std::thread tb([&] { got_b = generate(&b, 1); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(got_a, want);
+  EXPECT_EQ(got_b, want);
 }
 
 }  // namespace

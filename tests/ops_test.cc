@@ -22,16 +22,6 @@ TEST(OpsTest, MatVec) {
   EXPECT_FLOAT_EQ(y[2], -1);
 }
 
-TEST(OpsTest, MatVecTransposed) {
-  // W^T x with W [3,2], x of 3 elements.
-  const float w[] = {1, 2, 3, 4, 5, 6};
-  const float x[] = {1, 1, 1};
-  float y[2];
-  ops::MatVecTransposed(w, x, y, 3, 2);
-  EXPECT_FLOAT_EQ(y[0], 9);   // 1+3+5
-  EXPECT_FLOAT_EQ(y[1], 12);  // 2+4+6
-}
-
 TEST(OpsTest, AddAndScaleInPlace) {
   float x[] = {1, 2, 3};
   const float y[] = {10, 20, 30};

@@ -107,31 +107,6 @@ TEST_P(ParallelOpsTest, LayerNormBatchMatchesLayerNormExactly) {
   }
 }
 
-TEST_P(ParallelOpsTest, FusedLayerNormMatMatMatchesUnfusedExactly) {
-  Rng rng(14);
-  for (int32_t batch : {1, 3, 33}) {
-    for (int32_t rows : {1, 33, 257}) {
-      const int32_t cols = 31;
-      const auto x = RandomVec(static_cast<int64_t>(batch) * cols, &rng);
-      const auto gain = RandomVec(cols, &rng);
-      const auto bias = RandomVec(cols, &rng);
-      const auto w = RandomVec(static_cast<int64_t>(rows) * cols, &rng);
-      std::vector<float> ln(cols);
-      std::vector<float> want(static_cast<int64_t>(batch) * rows);
-      for (int32_t b = 0; b < batch; ++b) {
-        ops::LayerNorm(x.data() + static_cast<int64_t>(b) * cols, gain.data(),
-                       bias.data(), ln.data(), cols);
-        ops::MatVec(w.data(), ln.data(),
-                    want.data() + static_cast<int64_t>(b) * rows, rows, cols);
-      }
-      std::vector<float> got(want.size(), -1.0f);
-      ops::FusedLayerNormMatMat(x.data(), gain.data(), bias.data(), w.data(),
-                                got.data(), batch, rows, cols, pool());
-      ASSERT_EQ(want, got) << "batch=" << batch << " rows=" << rows;
-    }
-  }
-}
-
 TEST_P(ParallelOpsTest, FusedMatMatActMatchesUnfusedExactly) {
   Rng rng(15);
   for (bool use_relu : {false, true}) {
@@ -159,9 +134,8 @@ TEST_P(ParallelOpsTest, FusedMatMatActMatchesUnfusedExactly) {
 
 // Most shapes above are too small to split even on a pool
 // (ops::ParallelTasks); these carry enough work to, pinning every split
-// branch: MatMat/FusedMatMatAct over W rows and over the batch,
-// LayerNormBatch over the batch, and FusedLayerNormMatMat's
-// normalize-once and per-row branches.
+// branch: MatMat/FusedMatMatAct over W rows and over the batch, and
+// LayerNormBatch over the batch.
 TEST_P(ParallelOpsTest, SplitShapesMatchUnblockedExactly) {
   struct Shape {
     int32_t batch, rows, cols;
@@ -207,27 +181,6 @@ TEST_P(ParallelOpsTest, SplitShapesMatchUnblockedExactly) {
     ops::LayerNormBatch(x.data(), gain.data(), bias.data(), got.data(), batch,
                         n, pool());
     ASSERT_EQ(want, got);
-  }
-
-  for (const Shape& s : {Shape{1, 4096, 33}, Shape{64, 64, 33}}) {
-    expect_split(static_cast<int64_t>(s.batch) * s.rows * s.cols);
-    const auto x = RandomVec(static_cast<int64_t>(s.batch) * s.cols, &rng);
-    const auto gain = RandomVec(s.cols, &rng);
-    const auto bias = RandomVec(s.cols, &rng);
-    const auto w = RandomVec(static_cast<int64_t>(s.rows) * s.cols, &rng);
-    std::vector<float> ln(s.cols);
-    std::vector<float> want(static_cast<int64_t>(s.batch) * s.rows);
-    for (int32_t b = 0; b < s.batch; ++b) {
-      ops::LayerNorm(x.data() + static_cast<int64_t>(b) * s.cols, gain.data(),
-                     bias.data(), ln.data(), s.cols);
-      ops::MatVec(w.data(), ln.data(),
-                  want.data() + static_cast<int64_t>(b) * s.rows, s.rows,
-                  s.cols);
-    }
-    std::vector<float> got(want.size(), -1.0f);
-    ops::FusedLayerNormMatMat(x.data(), gain.data(), bias.data(), w.data(),
-                              got.data(), s.batch, s.rows, s.cols, pool());
-    ASSERT_EQ(want, got) << "FusedLayerNormMatMat batch=" << s.batch;
   }
 }
 
