@@ -57,7 +57,10 @@ const char* RunsCsvHeader() {
          "prefill_tokens_computed,prefill_tokens_skipped,prefix_hits,"
          "prefix_matched_tokens,tokens_generated,route_probe_count,"
          "ttft_p50_s,max_ttft_s,p99_tbt_p50_s,p99_tbt_p99_s,"
-         "ttft_violation_run_max,pool_blocks,peak_blocks,swap_ins";
+         "ttft_violation_run_max,pool_blocks,peak_blocks,swap_ins,"
+         "instance_seconds,peak_instances,cold_starts,scale_events,"
+         "migrations,migrations_with_cache,migration_deduped_tokens,"
+         "migration_copied_tokens,migration_bytes,migration_seconds";
 }
 
 void WriteRunsCsv(const std::vector<CollectedRun>& runs, std::ostream* out) {
@@ -116,7 +119,19 @@ void WriteRunsCsv(const std::vector<CollectedRun>& runs, std::ostream* out) {
     *out << ',' << result.GetInt("ttft_violation_run_max", 0) << ','
          << result.GetInt("pool_blocks", 0) << ','
          << result.GetInt("peak_blocks", 0) << ','
-         << result.GetInt("swap_ins", 0) << "\n";
+         << result.GetInt("swap_ins", 0) << ',';
+    Number(out, result.GetNumber("instance_seconds", 0.0));
+    for (const char* key :
+         {"peak_instances", "cold_starts", "scale_events", "migrations",
+          "migrations_with_cache", "migration_deduped_tokens",
+          "migration_copied_tokens"}) {
+      *out << ',' << result.GetInt(key, 0);
+    }
+    for (const char* key : {"migration_bytes", "migration_seconds"}) {
+      *out << ',';
+      Number(out, result.GetNumber(key, 0.0));
+    }
+    *out << "\n";
   }
 }
 

@@ -62,6 +62,11 @@ Status ApplyParamKey(const char* where, const std::string& key,
     *out = v.number_value();
     return Status::OK();
   };
+  const auto boolean = [&](bool* out) -> Status {
+    APT_RETURN_NOT_OK(ExpectType(where, key, v.is_bool(), "a boolean"));
+    *out = v.bool_value();
+    return Status::OK();
+  };
   const auto i32 = [&](int32_t* out) -> Status {
     APT_RETURN_NOT_OK(ExpectType(where, key, v.is_number(), "a number"));
     const double d = v.number_value();
@@ -83,6 +88,9 @@ Status ApplyParamKey(const char* where, const std::string& key,
   if (key == "slo_tbt_p99_s") return num(&params->slo_tbt_p99_s);
   if (key == "n_instances") return i32(&params->n_instances);
   if (key == "num_cells") return i32(&params->num_cells);
+  if (key == "elastic") return boolean(&params->elastic);
+  if (key == "n_gpus") return i32(&params->n_gpus);
+  if (key == "cache_encoding") return str(&params->cache_encoding);
   if (key == "block_size") return i32(&params->block_size);
   if (key == "pool_blocks") return i32(&params->pool_blocks);
   if (key == "admission_slack") return num(&params->admission_slack);
@@ -100,10 +108,11 @@ Status ApplyParamKey(const char* where, const std::string& key,
 }
 
 Status ValidateParams(const CellParams& p) {
-  if (p.workload != "poisson" && p.workload != "shared-prefix") {
+  if (p.workload != "poisson" && p.workload != "shared-prefix" &&
+      p.workload != "diurnal") {
     return Status::InvalidArgument(
-        "sweep config: workload must be \"poisson\" or \"shared-prefix\", got "
-        "\"" +
+        "sweep config: workload must be \"poisson\", \"shared-prefix\" or "
+        "\"diurnal\", got \"" +
         p.workload + "\"");
   }
   APT_RETURN_NOT_OK(DatasetProfile::ByName(p.profile).status());
@@ -117,6 +126,16 @@ Status ValidateParams(const CellParams& p) {
     return Status::InvalidArgument(
         "sweep config: num_cells must be in [1, n_instances]");
   }
+  // An elastic fleet starts at one instance, which cannot populate more
+  // than one cell: the same FleetController APT_CHECK.
+  if (p.elastic && p.num_cells != 1) {
+    return Status::InvalidArgument(
+        "sweep config: an elastic fleet needs num_cells 1");
+  }
+  if (p.n_gpus < 0) {
+    return Status::InvalidArgument("sweep config: n_gpus must be >= 0");
+  }
+  APT_RETURN_NOT_OK(CacheEncodingByName(p.cache_encoding).status());
   if (p.num_requests < 1) {
     return Status::InvalidArgument("sweep config: num_requests must be >= 1");
   }
@@ -239,6 +258,9 @@ json::JsonValue CellParams::ToJson() const {
   o.Set("slo_tbt_p99_s", json::JsonValue::Number(slo_tbt_p99_s));
   o.Set("n_instances", json::JsonValue::Int(n_instances));
   o.Set("num_cells", json::JsonValue::Int(num_cells));
+  o.Set("elastic", json::JsonValue::Bool(elastic));
+  o.Set("n_gpus", json::JsonValue::Int(n_gpus));
+  o.Set("cache_encoding", json::JsonValue::String(cache_encoding));
   o.Set("block_size", json::JsonValue::Int(block_size));
   o.Set("pool_blocks", json::JsonValue::Int(pool_blocks));
   o.Set("admission_slack", json::JsonValue::Number(admission_slack));

@@ -24,9 +24,11 @@ namespace sweep {
 /// applying an ablation's overrides. Everything here is part of the
 /// resume key.
 struct CellParams {
-  /// "poisson" (length-sampled trace at the cell's rate) or
+  /// "poisson" (length-sampled trace at the cell's rate),
   /// "shared-prefix" (conversation fan-out; the rate axis maps to
-  /// conversation starts per second).
+  /// conversation starts per second) or "diurnal" (length-sampled trace
+  /// over a 600 s day; the rate axis is the peak rate, the trough is a
+  /// rate/8, with one x1.6 flash crowd over 380-420 s).
   std::string workload = "poisson";
   std::string profile = "ShareGPT";  ///< DatasetProfile::ByName
   std::string model = "OPT-13B";     ///< ModelSpec::ByName
@@ -40,6 +42,14 @@ struct CellParams {
   /// Hierarchical fleet-of-fleets: cells in the two-level topology
   /// (1 = flat fleet; >1 consistent-hashes prefixes onto cells).
   int32_t num_cells = 1;
+  /// Elastic fleet: starts at one instance and scales within
+  /// [1, n_instances] under the runner's one scaling and migration
+  /// policy. false = a static fleet of n_instances.
+  bool elastic = false;
+  /// GPUs per instance (tensor parallelism); 0 = ClusterSpec::ForModel.
+  int32_t n_gpus = 0;
+  /// Cache block encoding (CacheEncodingByName).
+  std::string cache_encoding = "fp32";
   int32_t block_size = 16;
   /// Block-pool size per instance; <= 0 derives from the cost model.
   int32_t pool_blocks = -1;

@@ -12,6 +12,7 @@
 #include "bench/sweep/fs_util.h"
 #include "core/apt_sarathi_scheduler.h"
 #include "core/apt_scheduler.h"
+#include "obs/chrome_trace.h"
 #include "obs/metrics_registry.h"
 #include "runtime/runtime_config.h"
 #include "runtime/thread_pool.h"
@@ -21,6 +22,7 @@
 #include "sim/cost_model.h"
 #include "sim/model_spec.h"
 #include "sim/report_writer.h"
+#include "workload/arrival.h"
 #include "workload/length_sampler.h"
 #include "workload/shared_prefix.h"
 #include "workload/trace.h"
@@ -47,14 +49,54 @@ StatusOr<AdmissionMode> ParseAdmissionMode(const std::string& name) {
   return Status::InvalidArgument("unknown admission mode: " + name);
 }
 
+// Events kept per trace shard (one shard per instance) before the ring
+// overwrites the oldest: enough for every event of a committed config.
+constexpr size_t kTraceShardCapacity = size_t{1} << 18;
+
 SloSpec CellSlo(const CellParams& params) {
   return SloSpec{params.slo_ttft_s, params.slo_tbt_p99_s};
 }
 
+/// Diurnal arrivals, then each request's input and output length, all
+/// from one Rng(seed); lengths are capped like BuildTrace's.
+StatusOr<std::vector<Request>> BuildDiurnalTrace(const RunCell& cell,
+                                                 const DatasetProfile& lengths) {
+  Rng rng(cell.seed);
+  // A 600 s day peaking at the cell's rate with a trough at an eighth of
+  // it, plus one flash crowd on the evening shoulder.
+  DiurnalProfile day;
+  day.base_rate = cell.rate / 8;
+  day.peak_rate = cell.rate;
+  day.period_s = 600.0;
+  FlashCrowd crowd;
+  crowd.start_s = 380.0;
+  crowd.duration_s = 40.0;
+  crowd.multiplier = 1.6;
+  const int32_t n = cell.params.num_requests;
+  const int32_t max_len = cell.params.max_total_len;
+  APT_ASSIGN_OR_RETURN(std::vector<TimePoint> arrivals,
+                       DiurnalArrivals(day, {crowd}, cell.params.cv, n, &rng));
+  std::vector<Request> trace;
+  trace.reserve(n);
+  for (int32_t i = 0; i < n; ++i) {
+    Request r;
+    r.id = i;
+    r.arrival = arrivals[i];
+    r.prompt_len = std::min(lengths.input.Sample(&rng), max_len - 1);
+    r.output_len = std::max(
+        1, std::min(lengths.output.Sample(&rng), max_len - r.prompt_len));
+    trace.push_back(r);
+  }
+  return trace;
+}
+
 StatusOr<std::vector<Request>> BuildCellTrace(const RunCell& cell) {
-  if (cell.params.workload == "poisson") {
+  if (cell.params.workload != "shared-prefix") {
     APT_ASSIGN_OR_RETURN(DatasetProfile profile,
                          DatasetProfile::ByName(cell.params.profile));
+    if (cell.params.workload == "diurnal") {
+      return BuildDiurnalTrace(cell, profile);
+    }
     TraceConfig tc;
     tc.profile = profile;
     tc.num_requests = cell.params.num_requests;
@@ -165,6 +207,21 @@ json::JsonValue ResultJson(const RunCell& cell, const CellRun& run) {
   o.Set("pool_blocks", json::JsonValue::Int(run.pool_blocks));
   o.Set("peak_blocks", json::JsonValue::Int(run.peak_blocks));
   o.Set("swap_ins", json::JsonValue::Int(run.swap_ins));
+  const FleetMetrics& fm = run.fleet_metrics;
+  o.Set("instance_seconds", json::JsonValue::Number(fm.instance_seconds));
+  o.Set("peak_instances", json::JsonValue::Int(fm.peak_instances));
+  o.Set("cold_starts", json::JsonValue::Int(fm.cold_starts));
+  o.Set("scale_events", json::JsonValue::Int(
+                            static_cast<int64_t>(fm.scale_events.size())));
+  o.Set("migrations", json::JsonValue::Int(fm.migrations));
+  o.Set("migrations_with_cache",
+        json::JsonValue::Int(fm.migrations_with_cache));
+  o.Set("migration_deduped_tokens",
+        json::JsonValue::Int(fm.migration_deduped_tokens));
+  o.Set("migration_copied_tokens",
+        json::JsonValue::Int(fm.migration_copied_tokens));
+  o.Set("migration_bytes", json::JsonValue::Number(fm.migration_bytes));
+  o.Set("migration_seconds", json::JsonValue::Number(fm.migration_seconds));
   // Bounded-size CDF for the report's TTFT plot (seconds, cum. fraction).
   o.Set("ttft_cdf", CdfJson(c.ttfts, 64));
   return o;
@@ -196,6 +253,19 @@ bool CellIsCurrent(const RunCell& cell, const std::string& run_dir) {
 Status WriteJsonFile(const std::string& path, const json::JsonValue& value) {
   return WriteFile(path, [&value](std::ostream* out) {
     *out << value.Dump(2) << "\n";
+  });
+}
+
+/// --trace: trace.json, written only once the validator accepts it, and
+/// metrics.prom.
+Status WriteCellTrace(obs::TraceRecorder* recorder, const CellRun& run,
+                      const std::string& run_dir) {
+  const std::string json = obs::ExportChromeTrace(recorder->Flush());
+  APT_RETURN_NOT_OK(obs::ValidateChromeTrace(json).status());
+  APT_RETURN_NOT_OK(WriteFile(run_dir + "/trace.json",
+                              [&json](std::ostream* out) { *out << json; }));
+  return WriteFile(run_dir + "/metrics.prom", [&run](std::ostream* out) {
+    *out << run.metrics_prom;
   });
 }
 
@@ -237,10 +307,28 @@ StatusOr<std::unique_ptr<Scheduler>> MakeSchedulerByName(
   return Status::InvalidArgument("unknown scheduler kind: " + kind);
 }
 
-StatusOr<CellRun> ExecuteCell(const RunCell& cell) {
+StatusOr<CacheEncodingPolicy> CacheEncodingByName(const std::string& name) {
+  CacheEncodingPolicy policy;
+  if (name == "fp32") return policy;
+  if (name == "int8-transit") {
+    policy.quantize_migration_payload = true;
+    return policy;
+  }
+  if (name == "all-int8") {
+    policy.kv = BlockEncoding::kInt8;
+    policy.hidden = BlockEncoding::kInt8;
+    return policy;
+  }
+  return Status::InvalidArgument("unknown cache encoding: " + name);
+}
+
+StatusOr<CellRun> ExecuteCell(const RunCell& cell,
+                              obs::TraceRecorder* trace_recorder) {
   APT_ASSIGN_OR_RETURN(std::vector<Request> trace, BuildCellTrace(cell));
   APT_ASSIGN_OR_RETURN(ModelSpec model, ModelSpec::ByName(cell.params.model));
-  const CostModel cost_model(model, ClusterSpec::ForModel(model));
+  ClusterSpec cluster = ClusterSpec::ForModel(model);
+  if (cell.params.n_gpus > 0) cluster.n_gpus = cell.params.n_gpus;
+  const CostModel cost_model(model, cluster);
   const SloSpec slo = CellSlo(cell.params);
 
   FleetConfig fc;
@@ -258,8 +346,28 @@ StatusOr<CellRun> ExecuteCell(const RunCell& cell) {
   // running many cells at once, and nested pools would oversubscribe.
   fc.runtime.num_threads = 1;
   fc.cells.num_cells = cell.params.num_cells;
+  if (cell.params.elastic) {
+    // The one elastic policy: start at one instance, grow quickly on
+    // queue depth, utilization or the SLO guard, shrink slowly, and
+    // migrate queued requests off draining and hot instances.
+    fc.router.n_instances = 1;
+    fc.min_instances = 1;
+    fc.max_instances = cell.params.n_instances;
+    fc.tick_interval_s = 2.0;
+    fc.instance_warmup_s = 5.0;
+    fc.scale_up_cooldown_s = 4.0;
+    fc.scale_down_cooldown_s = 45.0;
+    fc.scaling = {ScalingRule::QueueDepth(/*high=*/1.0, /*low=*/0.1),
+                  ScalingRule::TargetUtilization(/*high=*/0.75, /*low=*/0.30),
+                  ScalingRule::SloAttainmentGuard(/*floor=*/0.97,
+                                                  /*window_s=*/40.0)};
+    fc.enable_migration = true;
+    fc.migration_imbalance_threshold = 4.0;
+    fc.max_migrations_per_tick = 16;
+  }
   obs::MetricsRegistry metrics;
   fc.metrics = &metrics;
+  fc.trace = trace_recorder;
 
   // Validate the scheduler name once up front; the per-instance factory
   // then can't fail (SchedulerFactory has no error channel).
@@ -276,6 +384,8 @@ StatusOr<CellRun> ExecuteCell(const RunCell& cell) {
   backend_options.block_size = cell.params.block_size;
   backend_options.pool_blocks_override = cell.params.pool_blocks;
   backend_options.enable_prefix_sharing = cell.prefix_sharing;
+  APT_ASSIGN_OR_RETURN(backend_options.cache_encoding,
+                       CacheEncodingByName(cell.params.cache_encoding));
   BackendFactory make_backend =
       [&cost_model, backend_options](
           int32_t) -> StatusOr<std::unique_ptr<ExecutionBackend>> {
@@ -293,6 +403,7 @@ StatusOr<CellRun> ExecuteCell(const RunCell& cell) {
       FleetController(fc, &cost_model)
           .Run(trace, make_scheduler, make_backend, slo));
   run.fleet = std::move(result.serve);
+  run.fleet_metrics = std::move(result.fleet);
   for (size_t i = 0; i < run.fleet.records_per_instance.size(); ++i) {
     run.records.merge(run.fleet.records_per_instance[i]);
     const std::string label = "instance=\"" + std::to_string(i) + "\"";
@@ -303,6 +414,7 @@ StatusOr<CellRun> ExecuteCell(const RunCell& cell) {
     run.swap_ins +=
         metrics.GetCounter("aptserve_swap_ins_total", label)->value();
   }
+  if (trace_recorder != nullptr) run.metrics_prom = metrics.ExportPrometheus();
   return run;
 }
 
@@ -313,6 +425,10 @@ StatusOr<SweepRunResult> RunSweep(const SweepConfig& config,
     effective.out_root = options.out_root_override;
   }
   if (options.jobs_override > 0) effective.jobs = options.jobs_override;
+  if (options.trace && options.resume) {
+    return Status::InvalidArgument(
+        "sweep: --trace cannot be combined with --resume");
+  }
 
   APT_ASSIGN_OR_RETURN(std::vector<RunCell> cells, ExpandMatrix(effective));
 
@@ -368,12 +484,19 @@ StatusOr<SweepRunResult> RunSweep(const SweepConfig& config,
     }
     if (status.ok()) {
       // result.json last: it marks the cell complete for --resume.
-      auto run = ExecuteCell(cell);
+      std::unique_ptr<obs::TraceRecorder> recorder;
+      if (options.trace) {
+        recorder = std::make_unique<obs::TraceRecorder>(kTraceShardCapacity);
+      }
+      auto run = ExecuteCell(cell, recorder.get());
       status = run.status();
       if (status.ok()) {
         status = WriteFile(run_dir + "/requests.csv", [&](std::ostream* out) {
           WriteRequestRecordsCsv(run->records, CellSlo(cell.params), out);
         });
+      }
+      if (status.ok() && recorder != nullptr) {
+        status = WriteCellTrace(recorder.get(), *run, run_dir);
       }
       if (status.ok()) {
         status =

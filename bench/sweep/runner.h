@@ -16,8 +16,10 @@
 #include <vector>
 
 #include "bench/sweep/config.h"
+#include "cache/cache_types.h"
 #include "common/json.h"
 #include "common/status.h"
+#include "obs/trace_recorder.h"
 #include "serve/fleet_controller.h"
 #include "sim/metrics.h"
 #include "sim/scheduler.h"
@@ -37,6 +39,11 @@ struct SweepOptions {
   std::string out_root_override;
   /// Per-cell progress lines on stderr.
   bool verbose = true;
+  /// Each cell also writes trace.json (the Chrome trace of its request
+  /// lifecycle; a trace the validator rejects fails the cell) and
+  /// metrics.prom (its metrics registry in Prometheus text). Rejected
+  /// together with `resume`: a skipped cell would have no trace.
+  bool trace = false;
 };
 
 struct CellOutcome {
@@ -80,11 +87,25 @@ struct CellRun {
   /// aptserve_swap_ins_total series of the fleet's metrics registry).
   int32_t peak_blocks = 0;
   int64_t swap_ins = 0;
+  /// Fleet size, scaling and migration accounting.
+  FleetMetrics fleet_metrics;
+  /// The fleet's metrics registry in Prometheus text; set only for a
+  /// traced run.
+  std::string metrics_prom;
 };
 
 /// Executes one cell in-process on a FleetController over cost-model
 /// backends. Exposed so tests can check a cell without a directory tree.
-StatusOr<CellRun> ExecuteCell(const RunCell& cell);
+/// With `trace_recorder` set, the fleet records its request lifecycle
+/// there (purely observational: the result is unchanged) and
+/// `metrics_prom` is filled.
+StatusOr<CellRun> ExecuteCell(const RunCell& cell,
+                              obs::TraceRecorder* trace_recorder = nullptr);
+
+/// The `cache_encoding` cell key's values: "fp32", "int8-transit" (fp32
+/// tiers, int8 migration payloads) or "all-int8" (int8 KV and hidden
+/// tiers). Unknown names are InvalidArgument.
+StatusOr<CacheEncodingPolicy> CacheEncodingByName(const std::string& name);
 
 /// The one table of scheduler names ("vLLM", "Apt", "Apt-S", ...): sweep
 /// config validation, every sweep cell and the bench programs build their

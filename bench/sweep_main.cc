@@ -5,6 +5,7 @@
 //
 //   sweep --config bench/experiments/smoke.json --jobs 2 --resume
 //   sweep --config bench/experiments/paper_table.json --dry_run
+//   sweep --config bench/experiments/ext_fleet_elasticity.json --trace
 //
 // Exit status: 0 when every planned cell succeeded (or was skipped by
 // --resume), 1 on harness errors or any failed cell.
@@ -31,7 +32,10 @@ void Usage(const char* argv0) {
       "                     result.json exists\n"
       "  --dry_run          print the expanded plan, execute nothing\n"
       "  --fail_fast        stop launching cells after the first failure\n"
-      "  --quiet            suppress per-cell progress lines\n",
+      "  --quiet            suppress per-cell progress lines\n"
+      "  --trace            each cell also writes trace.json (Chrome\n"
+      "                     trace, validated) and metrics.prom; not with\n"
+      "                     --resume\n",
       argv0);
 }
 
@@ -64,6 +68,8 @@ int main(int argc, char** argv) {
       options.fail_fast = true;
     } else if (arg == "--quiet") {
       options.verbose = false;
+    } else if (arg == "--trace") {
+      options.trace = true;
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       return 0;

@@ -1,11 +1,13 @@
 // Int8-quantized cache blocks: round-trip error bounds of the quantizer,
 // dense packing through BlockStorage and the hybrid assigner, block
 // conservation through export->import migration with raw-code transport,
-// swap stability (requantization idempotence end to end), and the
-// bit-identity guarantee when quantization is off.
+// swap stability (requantization idempotence end to end), the admission
+// capacity each encoding buys at equal pool bytes, and the bit-identity
+// guarantee when quantization is off.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "common/rng.h"
 #include "engine/block_storage.h"
 #include "engine/inference_engine.h"
+#include "workload/length_sampler.h"
 
 namespace aptserve {
 namespace {
@@ -207,6 +210,41 @@ TEST(QuantizedAssignerTest, Int8TiersPackFourTimesTheTokens) {
 
   ASSERT_TRUE(assigner.Release(1).ok());
   EXPECT_EQ(pool.num_allocated(), 0);
+}
+
+TEST(QuantizedAssignerTest, Int8TiersAdmitMoreRequestsAtEqualPoolBytes) {
+  // One ShareGPT-length request stream, alternating KV and hidden cache,
+  // admitted into the same pool until the first one does not fit.
+  Rng rng(77);
+  const DatasetProfile lengths = DatasetProfile::ShareGpt();
+  std::vector<int32_t> prompt_lens(4096);
+  for (int32_t& n : prompt_lens) {
+    n = std::max(1, std::min(lengths.input.Sample(&rng), 2047));
+  }
+  const auto admitted = [&](const CacheEncodingPolicy& policy) {
+    BlockPool pool(/*num_blocks=*/1024, /*block_size=*/16);
+    HybridCacheAssigner assigner(&pool);
+    assigner.SetEncodingPolicy(policy);
+    int32_t n = 0;
+    for (size_t i = 0; i < prompt_lens.size(); ++i) {
+      const CacheType type = i % 2 == 0 ? CacheType::kKV : CacheType::kHidden;
+      if (!assigner
+               .CreateFilled(static_cast<RequestId>(i), type, prompt_lens[i])
+               .ok()) {
+        break;
+      }
+      ++n;
+    }
+    return n;
+  };
+  CacheEncodingPolicy int8_hidden;
+  int8_hidden.hidden = BlockEncoding::kInt8;
+  const int32_t fp32 = admitted(CacheEncodingPolicy{});
+  EXPECT_EQ(fp32, 49);
+  EXPECT_EQ(admitted(int8_hidden), 66);
+  const int32_t all_int8 = admitted(AllInt8());
+  EXPECT_EQ(all_int8, 188);
+  EXPECT_GE(all_int8, 2 * fp32);
 }
 
 TEST(QuantizedEngineTest, TokensBitIdenticalWithQuantizationOff) {

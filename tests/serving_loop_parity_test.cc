@@ -573,6 +573,8 @@ TEST(FleetOfOneParityTest, MatchesServingLoopForEverySweepScheduler) {
       {"Apt", R"({"prediction_quantile": 0.7})"},
       {"Apt", R"({"preemption_mode": "swap"})"},
       {"Apt", R"({"block_size": 8})"},
+      {"Apt", R"({"n_gpus": 2})"},
+      {"Apt", R"({"cache_encoding": "all-int8"})"},
   };
   int64_t swap_ins = 0;
   for (const Case& c : cases) {
@@ -585,14 +587,22 @@ TEST(FleetOfOneParityTest, MatchesServingLoopForEverySweepScheduler) {
     cell.params = *params;
     const SloSpec slo{params->slo_ttft_s, params->slo_tbt_p99_s};
 
-    // The replaced programs' path: one ServingLoop over one backend.
-    const CostModel cm = MakeCostModel();
+    // The replaced programs' path: one ServingLoop over one backend, on
+    // the cell's cluster and cache encoding.
+    const ModelSpec model = ModelSpec::Opt13B();
+    ClusterSpec cluster = ClusterSpec::ForModel(model);
+    if (params->n_gpus > 0) cluster.n_gpus = params->n_gpus;
+    const CostModel cm(model, cluster);
     auto sched = sweep::MakeSchedulerByName(c.scheduler, slo,
                                             params->violation_decay,
                                             params->prediction_quantile);
     ASSERT_TRUE(sched.ok()) << sched.status().ToString();
     CostModelBackend::Options opts;
     opts.block_size = params->block_size;
+    if (params->cache_encoding == "all-int8") {
+      opts.cache_encoding.kv = BlockEncoding::kInt8;
+      opts.cache_encoding.hidden = BlockEncoding::kInt8;
+    }
     auto backend = CostModelBackend::Create(cm, opts);
     ASSERT_TRUE(backend.ok()) << backend.status().ToString();
     ServingLoopConfig loop;

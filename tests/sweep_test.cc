@@ -1,6 +1,8 @@
 // Sweep harness (bench/sweep/): matrix expansion, the --resume contract
 // (skip on matching meta.json, rerun on any config change), run-directory
-// layout, runs.csv row conservation, and report rendering.
+// layout, runs.csv row conservation, report rendering, and the committed
+// fleet configs' gates (elastic savings, int8 migration bytes, a valid
+// trace of a scaling, migrating fleet).
 #include "bench/sweep/config.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,6 +22,8 @@
 #include "bench/sweep/report.h"
 #include "bench/sweep/runner.h"
 #include "common/json.h"
+#include "obs/chrome_trace.h"
+#include "obs/trace_recorder.h"
 
 namespace aptserve {
 namespace sweep {
@@ -381,12 +386,35 @@ TEST(SweepConfigTest, ServingKnobsParseAndRejectOutOfRangeValues) {
   EXPECT_EQ(good->base.prediction_quantile, 0.9);
   EXPECT_TRUE(parse(R"({"violation_decay":0,"prediction_quantile":0})").ok());
 
+  auto fleet = parse(
+      R"({"elastic":true,"n_gpus":2,"cache_encoding":"int8-transit",)"
+      R"("workload":"diurnal"})");
+  ASSERT_TRUE(fleet.ok()) << fleet.status().ToString();
+  EXPECT_TRUE(fleet->base.elastic);
+  EXPECT_EQ(fleet->base.n_gpus, 2);
+  EXPECT_EQ(fleet->base.cache_encoding, "int8-transit");
+  EXPECT_EQ(fleet->base.workload, "diurnal");
+
   for (const char* bad :
        {R"({"preemption_mode":"evict"})", R"({"preemption_mode":1})",
         R"({"violation_decay":-0.1})", R"({"violation_decay":1.5})",
-        R"({"prediction_quantile":-0.5})", R"({"prediction_quantile":1})"}) {
+        R"({"prediction_quantile":-0.5})", R"({"prediction_quantile":1})",
+        R"({"elastic":1})", R"({"elastic":"true"})",
+        R"({"cache_encoding":"int8-hidden"})", R"({"cache_encoding":8})",
+        R"({"n_gpus":-1})", R"({"n_gpus":1.5})",
+        // An elastic fleet starts at one instance, which cannot populate
+        // two cells; the fleet would abort on it.
+        R"({"elastic":true,"n_instances":4,"num_cells":2})"}) {
     EXPECT_TRUE(parse(bad).status().IsInvalidArgument()) << bad;
   }
+  // A resumed cell is skipped, so it would have no trace.
+  SweepOptions traced_resume = Quiet();
+  traced_resume.trace = true;
+  traced_resume.resume = true;
+  traced_resume.dry_run = true;
+  EXPECT_TRUE(RunSweep(TinyConfig("unused"), traced_resume)
+                  .status()
+                  .IsInvalidArgument());
   // An ablation override is validated the same way.
   auto doc = json::ParseJson(
       R"({"name":"x","out_root":"o","ablations":[)"
@@ -409,7 +437,96 @@ TEST(SweepCollectTest, RunsCsvHeaderIsPinned) {
       "prefill_tokens_skipped,prefix_hits,prefix_matched_tokens,"
       "tokens_generated,route_probe_count,ttft_p50_s,max_ttft_s,"
       "p99_tbt_p50_s,p99_tbt_p99_s,ttft_violation_run_max,pool_blocks,"
-      "peak_blocks,swap_ins");
+      "peak_blocks,swap_ins,instance_seconds,peak_instances,cold_starts,"
+      "scale_events,migrations,migrations_with_cache,"
+      "migration_deduped_tokens,migration_copied_tokens,migration_bytes,"
+      "migration_seconds");
+}
+
+struct ExecutedCell {
+  RunCell cell;
+  CellRun run;
+};
+
+// Every cell of a committed config, executed, by ablation name.
+std::map<std::string, ExecutedCell> RunCommittedConfig(
+    const std::string& name) {
+  std::map<std::string, ExecutedCell> out;
+  auto config = LoadSweepConfigFile(std::string(APTSERVE_SOURCE_DIR) +
+                                    "/bench/experiments/" + name + ".json");
+  EXPECT_TRUE(config.ok()) << config.status().ToString();
+  if (!config.ok()) return out;
+  auto cells = ExpandMatrix(*config);
+  EXPECT_TRUE(cells.ok()) << cells.status().ToString();
+  if (!cells.ok()) return out;
+  for (const RunCell& cell : *cells) {
+    auto run = ExecuteCell(cell);
+    EXPECT_TRUE(run.ok()) << cell.run_id << ": " << run.status().ToString();
+    if (run.ok()) out[cell.ablation] = {cell, std::move(*run)};
+  }
+  return out;
+}
+
+double BytesPerCopiedToken(const FleetMetrics& fm) {
+  return fm.migration_bytes / fm.migration_copied_tokens;
+}
+
+TEST(SweepFleetConfigTest, ElasticFleetSavesInstanceSecondsAtEqualAttainment) {
+  const auto runs = RunCommittedConfig("ext_fleet_elasticity");
+  ASSERT_EQ(runs.count("static-peak"), 1u);
+  ASSERT_EQ(runs.count("elastic"), 1u);
+  const CellRun& fixed = runs.at("static-peak").run;
+  const CellRun& elastic = runs.at("elastic").run;
+  // >= 20% fewer instance-seconds than the fleet sized for the peak, at
+  // equal or better attainment.
+  EXPECT_LE(elastic.fleet_metrics.instance_seconds,
+            0.8 * fixed.fleet_metrics.instance_seconds);
+  EXPECT_GE(elastic.fleet.combined.slo_attainment + 1e-9,
+            fixed.fleet.combined.slo_attainment);
+  EXPECT_GT(elastic.fleet_metrics.cold_starts, 0);
+  EXPECT_GT(elastic.fleet_metrics.migrations, 0);
+
+  // Traced, the scaling, migrating fleet exports a trace the validator
+  // accepts, with a matched migration flow and a scale event, and the
+  // tracer changes no result.
+  obs::TraceRecorder recorder(/*shard_capacity=*/size_t{1} << 18);
+  auto traced = ExecuteCell(runs.at("elastic").cell, &recorder);
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  auto stats =
+      obs::ValidateChromeTrace(obs::ExportChromeTrace(recorder.Flush()));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GE(stats->matched_flows, 1);
+  EXPECT_GE(stats->scale_events, 1);
+  EXPECT_NE(traced->metrics_prom.find("aptserve_"), std::string::npos);
+  EXPECT_TRUE(elastic.metrics_prom.empty());
+  EXPECT_EQ(traced->fleet.combined.slo_attainment,
+            elastic.fleet.combined.slo_attainment);
+  EXPECT_EQ(traced->fleet.combined.total_serving_time,
+            elastic.fleet.combined.total_serving_time);
+  EXPECT_EQ(traced->fleet_metrics.instance_seconds,
+            elastic.fleet_metrics.instance_seconds);
+  EXPECT_EQ(traced->fleet_metrics.migrations,
+            elastic.fleet_metrics.migrations);
+}
+
+TEST(SweepFleetConfigTest, Int8TransitHalvesMigrationBytesPerCopiedToken) {
+  const auto runs = RunCommittedConfig("ext_quantized_migration");
+  ASSERT_EQ(runs.count("fp32"), 1u);
+  ASSERT_EQ(runs.count("int8-transit"), 1u);
+  ASSERT_EQ(runs.count("all-int8"), 1u);
+  const FleetMetrics& fp32 = runs.at("fp32").run.fleet_metrics;
+  const FleetMetrics& transit = runs.at("int8-transit").run.fleet_metrics;
+  ASSERT_GT(fp32.migration_copied_tokens, 0);
+  ASSERT_GT(transit.migration_copied_tokens, 0);
+  // The analytic cache baseline is fp16, so int8 codes halve the bytes.
+  EXPECT_LE(1.8 * BytesPerCopiedToken(transit), BytesPerCopiedToken(fp32));
+  const double fp32_attainment =
+      runs.at("fp32").run.fleet.combined.slo_attainment;
+  for (const auto& [encoding, executed] : runs) {
+    EXPECT_GE(executed.run.fleet.combined.slo_attainment + 1e-9,
+              fp32_attainment)
+        << encoding;
+  }
 }
 
 TEST(SweepConfigTest, CommittedExampleConfigsParseAndExpand) {
