@@ -170,7 +170,7 @@ Status ParseAxis(const json::JsonValue& matrix, const char* key,
   }
   out->clear();
   for (const json::JsonValue& item : axis->items()) {
-    T value;
+    T value{};
     APT_RETURN_NOT_OK(element(item, &value));
     out->push_back(value);
   }

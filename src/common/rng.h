@@ -7,9 +7,38 @@
 
 namespace aptserve {
 
-/// A thin wrapper over std::mt19937_64 with the distributions the library
-/// needs. Every component that draws randomness takes an explicit seed;
-/// nothing reads global entropy.
+/// MT19937-64 (Matsumoto & Nishimura, ACM TOMACS 1998) with the seeding,
+/// twist and tempering of std::mt19937_64, so it returns the same 64-bit
+/// stream bit for bit. A refill twists the 312 state words and tempers them
+/// into a block in branch-free loops the compiler vectorises; a draw is then
+/// one load. Meets UniformRandomBitGenerator, so the std distributions run
+/// over it unchanged.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+  static constexpr int kStateWords = 312;
+
+  explicit Mt19937_64(uint64_t seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (pos_ == kStateWords) Refill();
+    return block_[pos_++];
+  }
+
+ private:
+  void Refill();
+
+  uint64_t state_[kStateWords] = {};
+  uint64_t block_[kStateWords] = {};  ///< Tempered output of the last refill.
+  int pos_ = kStateWords;
+};
+
+/// The distributions the library needs over Mt19937_64. Every component
+/// that draws randomness takes an explicit seed; nothing reads global
+/// entropy.
 class Rng {
  public:
   explicit Rng(uint64_t seed = 42) : gen_(seed) {}
@@ -26,11 +55,19 @@ class Rng {
     return d(gen_);
   }
 
-  /// Standard normal draw.
-  double Normal() { return normal_(gen_); }
+  /// Standard normal draw: Marsaglia's polar method exactly as libstdc++'s
+  /// std::normal_distribution<double> computes it, second value saved for
+  /// the next draw included, but independent of the standard library.
+  double Normal();
 
   /// Normal with the given mean and standard deviation.
   double Normal(double mean, double stddev) { return mean + stddev * Normal(); }
+
+  /// Writes `n` values equal, in order, to `n` calls of
+  /// `static_cast<float>(Normal()) * scale`, saved value carried across
+  /// calls: accept/reject runs over batches of uniform pairs, then
+  /// log/sqrt over each accepted batch.
+  void FillNormal(float* out, int64_t n, float scale);
 
   /// Exponential with the given rate (mean 1/rate).
   double Exponential(double rate) {
@@ -50,12 +87,13 @@ class Rng {
     return d(gen_);
   }
 
-  std::mt19937_64& generator() { return gen_; }
+  Mt19937_64& generator() { return gen_; }
 
  private:
-  std::mt19937_64 gen_;
+  Mt19937_64 gen_;
   std::uniform_real_distribution<double> unit_{0.0, 1.0};
-  std::normal_distribution<double> normal_{0.0, 1.0};
+  double saved_normal_ = 0.0;
+  bool has_saved_normal_ = false;
 };
 
 }  // namespace aptserve

@@ -10,9 +10,7 @@ namespace {
 
 Tensor RandomMatrix(Rng* rng, int32_t rows, int32_t cols, float scale) {
   Tensor t({rows, cols});
-  for (int64_t i = 0; i < t.NumElements(); ++i) {
-    t.at(i) = static_cast<float>(rng->Normal()) * scale;
-  }
+  rng->FillNormal(t.data(), t.NumElements(), scale);
   return t;
 }
 
