@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/apt_scheduler.h"
 #include "core/runtime_tracker.h"
 
 namespace aptserve {
@@ -11,12 +12,8 @@ BatchPlan AptSarathiScheduler::PlanIteration(const SchedulerInput& input) {
   BatchPlan plan;
   if (input.waiting.empty() && input.running.empty()) return plan;
 
-  QuantificationConfig qc;
-  qc.rho_seconds_per_token = input.cost_model->RhoSecondsPerToken();
-  qc.num_requests_in_system =
-      static_cast<int32_t>(input.waiting.size() + input.running.size());
-  qc.violation_decay = config_.violation_decay;
-  const QuantificationModel quant(qc);
+  const QuantificationModel quant(
+      AptScheduler::MakeQuantConfig(input, config_.violation_decay));
   const GreedySolver solver(&quant);
 
   int32_t budget = config_.token_budget;
@@ -50,20 +47,11 @@ BatchPlan AptSarathiScheduler::PlanIteration(const SchedulerInput& input) {
           d.use_hidden ? CacheType::kHidden : CacheType::kKV;
       if (d.selected && want == r->cache_type) {
         decoding.push_back(r);
-      } else if (d.selected) {
-        plan.preempt.push_back({r->spec.id, want});
-        free_blocks += r->cache_type == CacheType::kKV
-                           ? input.assigner->BlocksNeeded(CacheType::kKV,
-                                                          r->cached_tokens)
-                           : input.assigner->BlocksNeeded(CacheType::kHidden,
-                                                          r->cached_tokens);
       } else {
-        plan.preempt.push_back({r->spec.id, r->cache_type});
-        free_blocks += r->cache_type == CacheType::kKV
-                           ? input.assigner->BlocksNeeded(CacheType::kKV,
-                                                          r->cached_tokens)
-                           : input.assigner->BlocksNeeded(CacheType::kHidden,
-                                                          r->cached_tokens);
+        // Selected with the other type: convert; unselected: preempt.
+        plan.preempt.push_back({r->spec.id, d.selected ? want : r->cache_type});
+        free_blocks +=
+            input.assigner->BlocksNeeded(r->cache_type, r->cached_tokens);
       }
     }
     for (const SimRequest* r : decoding) {

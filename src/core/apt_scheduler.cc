@@ -7,17 +7,16 @@
 namespace aptserve {
 
 QuantificationConfig AptScheduler::MakeQuantConfig(
-    const SchedulerInput& input) const {
+    const SchedulerInput& input, double violation_decay, bool enable_hidden) {
   QuantificationConfig qc;
   // Disabling hidden cache is modeled as an unaffordable penalty, which
   // makes the solver collapse to the pure 0-1 knapsack special case the
   // paper uses in its NP-hardness argument.
-  qc.rho_seconds_per_token = config_.enable_hidden
-                                 ? input.cost_model->RhoSecondsPerToken()
-                                 : 1e18;
+  qc.rho_seconds_per_token =
+      enable_hidden ? input.cost_model->RhoSecondsPerToken() : 1e18;
   qc.num_requests_in_system =
       static_cast<int32_t>(input.waiting.size() + input.running.size());
-  qc.violation_decay = config_.violation_decay;
+  qc.violation_decay = violation_decay;
   return qc;
 }
 
@@ -62,7 +61,8 @@ BatchPlan AptScheduler::PlanIteration(const SchedulerInput& input) {
     prefill_iter = waiting_pending > running_pending;
   }
 
-  const QuantificationModel quant(MakeQuantConfig(input));
+  const QuantificationModel quant(MakeQuantConfig(
+      input, config_.violation_decay, config_.enable_hidden));
   const GreedySolver solver(&quant);
 
   if (prefill_iter) {

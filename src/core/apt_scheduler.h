@@ -54,8 +54,13 @@ class AptScheduler : public Scheduler {
   const AptConfig& config() const { return config_; }
   const OutputLengthPredictor& predictor() const { return predictor_; }
 
+  /// The iteration's Eq. 5/6 quantification over `input`'s queues; shared
+  /// with Apt-Serve-S, which always enables the hidden cache.
+  static QuantificationConfig MakeQuantConfig(const SchedulerInput& input,
+                                              double violation_decay,
+                                              bool enable_hidden = true);
+
  private:
-  QuantificationConfig MakeQuantConfig(const SchedulerInput& input) const;
   BatchPlan PlanPrefill(const SchedulerInput& input,
                         const GreedySolver& solver) const;
   BatchPlan PlanDecode(const SchedulerInput& input,

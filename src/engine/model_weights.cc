@@ -58,13 +58,4 @@ ModelWeights ModelWeights::Random(const ModelConfig& config, uint64_t seed) {
   return w;
 }
 
-int64_t ModelWeights::NumParameters() const {
-  const int64_t d = config.d_model;
-  const int64_t dff = config.d_ff;
-  int64_t per_layer = 4 * d * d + 2 * d * dff + 4 * d;
-  return config.n_layers * per_layer +
-         static_cast<int64_t>(config.vocab_size) * d +
-         static_cast<int64_t>(config.max_seq_len) * d + 2 * d;
-}
-
 }  // namespace aptserve

@@ -30,9 +30,6 @@ struct ModelWeights {
 
   /// Builds weights with scaled-normal initialization from `seed`.
   static ModelWeights Random(const ModelConfig& config, uint64_t seed);
-
-  /// Approximate parameter count (for cost accounting in benchmarks).
-  int64_t NumParameters() const;
 };
 
 }  // namespace aptserve

@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <utility>
 
@@ -143,16 +142,6 @@ std::string ExportChromeTrace(std::vector<TraceEvent> events) {
   }
   out += "],\"displayTimeUnit\":\"ms\"}\n";
   return out;
-}
-
-Status WriteChromeTrace(std::vector<TraceEvent> events,
-                        const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return Status::Internal("cannot open trace file: " + path);
-  out << ExportChromeTrace(std::move(events));
-  out.close();
-  if (!out) return Status::Internal("short write to trace file: " + path);
-  return Status::OK();
 }
 
 // ---- Minimal JSON parser ---------------------------------------------------

@@ -4,7 +4,7 @@
 // thread track per instance (tids = instance ids) plus "router" and
 // "controller" tracks, spans as "X" complete events, instants as "i", and
 // flow arrows ("s"/"f" pairs sharing an id) linking migration export ->
-// import and shed -> re-route across instance tracks. Timestamps convert
+// import across instance tracks. Timestamps convert
 // from the recorder's seconds (virtual or wall — one frame per run) to the
 // microseconds the format requires.
 //
@@ -43,10 +43,6 @@ struct ChromeTraceStats {
 /// for a deterministic event sequence and per-track timestamps are
 /// monotonic by construction.
 std::string ExportChromeTrace(std::vector<TraceEvent> events);
-
-/// ExportChromeTrace + write to `path`.
-Status WriteChromeTrace(std::vector<TraceEvent> events,
-                        const std::string& path);
 
 /// Parses `json` and checks the structural contract described above.
 StatusOr<ChromeTraceStats> ValidateChromeTrace(const std::string& json);

@@ -48,8 +48,6 @@ enum class TraceOp : uint8_t {
   kMigrationExport,  ///< flow begin: request extracted (a0=cached tokens)
   kMigrationImport,  ///< flow end: request received (a0=cache restored 0/1,
                      ///< a1=copied tokens)
-  kShed,             ///< instant: async worker shed a queued request
-                     ///< (a0=queue depth at shed)
   kCompletion,       ///< instant: final token (a0=ttft, a1=e2e seconds)
   kScale,            ///< instant on the controller track (id=instance,
                      ///< a0 kind: 0=add, 1=live, 2=drain, 3=retire)

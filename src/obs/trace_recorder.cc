@@ -165,8 +165,6 @@ const char* TraceOpName(TraceOp op) {
       return "migration_export";
     case TraceOp::kMigrationImport:
       return "migration_import";
-    case TraceOp::kShed:
-      return "shed";
     case TraceOp::kCompletion:
       return "completion";
     case TraceOp::kScale:
@@ -219,8 +217,6 @@ const char* TraceOpArgName(TraceOp op, int32_t slot) {
         case 1: return "copied_tokens";
       }
       return nullptr;
-    case TraceOp::kShed:
-      return slot == 0 ? "queue_depth" : nullptr;
     case TraceOp::kCompletion:
       switch (slot) {
         case 0: return "ttft_s";

@@ -4,49 +4,19 @@
 
 namespace aptserve::runtime {
 
-/// Time source seam for the serving layer. The simulator's virtual clock is
-/// the pinned deterministic reference: it advances only when the serving
-/// loop says so, so every run of a trace replays identically. The monotonic
-/// clock reads the host's steady clock and drives the async wall-clock
-/// serving mode, where latency is measured for real. Both report seconds as
-/// double from an arbitrary epoch — only differences are meaningful.
+/// Real time for the async wall-clock serving mode, where latency is
+/// measured for real: std::chrono::steady_clock rebased so the first
+/// reading after construction is ~0, in seconds as double (only
+/// differences are meaningful). The deterministic modes attach no Clock —
+/// their timeline is the serving loop's virtual clock, which advances only
+/// when the loop says so. Thread-safe (the epoch is immutable).
 class Clock {
  public:
-  virtual ~Clock() = default;
-  /// Current time in seconds. Thread-safe for MonotonicClock; VirtualClock
-  /// may only be advanced from one thread at a time.
-  virtual double Now() const = 0;
-  /// True when Now() reflects real elapsed time on this host.
-  virtual bool is_wall() const = 0;
-};
-
-/// Deterministic clock owned by its driver: reads return whatever the
-/// driver last set. This is the reference mode — a trace replayed under a
-/// VirtualClock produces bit-identical schedules, tokens, and metrics.
-class VirtualClock final : public Clock {
- public:
-  explicit VirtualClock(double start = 0.0) : now_(start) {}
-  double Now() const override { return now_; }
-  bool is_wall() const override { return false; }
-  /// Moves time forward (monotone; backwards moves are clamped to now).
-  void AdvanceTo(double t) {
-    if (t > now_) now_ = t;
-  }
-
- private:
-  double now_ = 0.0;
-};
-
-/// Real time from std::chrono::steady_clock, rebased so the first reading
-/// after construction is ~0. Thread-safe (the epoch is immutable).
-class MonotonicClock final : public Clock {
- public:
-  MonotonicClock() : epoch_(std::chrono::steady_clock::now()) {}
-  double Now() const override {
+  Clock() : epoch_(std::chrono::steady_clock::now()) {}
+  double Now() const {
     const auto dt = std::chrono::steady_clock::now() - epoch_;
     return std::chrono::duration<double>(dt).count();
   }
-  bool is_wall() const override { return true; }
 
  private:
   const std::chrono::steady_clock::time_point epoch_;

@@ -10,10 +10,9 @@
 // trace in real time (scaled by `replay_speedup`), routing each request
 // once it is due with the same routing code the virtual fleet runs, flat
 // or hierarchical, in the same arrival order — so routing decisions are
-// bit-identical across modes. Completions and queue-shedding migrations
-// flow back to the controller over one bounded MPSC event queue, and
-// cache-carrying MigratedRequests hop between workers as queue messages.
-// Elastic scaling and planner migration stay virtual-time only.
+// bit-identical across modes. Completions (and errors) flow back to the
+// controller over one bounded MPSC event queue. Elastic scaling and
+// migration stay virtual-time only: nothing migrates on the wall clock.
 //
 // Determinism contract (see DESIGN.md "Async serving"): the virtual-time
 // mode stays the pinned bit-for-bit reference; the async mode guarantees
@@ -52,24 +51,19 @@ struct AsyncServingConfig {
   /// released to the router at wall time t / replay_speedup after start.
   /// 1.0 replays in real time; large values stress continuous batching.
   double replay_speedup = 1.0;
-  /// When > 0: a worker whose waiting queue exceeds this depth extracts
-  /// one migratable request (cache state included) and ships it to the
-  /// currently coolest instance over the queue fabric — live load shedding
-  /// on the wall-clock path.
-  int32_t shed_queue_depth = 0;
   /// Safety valve: abort when the run exceeds this much wall time.
   double max_wall_seconds = 300.0;
 
   // ---- Observability -------------------------------------------------------
   /// Optional, borrowed. Workers emit lifecycle events on per-instance
   /// tracks (wall-clock frame), the controller routes through a traced
-  /// router state (and cell tracks) stamped by the wall clock, and sheds
-  /// carry flow arrows to their re-route. Purely observational: token
-  /// streams are bit-identical with or without a recorder attached.
+  /// router state (and cell tracks) stamped by the wall clock. Purely
+  /// observational: token streams are bit-identical with or without a
+  /// recorder attached.
   obs::TraceRecorder* trace = nullptr;
   /// Optional, borrowed. Gains per-instance arrival-queue high-water
-  /// gauges and shed counters on top of the serving-loop, router and fleet
-  /// metrics the virtual run exports.
+  /// gauges on top of the serving-loop, router and fleet metrics the
+  /// virtual run exports.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -78,20 +72,18 @@ struct AsyncServingResult {
   /// loops after shutdown (virtual-frame SLO report, prefix stats, ...).
   MultiInstanceResult serve;
   /// Real-time latency/throughput readout (arrival to token, measured
-  /// against the monotonic clock; per-request history survives shedding
-  /// migrations).
+  /// against the monotonic clock).
   WallLatencyReport wall;
   /// Wall seconds from the start of the run (its clock starts before the
   /// fleet is built) to full drain.
   double wall_duration_s = 0.0;
-  /// Shedding migrations executed over the queue fabric.
+  /// Always 0: nothing migrates on the wall clock. Kept because the
+  /// benchmark harness reports it.
   int64_t shed_migrations = 0;
   /// Deepest any instance's arrival queue ever got (backpressure witness).
   size_t arrival_queue_high_water = 0;
   /// Per-instance backpressure witnesses (index = instance id).
   std::vector<size_t> arrival_queue_high_water_per_instance;
-  /// Shed migrations originating from each instance.
-  std::vector<int64_t> sheds_per_instance;
 };
 
 }  // namespace aptserve

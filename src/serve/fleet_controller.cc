@@ -202,21 +202,17 @@ class VirtualExecutor final : public FleetExecutor {
 };
 
 /// What travels controller -> worker over an arrival queue: a freshly
-/// routed request, or a shed request migrating in with its cache state.
+/// routed request.
 struct AsyncCommand {
-  enum class Kind { kInject, kReceive };
-  Kind kind = Kind::kInject;
-  Request request;            ///< kInject
-  double wall_arrival = 0.0;  ///< kInject: the request's due instant
-  MigratedRequest migrated;   ///< kReceive
+  Request request;
+  double wall_arrival = 0.0;  ///< the request's due instant
 };
 
-/// What travels worker -> controller over the event queue.
+/// What travels worker -> controller over the event queue: one finish, or
+/// the error that stopped the worker.
 struct AsyncEvent {
-  enum class Kind { kFinished, kShed, kError };
+  enum class Kind { kFinished, kError };
   Kind kind = Kind::kFinished;
-  int32_t instance = -1;
-  MigratedRequest migrated;  ///< kShed
   Status error = Status::OK();
 };
 
@@ -228,19 +224,19 @@ constexpr std::chrono::microseconds kIdlePark{500};
 /// loop outright and batches continuously, admitting routed requests
 /// mid-run through the Inject seam — no barrier on the hot path. Injections
 /// reach the workers over bounded arrival queues (a full queue blocks the
-/// controller: backpressure); completions, sheds and errors come back over
-/// one event queue, which Advance pumps until the next arrival is due.
+/// controller: backpressure); completions and errors come back over one
+/// event queue, which Advance pumps until the next arrival is due.
 class WallExecutor final : public FleetExecutor {
  public:
   WallExecutor(const AsyncServingConfig& async, size_t trace_size,
-               int64_t max_iterations, const CostModel* migration_cost_model)
+               int64_t max_iterations)
       : async_(async),
         max_iterations_(max_iterations),
         // Sized so worker event pushes always complete while the controller
-        // is blocked handing a request to a full arrival queue (every
-        // request finishes once; sheds are drained continuously).
-        events_(2 * trace_size + 256),
-        migration_cost_model_(migration_cost_model) {
+        // is blocked handing a request to a full arrival queue: the queue
+        // only ever holds one finish per request plus at most one error per
+        // worker.
+        events_(2 * trace_size + 256) {
     trace = async.trace;
     metrics = async.metrics;
     clock = &clock_;
@@ -248,7 +244,6 @@ class WallExecutor final : public FleetExecutor {
   ~WallExecutor() override { Stop(); }
 
   void Start(Fleet& fleet) override {
-    sheds_per_instance_.assign(fleet.size(), 0);
     for (auto& inst : fleet) {
       inst->loop->AttachWallClock(&clock_);
       Worker& w = *workers_.emplace_back(
@@ -299,9 +294,6 @@ class WallExecutor final : public FleetExecutor {
           break;
         case AsyncEvent::Kind::kError:
           return ev->error;
-        case AsyncEvent::Kind::kShed:
-          APT_RETURN_NOT_OK(Forward(std::move(*ev)));
-          break;
       }
     }
   }
@@ -324,9 +316,7 @@ class WallExecutor final : public FleetExecutor {
     out.serve = std::move(serve);
     out.wall = wall_metrics.Report();
     out.wall_duration_s = wall_end_;
-    out.sheds_per_instance = sheds_per_instance_;
     for (size_t i = 0; i < workers_.size(); ++i) {
-      out.shed_migrations += sheds_per_instance_[i];
       const size_t high_water = workers_[i]->arrivals.high_water();
       out.arrival_queue_high_water_per_instance.push_back(high_water);
       out.arrival_queue_high_water =
@@ -335,8 +325,6 @@ class WallExecutor final : public FleetExecutor {
         const std::string label = "instance=\"" + std::to_string(i) + "\"";
         metrics->GetGauge("aptserve_async_arrival_queue_high_water", label)
             ->SetMax(static_cast<double>(high_water));
-        metrics->GetCounter("aptserve_async_sheds_total", label)
-            ->Inc(sheds_per_instance_[i]);
       }
     }
     return out;
@@ -345,14 +333,11 @@ class WallExecutor final : public FleetExecutor {
  private:
   /// One worker: a thread that owns its instance's loop end to end (no
   /// cross-thread access to the loop, ever — all communication is queue
-  /// messages and the published depth atomic).
+  /// messages).
   struct Worker {
     Worker(Instance* inst, size_t capacity) : inst(inst), arrivals(capacity) {}
     Instance* inst;
     runtime::BoundedQueue<AsyncCommand> arrivals;
-    /// Waiting-queue depth the worker publishes each iteration — the shed
-    /// target picker reads it without touching the loop.
-    std::atomic<int32_t> waiting_depth{0};
     std::thread thread;
   };
 
@@ -366,52 +351,15 @@ class WallExecutor final : public FleetExecutor {
     return Status::Internal("instance arrival queue closed mid-run");
   }
 
-  /// Hands a shed request to the coolest published depth, lowest id on
-  /// ties; a lone instance receives its own shed back (re-injection, still
-  /// well-formed). Blocking is deadlock-free: the destination drains its
-  /// arrival queue every iteration and cannot fill the event queue.
-  Status Forward(AsyncEvent ev) {
-    std::vector<InstanceView> depths(workers_.size());
-    for (size_t i = 0; i < workers_.size(); ++i) {
-      depths[i].id = static_cast<int32_t>(i);
-      depths[i].waiting =
-          workers_[i]->waiting_depth.load(std::memory_order_acquire);
-    }
-    const int32_t dst = PickCoolest(depths, ev.instance, /*cell=*/-1);
-    ++sheds_per_instance_[ev.instance];
-    AsyncCommand cmd;
-    cmd.kind = AsyncCommand::Kind::kReceive;
-    cmd.migrated = std::move(ev.migrated);
-    return Send(dst >= 0 ? dst : ev.instance, std::move(cmd));
-  }
-
   /// One instance's continuous batching loop.
   void WorkerMain(Worker& self) {
     ServingLoopState& loop = *self.inst->loop;
-    const int32_t me = self.inst->id;
-    const auto post = [&](AsyncEvent ev) {
-      ev.instance = me;
-      return events_.Push(std::move(ev));
-    };
     const auto fail = [&](Status s) {
-      AsyncEvent ev;
-      ev.kind = AsyncEvent::Kind::kError;
-      ev.error = std::move(s);
-      (void)post(std::move(ev));
+      (void)events_.Push(AsyncEvent{AsyncEvent::Kind::kError, std::move(s)});
       self.arrivals.Close();  // wakes a controller blocked in Send
     };
-    const auto apply = [&](AsyncCommand cmd) -> Status {
-      if (cmd.kind == AsyncCommand::Kind::kInject) {
-        return loop.Inject(cmd.request, cmd.request.arrival, cmd.wall_arrival);
-      }
-      // Shed migration in: schedulable at the later of the source-frame
-      // availability and this instance's own clock, plus the priced
-      // interconnect delay over post-dedupe bytes.
-      const double base = std::max(cmd.migrated.available_at, loop.now());
-      return loop
-          .Receive(std::move(cmd.migrated), base,
-                   TransferDelay(migration_cost_model_, /*cross_cell=*/false))
-          .status();
+    const auto apply = [&](const AsyncCommand& cmd) {
+      return loop.Inject(cmd.request, cmd.request.arrival, cmd.wall_arrival);
     };
 
     int64_t reported = 0;  // finishes already posted to the controller
@@ -419,8 +367,8 @@ class WallExecutor final : public FleetExecutor {
       // 1. Admit everything that arrived since the last iteration — the
       // mid-step Inject seam, no barrier between admission and execution.
       bool applied_any = false;
-      for (AsyncCommand& cmd : self.arrivals.DrainNow()) {
-        if (Status s = apply(std::move(cmd)); !s.ok()) return fail(s);
+      for (const AsyncCommand& cmd : self.arrivals.DrainNow()) {
+        if (Status s = apply(cmd); !s.ok()) return fail(s);
         applied_any = true;
       }
 
@@ -432,42 +380,17 @@ class WallExecutor final : public FleetExecutor {
       }
       auto progress = loop.Step();
       if (!progress.ok()) return fail(progress.status());
-      self.waiting_depth.store(loop.NumWaiting(), std::memory_order_release);
 
       // 3. Publish completions back over the fabric.
       for (; reported < loop.NumServed(); ++reported) {
-        if (!post(AsyncEvent{})) return;  // shutting down
+        if (!events_.Push(AsyncEvent{})) return;  // shutting down
       }
 
-      // 4. Queue-depth shedding: an overloaded instance exports one waiting
-      // request (cache included) per iteration; the controller re-routes
-      // it to the coolest instance.
-      if (async_.shed_queue_depth > 0 &&
-          loop.NumWaiting() > async_.shed_queue_depth) {
-        const auto candidates = loop.MigratableWaiting();
-        if (!candidates.empty()) {
-          // The shed instant precedes Extract so readers see the queue
-          // depth that triggered it; Extract itself opens the migration
-          // flow arrow that the destination's Receive closes.
-          if (loop.trace_sink()) {
-            loop.trace_sink().Instant(obs::TraceOp::kShed, clock_.Now(),
-                                      candidates.front(),
-                                      static_cast<double>(loop.NumWaiting()));
-          }
-          auto m = loop.Extract(candidates.front());
-          if (!m.ok()) return fail(m.status());
-          AsyncEvent ev;
-          ev.kind = AsyncEvent::Kind::kShed;
-          ev.migrated = std::move(*m);
-          if (!post(std::move(ev))) return;
-        }
-      }
-
-      // 5. Park while drained: block on the arrival queue instead of
+      // 4. Park while drained: block on the arrival queue instead of
       // spinning, and exit once the fabric is closed and empty.
       if (*progress == ServingLoopState::Progress::kDrained && !applied_any) {
         if (auto cmd = self.arrivals.PopFor(kIdlePark); cmd.has_value()) {
-          if (Status s = apply(std::move(*cmd)); !s.ok()) return fail(s);
+          if (Status s = apply(*cmd); !s.ok()) return fail(s);
           continue;
         }
         if (self.arrivals.closed() && self.arrivals.size() == 0 &&
@@ -480,15 +403,13 @@ class WallExecutor final : public FleetExecutor {
 
   const AsyncServingConfig& async_;
   const int64_t max_iterations_;
-  runtime::MonotonicClock clock_;
+  runtime::Clock clock_;
   runtime::BoundedQueue<AsyncEvent> events_;
-  const CostModel* migration_cost_model_;
   std::atomic<bool> abort_{false};
   std::vector<std::unique_ptr<Worker>> workers_;  // after what they use
   int64_t routed_ = 0;
   int64_t finished_ = 0;
   double wall_end_ = 0.0;
-  std::vector<int64_t> sheds_per_instance_;
 };
 
 }  // namespace
@@ -536,8 +457,7 @@ StatusOr<AsyncServingResult> FleetController::RunAsync(
                 "wall-clock serving runs static fleets only");
   APT_CHECK(async.queue_capacity >= 1);
   APT_CHECK(async.replay_speedup > 0.0);
-  WallExecutor exec(async, trace.size(), config_.loop.max_iterations,
-                    migration_cost_model_);
+  WallExecutor exec(async, trace.size(), config_.loop.max_iterations);
   APT_ASSIGN_OR_RETURN(FleetResult result, Serve(trace, make_scheduler,
                                                  make_backend, slo, &exec));
   return exec.Result(std::move(result.serve));

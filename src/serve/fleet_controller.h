@@ -8,8 +8,8 @@
 //     reference;
 //   - the wall executor (RunAsync) runs one worker thread per instance that
 //     batches continuously, hands it routed requests over bounded arrival
-//     queues, and pumps its completions, sheds and errors from one event
-//     queue (serve/async_serving.h has its contract).
+//     queues, and pumps its completions and errors from one event queue
+//     (serve/async_serving.h has its contract).
 // Routing (flat and hierarchical), instance construction with its
 // observability, and result assembly are shared by both.
 //

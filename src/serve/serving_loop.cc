@@ -97,7 +97,8 @@ Status ServingLoopState::Inject(const Request& r, double available_at,
   slot->record = metrics_.RegisterRequest(r);
   APT_RETURN_NOT_OK(backend_->Admit(slot->sr));
   if (wall_clock_ != nullptr) {
-    wall_metrics_.OnArrival(r.id, wall_arrival);
+    wall_metrics_.OnArrival(wall_arrival);
+    slot->wall_arrival = wall_arrival;
     slot->obs_enqueued_at = wall_arrival;
   } else {
     slot->obs_enqueued_at = slot->available_at;
@@ -142,11 +143,14 @@ void ServingLoopState::AttachObservability(obs::TraceSink sink,
 
 void ServingLoopState::AttachWallClock(const runtime::Clock* clock) {
   APT_CHECK(clock != nullptr);
+  APT_CHECK_MSG(!EverRegistered(),
+                "attach the wall clock before any request registers");
   wall_clock_ = clock;
 }
 
 StatusOr<MigratedRequest> ServingLoopState::Extract(RequestId id) {
   APT_CHECK_MSG(started_ && !finished_run_, "Extract outside a live run");
+  APT_CHECK_MSG(wall_clock_ == nullptr, "no migration on the wall clock");
   Slot* const* found = index_.Find(id);
   if (found == nullptr) {
     return Status::NotFound("request " + std::to_string(id) +
@@ -166,10 +170,6 @@ StatusOr<MigratedRequest> ServingLoopState::Extract(RequestId id) {
   // history.
   m.record = metrics_.ExtractRecord(id);
   slot->record = nullptr;
-  if (wall_clock_ != nullptr) {
-    m.has_wall_record = true;
-    m.wall_record = wall_metrics_.ExtractRecord(id);
-  }
   if (trace_) {
     // Flow-begin half of the cross-track migration arrow; the id and stamp
     // travel with the request so the destination can terminate it.
@@ -194,6 +194,7 @@ StatusOr<MigrationImport> ServingLoopState::Receive(
     MigratedRequest m, double base_available_at,
     const std::function<double(const MigrationImport&)>& transfer_delay) {
   APT_CHECK_MSG(started_ && !finished_run_, "Receive outside a live run");
+  APT_CHECK_MSG(wall_clock_ == nullptr, "no migration on the wall clock");
   if (index_.Contains(m.sr.spec.id)) {
     return Status::AlreadyExists("request " + std::to_string(m.sr.spec.id) +
                                  " already live on this instance");
@@ -210,13 +211,9 @@ StatusOr<MigrationImport> ServingLoopState::Receive(
     sr.prefill_progress = 0;
   }
   slot->record = metrics_.AdoptRecord(std::move(m.record));
-  if (wall_clock_ != nullptr && m.has_wall_record) {
-    wall_metrics_.AdoptRecord(sr.spec.id, m.wall_record);
-  }
   slot->available_at =
       base_available_at + (transfer_delay ? transfer_delay(import) : 0.0);
-  slot->obs_enqueued_at =
-      wall_clock_ != nullptr ? ObsNow() : slot->available_at;
+  slot->obs_enqueued_at = slot->available_at;
   if (trace_) {
     // Terminate the arrow no earlier than its export stamp — the
     // destination's virtual clock may lag the source's by a fraction of an
@@ -595,7 +592,11 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
       sr.last_token_time = now_;
       if (obs_.tokens != nullptr) obs_.tokens->Inc();
     }
-    if (wall_clock_ != nullptr) wall_metrics_.OnToken(sr.spec.id, wall_now);
+    if (wall_clock_ != nullptr) {
+      wall_metrics_.OnToken(slot->wall_arrival, slot->wall_last_token,
+                            wall_now);
+      slot->wall_last_token = wall_now;
+    }
     if (sr.IsFinished()) {
       sr.phase = RequestPhase::kFinished;
       RequestRecord& rec = *slot->record;
@@ -606,7 +607,9 @@ StatusOr<ServingLoopState::Progress> ServingLoopState::Step() {
       finish_log_.emplace_back(now_, rec.MeetsTtft(slo_));
       trace_.Instant(obs::TraceOp::kCompletion, obs_iter_end, sr.spec.id,
                      rec.ttft, now_ - sr.spec.arrival);
-      if (wall_clock_ != nullptr) wall_metrics_.OnFinish(sr.spec.id, wall_now);
+      if (wall_clock_ != nullptr) {
+        wall_metrics_.OnFinish(slot->wall_arrival, wall_now);
+      }
     }
   }
 

@@ -93,9 +93,9 @@ struct ServingLoopResult {
   int64_t prefill_tokens_skipped = 0;
   /// Prefix-sharing hit accounting (all zeros without an index).
   PrefixStats prefix;
-  /// Wall-clock timestamps (async serving mode; empty without an attached
-  /// wall clock). The fleet layer Merge()s per-instance collectors and
-  /// reports once.
+  /// Wall-clock latency aggregates (async serving mode; empty without an
+  /// attached wall clock). The fleet layer Merge()s per-instance collectors
+  /// and reports once.
   WallClockMetrics wall_metrics;
 };
 
@@ -110,9 +110,6 @@ struct MigratedRequest {
   double available_at = 0.0;
   MigrationImage image;
   RequestRecord record;
-  /// Wall-clock stamps (async mode only), so real TTFT/TBT survive the hop.
-  bool has_wall_record = false;
-  WallRequestRecord wall_record;
   /// Trace linkage (zero when the source had no trace sink): the flow id of
   /// the export event and its timestamp, so the import event can terminate
   /// the cross-track arrow at a stamp >= the export's even when the
@@ -160,7 +157,8 @@ class ServingLoopState {
   /// Removes a queued/preempted request for migration: its cache state is
   /// exported from the backend (shared prefix blocks stay for their other
   /// owners) and its metrics record extracted. Only kWaiting, non-swapped
-  /// requests are migratable — running decodes drain in place.
+  /// requests are migratable — running decodes drain in place. Virtual
+  /// time only: nothing migrates while a wall clock is attached.
   StatusOr<MigratedRequest> Extract(RequestId id);
 
   /// Installs a migrated request: imports its cache into the backend
@@ -168,7 +166,8 @@ class ServingLoopState {
   /// is full) and re-adopts its metrics record. It becomes schedulable at
   /// `base_available_at` plus `transfer_delay(import)` — the delay runs
   /// after the import so only bytes that actually crossed the interconnect
-  /// (post-dedupe) are priced. Null delay = instantaneous.
+  /// (post-dedupe) are priced. Null delay = instantaneous. Virtual time
+  /// only, like Extract.
   StatusOr<MigrationImport> Receive(
       MigratedRequest m, double base_available_at,
       const std::function<double(const MigrationImport&)>& transfer_delay =
@@ -184,7 +183,8 @@ class ServingLoopState {
   /// is additionally wall-stamped into the result's WallClockMetrics.
   /// Purely observational — the virtual timeline, scheduling, and token
   /// streams are unaffected, which is exactly the async mode's determinism
-  /// contract. Call before Step.
+  /// contract. Call before any request registers (Start with an empty
+  /// trace, then attach, then Inject).
   void AttachWallClock(const runtime::Clock* clock);
 
   /// Advances the virtual clock to (at least) `wall_now`, so injected
@@ -206,10 +206,6 @@ class ServingLoopState {
   void AttachObservability(obs::TraceSink sink,
                            obs::MetricsRegistry* metrics = nullptr,
                            int32_t instance_id = 0);
-
-  /// The attached sink (empty when tracing is off). The async worker
-  /// borrows it to emit shed events on this instance's track.
-  const obs::TraceSink& trace_sink() const { return trace_; }
 
   // ---- Introspection (fleet controller policies / planner) -----------------
   double now() const { return now_; }
@@ -246,6 +242,10 @@ class ServingLoopState {
     /// This request's metrics record (a stable map node of metrics_),
     /// resolved once at registration and re-pointed on Receive.
     RequestRecord* record = nullptr;
+    /// Wall stamps, kept only with an attached wall clock: when the request
+    /// was due, and its latest token (-1 before the first).
+    double wall_arrival = 0.0;
+    double wall_last_token = -1.0;
     double available_at = 0.0;
     uint64_t seq = 0;  ///< registration order
     /// Trace bookkeeping: when the request joined this instance's queue

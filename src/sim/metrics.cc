@@ -39,50 +39,24 @@ void MetricsCollector::OnIteration(double seconds, int32_t batch_size,
   batch_size_weighted_ += static_cast<double>(batch_size);
 }
 
-void WallClockMetrics::OnArrival(RequestId id, double now) {
-  WallRequestRecord& rec = inflight_[id];
-  rec.arrival = now;
-  if (first_arrival_ < 0 || now < first_arrival_) first_arrival_ = now;
+void WallClockMetrics::OnArrival(double arrival) {
+  if (first_arrival_ < 0 || arrival < first_arrival_) first_arrival_ = arrival;
 }
 
-void WallClockMetrics::OnToken(RequestId id, double now) {
-  auto it = inflight_.find(id);
-  APT_CHECK_MSG(it != inflight_.end(), "wall token for unknown request");
-  WallRequestRecord& rec = it->second;
-  if (rec.first_token < 0) {
-    rec.first_token = now;
-    if (rec.arrival >= 0) ttft_.Add(now - rec.arrival);
+void WallClockMetrics::OnToken(double arrival, double last_token,
+                               double now) {
+  if (last_token < 0) {
+    ttft_.Add(now - arrival);
   } else {
-    tbt_.Add(now - rec.last_token);
+    tbt_.Add(now - last_token);
   }
-  rec.last_token = now;
-  ++rec.tokens;
   ++tokens_;
 }
 
-void WallClockMetrics::OnFinish(RequestId id, double now) {
-  auto it = inflight_.find(id);
-  APT_CHECK_MSG(it != inflight_.end(), "wall finish for unknown request");
-  WallRequestRecord& rec = it->second;
-  rec.finish = now;
-  if (rec.arrival >= 0) e2e_.Add(now - rec.arrival);
+void WallClockMetrics::OnFinish(double arrival, double now) {
+  e2e_.Add(now - arrival);
   ++finished_requests_;
   if (now > last_finish_) last_finish_ = now;
-  inflight_.erase(it);
-}
-
-WallRequestRecord WallClockMetrics::ExtractRecord(RequestId id) {
-  auto it = inflight_.find(id);
-  APT_CHECK_MSG(it != inflight_.end(), "extracting unknown wall record");
-  WallRequestRecord rec = it->second;
-  inflight_.erase(it);
-  return rec;
-}
-
-void WallClockMetrics::AdoptRecord(RequestId id,
-                                   const WallRequestRecord& record) {
-  APT_CHECK_MSG(inflight_.count(id) == 0, "adopting a duplicate wall record");
-  inflight_[id] = record;
 }
 
 void WallClockMetrics::Merge(const WallClockMetrics& other) {
@@ -111,20 +85,6 @@ WallLatencyReport WallClockMetrics::Report() const {
     r.throughput_req_s = static_cast<double>(finished_requests_) / r.duration_s;
   }
   return r;
-}
-
-const char* FleetScaleEventKindName(FleetScaleEvent::Kind kind) {
-  switch (kind) {
-    case FleetScaleEvent::Kind::kAdd:
-      return "add";
-    case FleetScaleEvent::Kind::kLive:
-      return "live";
-    case FleetScaleEvent::Kind::kDrainStart:
-      return "drain-start";
-    case FleetScaleEvent::Kind::kRetire:
-      return "retire";
-  }
-  return "?";
 }
 
 RequestRecord MetricsCollector::ExtractRecord(RequestId id) {

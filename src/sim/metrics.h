@@ -134,8 +134,6 @@ struct FleetScaleEvent {
   Kind kind = Kind::kAdd;
 };
 
-const char* FleetScaleEventKindName(FleetScaleEvent::Kind kind);
-
 /// Aggregate elasticity accounting of one fleet-controller run.
 struct FleetMetrics {
   std::vector<FleetScaleEvent> scale_events;
@@ -165,16 +163,6 @@ struct FleetMetrics {
 
 // ---- Wall-clock metrics (async serving mode) -------------------------------
 
-/// Real-time stamps of one in-flight request, carried across live
-/// migrations so a moved request's TTFT/TBT history survives the hop.
-struct WallRequestRecord {
-  double arrival = -1.0;      ///< wall time the request was due
-  double first_token = -1.0;  ///< wall time of the first emitted token
-  double last_token = -1.0;   ///< wall time of the latest emitted token
-  double finish = -1.0;
-  int64_t tokens = 0;
-};
-
 /// Aggregate wall-clock latency/throughput readout of an async serving run.
 /// Percentiles come from log-bucketed LatencyHistograms (bounded memory at
 /// any request volume); mean/min/max are exact.
@@ -189,33 +177,29 @@ struct WallLatencyReport {
   LatencyHistogram e2e;   ///< arrival -> finish, per request
 };
 
-/// Collects wall-clock timestamps for the async serving mode. One collector
-/// per worker thread (single-threaded access, like MetricsCollector);
-/// records migrate with their requests via Extract/Adopt and per-worker
-/// collectors fold together with Merge at shutdown. Purely observational:
-/// nothing here feeds back into scheduling, so wall jitter cannot perturb
-/// the deterministic token streams.
+/// Aggregates wall-clock latencies for the async serving mode. One
+/// collector per worker thread (single-threaded access, like
+/// MetricsCollector); the per-request stamps live with the request in its
+/// serving loop, which passes them in, and per-worker collectors fold
+/// together with Merge at shutdown. Purely observational: nothing here
+/// feeds back into scheduling, so wall jitter cannot perturb the
+/// deterministic token streams.
 class WallClockMetrics {
  public:
-  void OnArrival(RequestId id, double now);
-  /// Stamps a token; the first for `id` records TTFT, later ones add a TBT
-  /// gap sample measured from the previous token (possibly on another
-  /// instance, via the migrated record).
-  void OnToken(RequestId id, double now);
-  void OnFinish(RequestId id, double now);
+  /// A request due at wall time `arrival` joined the run.
+  void OnArrival(double arrival);
+  /// A token emitted at `now` by a request due at `arrival`: its first
+  /// (`last_token` < 0) adds a TTFT sample, a later one the TBT gap since
+  /// `last_token`.
+  void OnToken(double arrival, double last_token, double now);
+  void OnFinish(double arrival, double now);
 
-  WallRequestRecord ExtractRecord(RequestId id);
-  void AdoptRecord(RequestId id, const WallRequestRecord& record);
-
-  /// Folds `other`'s finished-request aggregates into this collector.
-  /// In-flight records stay with their owner.
+  /// Folds `other`'s aggregates into this collector.
   void Merge(const WallClockMetrics& other);
 
   WallLatencyReport Report() const;
-  int64_t finished_requests() const { return finished_requests_; }
 
  private:
-  std::unordered_map<RequestId, WallRequestRecord> inflight_;
   LatencyHistogram ttft_;
   LatencyHistogram tbt_;
   LatencyHistogram e2e_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <vector>
 
 namespace aptserve {
 
@@ -26,57 +27,6 @@ void WriteRequestRecordsCsv(
          << (rec->spec.best_effort ? 1 : 0) << ','
          << (rec->MeetsTtft(slo) ? 1 : 0) << ','
          << (rec->MeetsTbt(slo) ? 1 : 0) << '\n';
-  }
-}
-
-void WriteSweepCsv(const std::vector<SweepRow>& rows, std::ostream* out) {
-  *out << "system,rate,slo_attainment,ttft_attainment,tbt_attainment,"
-          "goodput_rps,rejected\n";
-  for (const SweepRow& r : rows) {
-    *out << r.system << ',' << r.rate << ',' << r.slo_attainment << ','
-         << r.ttft_attainment << ',' << r.tbt_attainment << ','
-         << r.goodput_rps << ',' << r.rejected << '\n';
-  }
-}
-
-void WriteFleetCsv(const std::vector<SloReport>& per_instance,
-                   const std::vector<int32_t>& requests_per_instance,
-                   std::ostream* out) {
-  *out << "instance,requests,slo_attainment,goodput_rps,mean_ttft,"
-          "preemptions\n";
-  for (size_t i = 0; i < per_instance.size(); ++i) {
-    const SloReport& r = per_instance[i];
-    const int32_t n = i < requests_per_instance.size()
-                          ? requests_per_instance[i]
-                          : 0;
-    *out << i << ',' << n << ',' << r.slo_attainment << ','
-         << r.goodput_rps << ',' << r.mean_ttft << ',' << r.preemptions
-         << '\n';
-  }
-}
-
-void WriteWallLatencyCsv(
-    const std::vector<std::pair<std::string, WallLatencyReport>>& rows,
-    std::ostream* out) {
-  *out << "mode,requests,tokens,duration_s,throughput_tok_s,"
-          "throughput_req_s,ttft_p50,ttft_p95,ttft_p99,ttft_mean,"
-          "tbt_p50,tbt_p95,tbt_p99,tbt_mean,e2e_p50,e2e_p95,e2e_p99\n";
-  for (const auto& [mode, r] : rows) {
-    *out << mode << ',' << r.requests << ',' << r.tokens << ','
-         << r.duration_s << ',' << r.throughput_tok_s << ','
-         << r.throughput_req_s << ',' << r.ttft.P50() << ',' << r.ttft.P95()
-         << ',' << r.ttft.P99() << ',' << r.ttft.mean() << ',' << r.tbt.P50()
-         << ',' << r.tbt.P95() << ',' << r.tbt.P99() << ',' << r.tbt.mean()
-         << ',' << r.e2e.P50() << ',' << r.e2e.P95() << ',' << r.e2e.P99()
-         << '\n';
-  }
-}
-
-void WriteCdfCsv(const SampleSet& samples, std::ostream* out,
-                 size_t max_points) {
-  *out << "value,cum_fraction\n";
-  for (const auto& [v, f] : samples.Cdf(max_points)) {
-    *out << v << ',' << f << '\n';
   }
 }
 

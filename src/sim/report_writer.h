@@ -7,24 +7,11 @@
 #include <ostream>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
 #include "sim/metrics.h"
 
 namespace aptserve {
-
-/// One row of a rate-sweep series: (system, rate) -> attainments plus the
-/// SLO-aware routing readouts (goodput, admission rejects).
-struct SweepRow {
-  std::string system;
-  double rate = 0.0;
-  double slo_attainment = 0.0;
-  double ttft_attainment = 0.0;
-  double tbt_attainment = 0.0;
-  double goodput_rps = 0.0;
-  int64_t rejected = 0;
-};
 
 /// Writes per-request records as CSV:
 /// id,arrival,prompt_len,output_len,ttft,p99_tbt,finish,ttft_bound,
@@ -34,30 +21,6 @@ struct SweepRow {
 void WriteRequestRecordsCsv(
     const std::unordered_map<RequestId, RequestRecord>& records,
     const SloSpec& slo, std::ostream* out);
-
-/// Writes sweep rows as CSV:
-/// system,rate,slo_attainment,ttft_attainment,tbt_attainment,goodput_rps,
-/// rejected.
-void WriteSweepCsv(const std::vector<SweepRow>& rows, std::ostream* out);
-
-/// Writes per-instance fleet reports as CSV:
-/// instance,requests,slo_attainment,goodput_rps,mean_ttft,preemptions.
-void WriteFleetCsv(const std::vector<SloReport>& per_instance,
-                   const std::vector<int32_t>& requests_per_instance,
-                   std::ostream* out);
-
-/// Writes wall-clock latency reports as CSV, one labelled row per run
-/// (e.g. "epoch-barrier" vs "async" for the same trace):
-/// mode,requests,tokens,duration_s,throughput_tok_s,throughput_req_s,
-/// ttft_p50,ttft_p95,ttft_p99,ttft_mean,tbt_p50,tbt_p95,tbt_p99,tbt_mean,
-/// e2e_p50,e2e_p95,e2e_p99. Latencies in seconds.
-void WriteWallLatencyCsv(
-    const std::vector<std::pair<std::string, WallLatencyReport>>& rows,
-    std::ostream* out);
-
-/// Writes a (value, cum_fraction) CDF as CSV.
-void WriteCdfCsv(const SampleSet& samples, std::ostream* out,
-                 size_t max_points = 200);
 
 /// Convenience: writes `content_writer`'s output to `path`, creating the
 /// file. Returns an error when the file cannot be opened.

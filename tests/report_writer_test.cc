@@ -42,19 +42,6 @@ TEST(ReportWriterTest, RequestRecordsCsvShape) {
   EXPECT_NE(csv.find(",1,1\n"), std::string::npos);
 }
 
-TEST(ReportWriterTest, SweepCsv) {
-  std::ostringstream out;
-  WriteSweepCsv({{"vLLM", 2.0, 0.9, 0.92, 1.0, 3.5, 4},
-                 {"Apt", 2.0, 0.99, 0.99, 1.0, 4.25, 0}},
-                &out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("system,rate,slo_attainment,ttft_attainment,"
-                     "tbt_attainment,goodput_rps,rejected\n"),
-            std::string::npos);
-  EXPECT_NE(csv.find("vLLM,2,0.9,0.92,1,3.5,4\n"), std::string::npos);
-  EXPECT_NE(csv.find("Apt,2,0.99,0.99,1,4.25,0\n"), std::string::npos);
-}
-
 TEST(ReportWriterTest, RequestRecordsCsvCarriesDeadlinesAndBestEffort) {
   std::unordered_map<RequestId, RequestRecord> records;
   RequestRecord own_slo;
@@ -81,47 +68,6 @@ TEST(ReportWriterTest, RequestRecordsCsvCarriesDeadlinesAndBestEffort) {
   EXPECT_NE(csv.find(",1,1,1,1,1\n"), std::string::npos);
 }
 
-TEST(ReportWriterTest, FleetCsvShape) {
-  SloReport a, b;
-  a.slo_attainment = 1.0;
-  a.goodput_rps = 2.5;
-  a.mean_ttft = 0.125;
-  a.preemptions = 3;
-  b.slo_attainment = 0.5;
-  b.goodput_rps = 1.25;
-  b.mean_ttft = 0.5;
-  std::ostringstream out;
-  WriteFleetCsv({a, b}, {40, 60}, &out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("instance,requests,slo_attainment,goodput_rps,"
-                     "mean_ttft,preemptions\n"),
-            std::string::npos);
-  EXPECT_NE(csv.find("0,40,1,2.5,0.125,3\n"), std::string::npos);
-  EXPECT_NE(csv.find("1,60,0.5,1.25,0.5,0\n"), std::string::npos);
-}
-
-TEST(ReportWriterTest, CdfCsvMonotone) {
-  SampleSet s;
-  for (int i = 100; i >= 1; --i) s.Add(i);
-  std::ostringstream out;
-  WriteCdfCsv(s, &out, 10);
-  std::istringstream in(out.str());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "value,cum_fraction");
-  double prev_v = -1, prev_f = -1;
-  while (std::getline(in, line)) {
-    const size_t comma = line.find(',');
-    const double v = std::stod(line.substr(0, comma));
-    const double f = std::stod(line.substr(comma + 1));
-    EXPECT_GE(v, prev_v);
-    EXPECT_GE(f, prev_f);
-    prev_v = v;
-    prev_f = f;
-  }
-  EXPECT_DOUBLE_EQ(prev_f, 1.0);
-}
-
 TEST(ReportWriterTest, WriteFileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/apt_report_test.csv";
   Status st = WriteFile(path, [](std::ostream* out) { *out << "x,y\n1,2\n"; });
@@ -136,36 +82,6 @@ TEST(ReportWriterTest, WriteFileBadPath) {
   Status st = WriteFile("/nonexistent_dir_xyz/file.csv",
                         [](std::ostream*) {});
   EXPECT_TRUE(st.IsInvalidArgument());
-}
-
-TEST(ReportWriterTest, WallLatencyCsvShape) {
-  // The async bench writes one row per serving mode; pin the header
-  // columns and the row count.
-  WallClockMetrics m;
-  m.OnArrival(1, 0.0);
-  m.OnToken(1, 0.2);  // TTFT 0.2
-  m.OnToken(1, 0.3);  // TBT 0.1
-  m.OnFinish(1, 0.3);
-  m.OnArrival(2, 0.1);
-  m.OnToken(2, 0.5);
-  m.OnFinish(2, 0.5);
-  const WallLatencyReport report = m.Report();
-  ASSERT_EQ(report.requests, 2);
-  ASSERT_EQ(report.tokens, 3);
-
-  std::ostringstream out;
-  WriteWallLatencyCsv({{"async", report}, {"virtual", report}}, &out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("mode,requests,tokens,duration_s"), std::string::npos);
-  EXPECT_NE(csv.find("ttft_p50"), std::string::npos);
-  EXPECT_NE(csv.find("e2e_p99"), std::string::npos);
-  EXPECT_NE(csv.find("\nasync,2,3,"), std::string::npos);
-  EXPECT_NE(csv.find("\nvirtual,2,3,"), std::string::npos);
-  int lines = 0;
-  for (char c : csv) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 3);  // header + 2 rows
 }
 
 TEST(ReportWriterTest, SimulatorRecordsExportEndToEnd) {

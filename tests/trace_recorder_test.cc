@@ -55,8 +55,8 @@ TEST(TraceRecorderTest, DetachedSinkIsInert) {
   EXPECT_FALSE(static_cast<bool>(off));
   off.Instant(TraceOp::kArrival, 1.0, 1);
   off.Span(TraceOp::kIteration, 1.0, 1.0, 1);
-  EXPECT_EQ(off.FlowBegin(TraceOp::kShed, 1.0, 1), 0u);
-  off.FlowEnd(TraceOp::kShed, 1.0, 1, 0);
+  EXPECT_EQ(off.FlowBegin(TraceOp::kMigrationExport, 1.0, 1), 0u);
+  off.FlowEnd(TraceOp::kMigrationImport, 1.0, 1, 0);
 }
 
 TEST(TraceRecorderTest, RingOverwritesOldestAndCountsDrops) {
@@ -110,7 +110,7 @@ TEST(TraceRecorderTest, ConcurrentEmitFlushChurn) {
       }
       for (int i = 0; i < kPerThread; ++i) {
         own.Instant(TraceOp::kDecodeStep, static_cast<double>(i), i);
-        shared.Instant(TraceOp::kShed, static_cast<double>(i), i,
+        shared.Instant(TraceOp::kRouteDecision, static_cast<double>(i), i,
                        static_cast<double>(t));
         if (i % 16 == 0) {
           const uint64_t flow =
