@@ -8,8 +8,9 @@
 // from the recorder's seconds (virtual or wall — one frame per run) to the
 // microseconds the format requires.
 //
-// ValidateChromeTrace re-parses the JSON with a self-contained parser (no
-// third-party deps) and checks the structural contract CI relies on:
+// ValidateChromeTrace re-parses the JSON with the shared strict parser
+// (common/json.h: depth limit, duplicate-key rejection, line:column errors)
+// and checks the structural contract CI relies on:
 // well-formed JSON, required keys per event, per-track monotonic
 // timestamps, and every flow-begin matched by a flow-end at a later-or-
 // equal timestamp.
@@ -44,7 +45,7 @@ struct ChromeTraceStats {
 /// monotonic by construction.
 std::string ExportChromeTrace(std::vector<TraceEvent> events);
 
-/// Parses `json` and checks the structural contract described above.
-StatusOr<ChromeTraceStats> ValidateChromeTrace(const std::string& json);
+/// Parses `text` and checks the structural contract described above.
+StatusOr<ChromeTraceStats> ValidateChromeTrace(const std::string& text);
 
 }  // namespace aptserve::obs

@@ -23,8 +23,6 @@ void TraceShard::Emit(const TraceEvent& e) {
 
 }  // namespace internal
 
-#if !defined(APTSERVE_NO_TRACING)
-
 void TraceSink::Emit(TraceEvent e) const {
   if (shard_ == nullptr) return;
   e.track = track_;
@@ -90,8 +88,6 @@ void TraceSink::FlowEnd(TraceOp op, double ts, int64_t id, uint64_t flow,
   e.a1 = a1;
   shard_->Emit(e);
 }
-
-#endif  // !APTSERVE_NO_TRACING
 
 TraceRecorder::TraceRecorder(size_t shard_capacity)
     : shard_capacity_(shard_capacity) {}

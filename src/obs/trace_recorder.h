@@ -9,9 +9,9 @@
 //      uncontended in steady state (one shard per instance/worker thread).
 //   3. TSan-clean under the async serving mode — shards are mutex-guarded,
 //      flow ids come from one atomic counter, Flush locks shard by shard.
-//   4. Compiled-to-nothing when disabled — build with
-//      -DAPTSERVE_NO_TRACING and every TraceSink method is an empty inline;
-//      at runtime a default-constructed (null) sink costs one branch.
+//   4. One branch when disabled — a default-constructed (null) sink is the
+//      only "off" path: every TraceSink method is a null check and a return
+//      (bench_trace_overhead times it against an attached recorder).
 //
 // Determinism: under the virtual-time FleetController sinks are created and
 // flow ids drawn on the serial controller path, and each instance emits only
@@ -67,16 +67,6 @@ class TraceSink {
  public:
   TraceSink() = default;
 
-#if defined(APTSERVE_NO_TRACING)
-  explicit operator bool() const { return false; }
-  void Emit(const TraceEvent&) const {}
-  void Instant(TraceOp, double, int64_t, double = 0, double = 0,
-               double = 0) const {}
-  void Span(TraceOp, double, double, int64_t, double = 0, double = 0) const {}
-  uint64_t FlowBegin(TraceOp, double, int64_t, double = 0) const { return 0; }
-  void FlowEnd(TraceOp, double, int64_t, uint64_t, double = 0,
-               double = 0) const {}
-#else
   explicit operator bool() const { return shard_ != nullptr; }
 
   void Emit(TraceEvent e) const;
@@ -93,7 +83,6 @@ class TraceSink {
   /// show on the timeline.
   void FlowEnd(TraceOp op, double ts, int64_t id, uint64_t flow,
                double a0 = 0, double a1 = 0) const;
-#endif
 
   int32_t track() const { return track_; }
 

@@ -232,10 +232,9 @@ class Router {
                    const runtime::Clock* clock = nullptr) const;
 
   /// Estimated seconds to serve `r` alone: prefill plus predicted decode.
-  /// Exposed for tests of the admission math.
+  /// The fleet's cell router commits this as a cell's admitted work, and
+  /// tests of the admission math read it.
   double EstimatedServiceSeconds(const Request& r) const;
-  /// Estimated prefill-only seconds (the TTFT compute term).
-  double EstimatedPrefillSeconds(const Request& r) const;
 
   const RouterConfig& config() const { return config_; }
   /// The cost model pricing this router's work estimates (null when none);
@@ -244,6 +243,8 @@ class Router {
 
  private:
   double PredictedOutputLen(const Request& r) const;
+  /// Estimated prefill-only seconds (the TTFT compute term).
+  double EstimatedPrefillSeconds(const Request& r) const;
 
   RouterConfig config_;
   const CostModel* cost_model_;

@@ -257,6 +257,8 @@ TEST(TraceRecorderTest, ValidatorRejectsMalformedJson) {
   EXPECT_FALSE(ValidateChromeTrace("not json").ok());
   EXPECT_FALSE(ValidateChromeTrace("{\"traceEvents\": 3}").ok());
   EXPECT_FALSE(ValidateChromeTrace("{\"traceEvents\": [{}]}").ok());
+  // Deep nesting is an error, not a stack overflow.
+  EXPECT_FALSE(ValidateChromeTrace(std::string(100000, '[')).ok());
 }
 
 TEST(TraceRecorderTest, ValidatorRejectsUnmatchedFlow) {
