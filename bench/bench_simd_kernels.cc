@@ -4,14 +4,16 @@
 // build resolved (ops::ActiveIsa()); when it is "scalar" — forced via
 // -DAPT_FORCE_SCALAR=ON or an unsupported host — the snapshot says so
 // honestly (vector_active=false, speedups ~1x) instead of pretending a
-// vector win. It also times model set-up: Rng::FillNormal against a
-// per-call std::normal_distribution loop, and ModelWeights::Random at the
+// vector win. It also times model set-up: Rng::FillNormal as dispatched
+// (vector stages where rng_simd::Available()), its all-scalar stage, and a
+// per-call std::normal_distribution loop; and ModelWeights::Random at the
 // default and Small configs.
 //
 // Every arm is timed in kRepeats repeats, the arms of a row alternating
 // repeat by repeat so host drift hits them alike; a row records each arm's
-// median and interquartile range, and the config stamps the host (hardware
-// threads, ISA, compiler).
+// median, interquartile range and the repeats it was fastest in ("_won"),
+// and the first arm's speedup over the second. The config stamps the host
+// (hardware threads, ISA, compiler).
 //
 // Results land in BENCH_bench_simd_kernels.json (committed copy under
 // bench/results/ tracks the perf trajectory across PRs).
@@ -26,6 +28,7 @@
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
+#include "common/rng_simd.h"
 #include "common/stats.h"
 #include "engine/model_weights.h"
 #include "engine/ops.h"
@@ -34,7 +37,7 @@ using namespace aptserve;
 
 namespace {
 
-constexpr int kRepeats = 7;
+constexpr int kRepeats = 10;
 
 #ifdef __clang__
 constexpr const char* kCompiler = __VERSION__;  // "Clang x.y.z ..."
@@ -91,18 +94,32 @@ void Record(const std::string& name, const std::string& unit,
   e.Str("kernel", name).Str("isa", ops::ActiveIsa()).Str("unit", unit)
       .Int("repeats", kRepeats);
   std::printf("  %-24s", name.c_str());
+  // Repeats each arm was fastest in (fewest seconds per call).
+  std::vector<int> won(arms.size(), 0);
+  for (int r = 0; r < kRepeats; ++r) {
+    size_t best = 0;
+    for (size_t a = 1; a < arms.size(); ++a) {
+      if (arms[a].seconds.samples()[r] < arms[best].seconds.samples()[r]) {
+        best = a;
+      }
+    }
+    ++won[best];
+  }
   std::vector<double> medians;
-  for (const Arm& a : arms) {
+  for (size_t i = 0; i < arms.size(); ++i) {
+    const Arm& a = arms[i];
     SampleSet v;
     for (double s : a.seconds.samples()) v.Add(convert(s));
     medians.push_back(v.Median());
     e.Num(a.label, v.Median())
         .Num(a.label + "_q1", v.Quantile(0.25))
         .Num(a.label + "_q3", v.Quantile(0.75));
+    if (arms.size() > 1) e.Int(a.label + "_won", won[i]);
     std::printf("  %s %10.4g %s [%.4g, %.4g]", a.label.c_str(), v.Median(),
                 unit.c_str(), v.Quantile(0.25), v.Quantile(0.75));
+    if (arms.size() > 1) std::printf(" won %d", won[i]);
   }
-  if (medians.size() == 2) {
+  if (medians.size() >= 2) {
     // The first arm's speedup over the second: a ratio of rates for GF/s,
     // of times for every other unit.
     const bool higher_is_better = unit == "GF/s";
@@ -138,6 +155,7 @@ int main() {
       .Int("vector_width_floats", ops::VectorWidthFloats())
       .Bool("vector_active", vector_active)
       .Str("compiler", kCompiler)
+      .Bool("rng_vector_stage", rng_simd::Available())
       .Int("repeats", kRepeats);
 
   // Transformer-shaped operands: d_model-by-d_ff projections over a
@@ -211,18 +229,24 @@ int main() {
         }
       });
 
-  // Model set-up. FillNormal writes the same floats as the per-call loop
-  // (rng_test pins that); here only the time differs.
+  // Model set-up. Both FillNormal stages write the same floats as the
+  // per-call loop (rng_test pins that); here only the time differs.
   {
     const int64_t n = static_cast<int64_t>(rows) * cols;
     std::vector<float> out(static_cast<size_t>(n));
-    Rng fill_rng(7);
+    Rng fill_rng(7), scalar_rng(7);
     std::mt19937_64 std_gen(7);
     std::normal_distribution<double> std_normal(0.0, 1.0);
     std::vector<Arm> arms = {
         {"fill_normal_ns",
          [&] {
            fill_rng.FillNormal(out.data(), n, 0.05f);
+           g_sink = out[0];
+         },
+         {}},
+        {"fill_normal_scalar_ns",
+         [&] {
+           scalar_rng.FillNormalScalar(out.data(), n, 0.05f);
            g_sink = out[0];
          },
          {}},

@@ -65,11 +65,14 @@ Status HybridCacheAssigner::AllocateWithReclaim(int32_t n,
   };
   Status st = allocate();
   if (st.IsOutOfMemory() && prefix_index_ != nullptr) {
-    // Evict unreferenced cached prefixes, then retry once. Eviction may
-    // free fewer than asked (pinned leaves are skipped); the retry surfaces
-    // the remaining deficit as OOM.
-    prefix_index_->EvictLru(n - pool_->num_free());
-    st = allocate();
+    // Evict unreferenced cached prefixes, then retry once, but only when
+    // they cover the deficit (pinned leaves are skipped): an allocation
+    // that fails leaves the pool and the index as they were.
+    const int32_t deficit = n - pool_->num_free();
+    if (prefix_index_->EvictableBlocks() >= deficit) {
+      prefix_index_->EvictLru(deficit);
+      st = allocate();
+    }
   }
   return st;
 }

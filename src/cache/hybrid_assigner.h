@@ -87,8 +87,7 @@ class HybridCacheAssigner {
   /// Creates a cache of `type` for request `id` able to hold `num_tokens`
   /// tokens and marks all of them filled (a completed prefill).
   /// AlreadyExists if the request already has a cache; OutOfMemory if blocks
-  /// are unavailable (no block is allocated, but the failed attempt may
-  /// already have evicted index-only prefix blocks).
+  /// are unavailable (the pool and the index are left as they were).
   Status CreateFilled(RequestId id, CacheType type, int32_t num_tokens);
 
   // ---- Prefix sharing -----------------------------------------------------
@@ -104,8 +103,8 @@ class HybridCacheAssigner {
   /// then on a fresh KV prefill pass adopts cached blocks of its prompt
   /// (AllocatePrefill), a completed pass publishes its prompt blocks
   /// (PublishPrompt), and every allocation that comes up short evicts
-  /// least-recently-used index-only blocks and retries once. Idempotent;
-  /// cannot be turned off.
+  /// least-recently-used index-only blocks and retries once, when those
+  /// cover the shortfall. Idempotent; cannot be turned off.
   void EnablePrefixSharing();
   PrefixIndex* prefix_index() { return prefix_index_.get(); }
   const PrefixIndex* prefix_index() const { return prefix_index_.get(); }
@@ -131,8 +130,9 @@ class HybridCacheAssigner {
   /// of memory falls through to an unshared pass. Returns the positions
   /// adopted; the pass then computes min(chunk, target - adopted) of them
   /// after the adopted span. OutOfMemory leaves the request without a new
-  /// cache (a seeded map is released again) and counts no adoption; the
-  /// failed allocation may already have evicted index-only prefix blocks.
+  /// cache (a seeded map is released again) and counts no adoption. An
+  /// unshared pass that fails changes nothing; a seeded one whose growth
+  /// fails keeps the index-only blocks its COW tail allocation evicted.
   StatusOr<int32_t> AllocatePrefill(RequestId id, CacheType type,
                                     const std::vector<int32_t>& tokens,
                                     int32_t prompt_len, int32_t target,
@@ -154,15 +154,14 @@ class HybridCacheAssigner {
   /// tail allocation so the reclaimer's eviction can never free matched
   /// blocks; the source of a COW tail stays pinned until ReleaseCowSource.
   /// OutOfMemory (tail pair unavailable even after reclaim) leaves the
-  /// request without a cache; the reclaim may have evicted index-only
-  /// prefix blocks. AllocatePrefill and
-  /// RestoreRequestCache are its callers.
+  /// request without a cache and the pool and index as they were.
+  /// AllocatePrefill and RestoreRequestCache are its callers.
   StatusOr<CowSeed> CreateSeeded(RequestId id, const PrefixMatch& match);
 
   /// Extends request `id`'s cache by `extra_tokens` filled positions,
   /// allocating blocks on demand (decode growth, one token per iteration in
-  /// steady state). OutOfMemory leaves the existing cache intact; the
-  /// failed allocation may already have evicted index-only prefix blocks.
+  /// steady state). OutOfMemory leaves the existing cache, the pool and the
+  /// index intact.
   Status Append(RequestId id, int32_t extra_tokens);
 
   /// Releases all blocks of request `id` (finish or preemption).
@@ -190,8 +189,8 @@ class HybridCacheAssigner {
   /// The adoption counts once the restore succeeded. Returns the positions
   /// deduped (the caller transfers only [deduped, image.num_tokens)).
   /// OutOfMemory leaves the request without a cache (the caller falls back
-  /// to a cold import); the failed allocation may already have evicted
-  /// index-only prefix blocks.
+  /// to a cold import); as with AllocatePrefill, only a seeded restore whose
+  /// growth fails keeps what its COW tail allocation evicted.
   StatusOr<int32_t> RestoreRequestCache(RequestId id,
                                         const RequestCacheImage& image,
                                         const std::vector<int32_t>& tokens,
@@ -242,9 +241,10 @@ class HybridCacheAssigner {
   void Forget(RequestId id, CacheMap* map);
   Status AllocateFor(CacheMap* map, int32_t new_blocks_per_component);
   /// AllocateMany with one evict-and-retry round on OutOfMemory when
-  /// sharing is on. Routes through ImportBlocks while a RestoreRequestCache
-  /// is in flight so migration allocations show up in the pool's lifetime
-  /// totals.
+  /// sharing is on and the index's evictable blocks cover the deficit, so
+  /// a failed call changes nothing. Routes through ImportBlocks while a
+  /// RestoreRequestCache is in flight so migration allocations show up in
+  /// the pool's lifetime totals.
   Status AllocateWithReclaim(int32_t n, std::vector<BlockId>* out);
   /// Populates a seed's COW tail through `copy`, then drops the source pin.
   void PopulateCowTail(const CowSeed& seed, const CowCopy& copy);

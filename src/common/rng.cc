@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/rng_simd.h"
+
 namespace aptserve {
 
 namespace {
@@ -27,14 +29,6 @@ inline uint64_t Temper(uint64_t z) {
   z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
   z ^= (z << 37) & 0xFFF7EEE000000000ULL;
   return z ^ (z >> 43);
-}
-
-// libstdc++'s std::generate_canonical<double, 53> over one draw: 64 bits
-// cover double's 53 digits, the division by 2^64 is exact, and a draw that
-// rounds up to 1 is clamped below it.
-inline double Canonical(Mt19937_64& gen) {
-  const double u = static_cast<double>(gen()) * 0x1p-64;
-  return u >= 1.0 ? 1.0 - 0x1p-53 : u;
 }
 
 }  // namespace
@@ -68,8 +62,8 @@ double Rng::Normal() {
   }
   double x = 0.0, y = 0.0, r2 = 0.0;
   do {
-    x = 2.0 * Canonical(gen_) - 1.0;
-    y = 2.0 * Canonical(gen_) - 1.0;
+    x = 2.0 * CanonicalFromBits(gen_()) - 1.0;
+    y = 2.0 * CanonicalFromBits(gen_()) - 1.0;
     r2 = x * x + y * y;
   } while (r2 > 1.0 || r2 == 0.0);
   const double mult = std::sqrt(-2 * std::log(r2) / r2);
@@ -79,6 +73,14 @@ double Rng::Normal() {
 }
 
 void Rng::FillNormal(float* out, int64_t n, float scale) {
+  FillNormalStaged(out, n, scale, rng_simd::Available());
+}
+
+void Rng::FillNormalScalar(float* out, int64_t n, float scale) {
+  FillNormalStaged(out, n, scale, /*vector=*/false);
+}
+
+void Rng::FillNormalStaged(float* out, int64_t n, float scale, bool vector) {
   int64_t i = 0;
   if (n > 0 && has_saved_normal_) {
     has_saved_normal_ = false;
@@ -86,32 +88,46 @@ void Rng::FillNormal(float* out, int64_t n, float scale) {
   }
   constexpr int64_t kBatch = 128;
   double xs[kBatch] = {}, ys[kBatch] = {};
-  double r2s[kBatch] = {}, mult[kBatch] = {};
+  double r2s[kBatch] = {}, logs[kBatch] = {};
   while (i < n) {
     // Each accepted pair yields two values; an odd tail saves the second.
     const int64_t pairs = std::min(kBatch, (n - i + 1) / 2);
     // Exactly the uniform pairs Normal() would draw: a rejected pair is
     // overwritten by the next one.
     for (int64_t k = 0; k < pairs;) {
-      const double x = 2.0 * Canonical(gen_) - 1.0;
-      const double y = 2.0 * Canonical(gen_) - 1.0;
+      if (vector) {
+        int available = 0;
+        const uint64_t* words = gen_.Peek(&available);
+        gen_.Skip(rng_simd::AcceptPairs(words, available, xs, ys, r2s, &k,
+                                        pairs));
+        if (k == pairs) break;
+      }
+      // The scalar stage, and in the vector one a pair from the last few
+      // words of a block or straddling a refill.
+      const double x = 2.0 * CanonicalFromBits(gen_()) - 1.0;
+      const double y = 2.0 * CanonicalFromBits(gen_()) - 1.0;
       const double r2 = x * x + y * y;
       xs[k] = x;
       ys[k] = y;
       r2s[k] = r2;
       k += !(r2 > 1.0 || r2 == 0.0);
     }
-    for (int64_t k = 0; k < pairs; ++k) {
-      mult[k] = std::sqrt(-2 * std::log(r2s[k]) / r2s[k]);
-    }
-    for (int64_t k = 0; k < pairs; ++k) {
-      out[i++] = static_cast<float>(ys[k] * mult[k]) * scale;
+    for (int64_t k = 0; k < pairs; ++k) logs[k] = std::log(r2s[k]);
+    // Pairs that yield both values; the vector stage takes a prefix of them.
+    const int64_t whole = std::min(pairs, (n - i) / 2);
+    const int64_t done =
+        vector ? rng_simd::ScalePairs(xs, ys, r2s, logs, whole, scale, out + i)
+               : 0;
+    i += 2 * done;
+    for (int64_t k = done; k < pairs; ++k) {
+      const double mult = std::sqrt(-2 * logs[k] / r2s[k]);
+      out[i++] = static_cast<float>(ys[k] * mult) * scale;
       if (i == n) {
-        saved_normal_ = xs[k] * mult[k];
+        saved_normal_ = xs[k] * mult;
         has_saved_normal_ = true;
         break;
       }
-      out[i++] = static_cast<float>(xs[k] * mult[k]) * scale;
+      out[i++] = static_cast<float>(xs[k] * mult) * scale;
     }
   }
 }

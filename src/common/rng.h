@@ -2,6 +2,7 @@
 // model weights and simulations are reproducible run to run.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 
@@ -28,6 +29,18 @@ class Mt19937_64 {
     return block_[pos_++];
   }
 
+  /// The words the next draws will return, in order, without drawing them:
+  /// `*available` (at least one) run to the end of the tempered block. A
+  /// spent block is refilled first, exactly as the next draw would.
+  const uint64_t* Peek(int* available) {
+    if (pos_ == kStateWords) Refill();
+    *available = kStateWords - pos_;
+    return block_ + pos_;
+  }
+
+  /// Draws the first `n` words of the last Peek (n <= its `*available`).
+  void Skip(int n) { pos_ += n; }
+
  private:
   void Refill();
 
@@ -36,6 +49,23 @@ class Mt19937_64 {
   int pos_ = kStateWords;
 };
 
+/// The one map of a 64-bit draw onto [0, 1):
+/// std::generate_canonical<double, 53> over one draw, that is the draw
+/// rounded to double, times 2^-64, with a draw that rounds up to 1 clamped
+/// to 1 - 2^-53. The halves make the rounding branch-free: double(hi) and
+/// double(lo) are exact (32 bits each), so is the scaling by 2^32, and the
+/// sum rounds once, giving the correctly rounded double of the whole word.
+/// The unsigned conversion the compiler emits for `double(word)` instead
+/// branches on the top bit, which is random. The sum cannot contract into
+/// an FMA that changes it: fma(hi, 2^32, lo) rounds the same exact sum.
+inline double CanonicalFromBits(uint64_t word) {
+  const double u = (static_cast<double>(static_cast<uint32_t>(word >> 32)) *
+                        0x1p32 +
+                    static_cast<double>(static_cast<uint32_t>(word))) *
+                   0x1p-64;
+  return std::min(u, 1.0 - 0x1p-53);
+}
+
 /// The distributions the library needs over Mt19937_64. Every component
 /// that draws randomness takes an explicit seed; nothing reads global
 /// entropy.
@@ -43,8 +73,10 @@ class Rng {
  public:
   explicit Rng(uint64_t seed = 42) : gen_(seed) {}
 
-  /// Uniform in [0, 1).
-  double Uniform() { return unit_(gen_); }
+  /// Uniform in [0, 1): CanonicalFromBits of one draw, which is what
+  /// std::uniform_real_distribution<double>(0, 1) returns over the same
+  /// engine (u * (1 - 0) + 0 == u), bit for bit.
+  double Uniform() { return CanonicalFromBits(gen_()); }
 
   /// Uniform in [lo, hi).
   double Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
@@ -65,9 +97,21 @@ class Rng {
 
   /// Writes `n` values equal, in order, to `n` calls of
   /// `static_cast<float>(Normal()) * scale`, saved value carried across
-  /// calls: accept/reject runs over batches of uniform pairs, then
-  /// log/sqrt over each accepted batch.
+  /// calls. It runs in stages over batches of up to 128 accepted pairs:
+  /// accept/reject over uniform pairs, then libm `log` of each r2, then
+  /// `sqrt(-2 log r2 / r2)`, the products, the float rounding and `scale`.
+  /// `log` stays scalar libm: every weight rests on its bits, and a vector
+  /// polynomial log would differ from it in the last place.
+  /// Where rng_simd::Available(), the accept/reject stage reads four pairs
+  /// at a time straight from the engine's tempered block and the last stage
+  /// runs four pairs wide; both are IEEE-exact operation for operation, so
+  /// the bits are the scalar stage's. No batch draws past the last pair it
+  /// accepts.
   void FillNormal(float* out, int64_t n, float scale);
+
+  /// FillNormal with every stage scalar: the reference the vector stages
+  /// are tested and benched against. Same values, same draws.
+  void FillNormalScalar(float* out, int64_t n, float scale);
 
   /// Exponential with the given rate (mean 1/rate).
   double Exponential(double rate) {
@@ -90,8 +134,9 @@ class Rng {
   Mt19937_64& generator() { return gen_; }
 
  private:
+  void FillNormalStaged(float* out, int64_t n, float scale, bool vector);
+
   Mt19937_64 gen_;
-  std::uniform_real_distribution<double> unit_{0.0, 1.0};
   double saved_normal_ = 0.0;
   bool has_saved_normal_ = false;
 };

@@ -170,6 +170,30 @@ int32_t PrefixIndex::EvictLru(int32_t min_blocks) {
   return freed;
 }
 
+int32_t PrefixIndex::EvictableBlocks() const {
+  bool whole = false;
+  return CountEvictable(root_, &whole);
+}
+
+int32_t PrefixIndex::CountEvictable(const Node& node, bool* whole) const {
+  // A node drains once its subtree has: EvictLru peels leaves wave by wave,
+  // so a pinned descendant keeps every ancestor in the index.
+  int32_t blocks = 0;
+  *whole = true;
+  for (const auto& [chunk, child] : node.children) {
+    (void)chunk;
+    bool below = false;
+    blocks += CountEvictable(*child, &below);
+    if (below && pool_->RefCount(child->k_block) == 1 &&
+        pool_->RefCount(child->v_block) == 1) {
+      blocks += 2;
+    } else {
+      *whole = false;
+    }
+  }
+  return blocks;
+}
+
 void PrefixIndex::Clear() {
   // Post-order release: children before parents (unique_ptr destruction
   // handles the tree; the pool references need the explicit walk).

@@ -114,6 +114,10 @@ class PrefixIndex {
   /// peels the tree bottom-up.
   int32_t EvictLru(int32_t min_blocks);
 
+  /// Blocks EvictLru would free if asked for all of them: both blocks of
+  /// every node whose whole subtree only the index holds. Walks the tree.
+  int32_t EvictableBlocks() const;
+
   /// Drops every node and releases the index's block references.
   void Clear();
 
@@ -153,6 +157,9 @@ class PrefixIndex {
   void Touch(Node* node) { node->last_use = ++clock_; }
   /// Appends every currently evictable leaf under `node` to `out`.
   void CollectEvictableLeaves(Node* node, std::vector<Node*>* out) const;
+  /// Evictable blocks below `node`; `*whole` says whether every child's
+  /// subtree is evictable.
+  int32_t CountEvictable(const Node& node, bool* whole) const;
 
   BlockPool* pool_;
   int32_t block_size_;

@@ -203,6 +203,63 @@ TEST(HybridAssignerSharingTest, SeedingOomFallsThroughToUnsharedPass) {
   EXPECT_EQ(assigner.prefix_stats()->evicted_blocks, 4);
 }
 
+// An allocation that free plus evictable blocks cannot cover fails without
+// evicting anything; one they cover evicts, peeling the chain bottom-up,
+// and succeeds.
+TEST(HybridAssignerSharingTest, ReclaimEvictsOnlyWhenItCoversTheRequest) {
+  BlockPool pool(6, 4);
+  HybridCacheAssigner assigner(&pool);
+  assigner.EnablePrefixSharing();
+  const auto tokens = Tokens(8);
+  ASSERT_TRUE(assigner.AllocatePrefill(1, CacheType::kKV, tokens, 8, 8, 8)
+                  .ok());
+  assigner.PublishPrompt(1, tokens, 8);
+  ASSERT_TRUE(assigner.Release(1).ok());
+  // Two free blocks, four index-only ones in a two-node chain.
+  ASSERT_EQ(pool.num_free(), 2);
+  ASSERT_EQ(assigner.prefix_index()->EvictableBlocks(), 4);
+
+  // 16 KV tokens need 8 blocks; 2 free + 4 evictable fall short.
+  EXPECT_TRUE(assigner.CreateFilled(2, CacheType::kKV, 16).IsOutOfMemory());
+  EXPECT_EQ(pool.num_free(), 2);
+  EXPECT_EQ(assigner.prefix_index()->indexed_blocks(), 4);
+  EXPECT_EQ(assigner.prefix_stats()->evicted_blocks, 0);
+  // Growth past what the pool can hold fails the same way.
+  ASSERT_TRUE(assigner.CreateFilled(3, CacheType::kHidden, 4).ok());
+  EXPECT_TRUE(assigner.Append(3, 24).IsOutOfMemory());
+  EXPECT_EQ(pool.num_free(), 1);
+  EXPECT_EQ(assigner.prefix_index()->indexed_blocks(), 4);
+  ASSERT_TRUE(assigner.Release(3).ok());
+
+  // 12 KV tokens need 6 blocks: 2 free + all 4 evictable.
+  ASSERT_TRUE(assigner.CreateFilled(2, CacheType::kKV, 12).ok());
+  EXPECT_EQ(pool.num_free(), 0);
+  EXPECT_EQ(assigner.prefix_index()->indexed_blocks(), 0);
+  EXPECT_EQ(assigner.prefix_stats()->evicted_blocks, 4);
+}
+
+// A leaf a live request still holds keeps its whole branch in the index:
+// only wholly index-only subtrees count as evictable.
+TEST(HybridAssignerSharingTest, PinnedLeafKeepsItsBranchUnevictable) {
+  BlockPool pool(16, 4);
+  HybridCacheAssigner assigner(&pool);
+  assigner.EnablePrefixSharing();
+  const auto tokens = Tokens(8);
+  ASSERT_TRUE(assigner.AllocatePrefill(1, CacheType::kKV, tokens, 8, 8, 8)
+                  .ok());
+  assigner.PublishPrompt(1, tokens, 8);
+  // Request 1 still owns both block pairs: nothing is evictable.
+  EXPECT_EQ(assigner.prefix_index()->EvictableBlocks(), 0);
+  ASSERT_TRUE(assigner.Release(1).ok());
+  EXPECT_EQ(assigner.prefix_index()->EvictableBlocks(), 4);
+  // A 12-token prompt adopts both pairs again and pins them.
+  const auto longer = Tokens(12);
+  ASSERT_TRUE(
+      assigner.AllocatePrefill(2, CacheType::kKV, longer, 12, 12, 12).ok());
+  EXPECT_EQ(assigner.prefix_index()->EvictableBlocks(), 0);
+  EXPECT_EQ(assigner.ReclaimPrefixBlocks(4), 0);
+}
+
 // ---- Seeded property test ---------------------------------------------------
 //
 // Random sequences of every cache operation over a small pool, with and
@@ -217,8 +274,9 @@ TEST(HybridAssignerSharingTest, SeedingOomFallsThroughToUnsharedPass) {
 //  - num_requests() is the live set.
 // Every release is probed: the blocks that left the pool must come back
 // out of its LIFO free list in exactly reversed K, V, hidden order. An
-// allocation that runs out of memory changes nothing but the index-only
-// blocks its reclaim evicted.
+// allocation that runs out of memory changes nothing. A fresh prefill or
+// restore that seeds from the index makes two allocations; when the second
+// fails, the index-only blocks the first one's reclaim evicted stay gone.
 
 class AssignerProperty {
  public:
@@ -282,7 +340,7 @@ class AssignerProperty {
         const int32_t n = Uniform(1, 24);
         const Status st = assigner_.CreateFilled(id, type, n);
         if (st.IsOutOfMemory()) {
-          ExpectOnlyEvictions(free_before);
+          ExpectUnchanged(free_before);
           return;
         }
         ASSERT_TRUE(st.ok()) << st.ToString();
@@ -300,7 +358,7 @@ class AssignerProperty {
           auto r = assigner_.AllocatePrefill(id, l.type, l.prompt,
                                              PromptLen(l), l.target, chunk);
           if (r.status().IsOutOfMemory()) {
-            ExpectOnlyEvictions(free_before);
+            ExpectUnchanged(free_before);
             return;
           }
           ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -314,7 +372,7 @@ class AssignerProperty {
         const int32_t k = Uniform(0, 6);
         const Status st = assigner_.Append(id, k);
         if (st.IsOutOfMemory()) {
-          ExpectOnlyEvictions(free_before);
+          ExpectUnchanged(free_before);
           return;
         }
         ASSERT_TRUE(st.ok()) << st.ToString();
@@ -353,8 +411,17 @@ class AssignerProperty {
     return index != nullptr ? index->indexed_blocks() : 0;
   }
 
-  /// A failed allocation leaves every owned block as it was; the only
-  /// blocks it may have returned are index-only ones its reclaim evicted.
+  /// A failed single allocation leaves the pool and the index as they
+  /// were: its reclaim evicts only when that covers the request.
+  void ExpectUnchanged(int32_t free_before) {
+    ++ooms_;
+    EXPECT_EQ(pool_.num_free(), free_before);
+    EXPECT_EQ(IndexedBlocks(), indexed_before_);
+  }
+
+  /// A failed seeded step leaves every owned block as it was; the only
+  /// blocks it may have returned are index-only ones the reclaim of its
+  /// successful first allocation evicted.
   void ExpectOnlyEvictions(int32_t free_before) {
     ++ooms_;
     EXPECT_EQ(pool_.num_free() - free_before,
