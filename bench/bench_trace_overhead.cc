@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -163,10 +164,11 @@ StatusOr<RunResult> RunOnce(Mode mode, const std::vector<Request>& trace) {
   }
   if (mode == Mode::kFullExport) {
     const double t0 = NowSeconds();
-    const std::string json = obs::ExportChromeTrace(recorder.Flush());
+    std::ostringstream json;
+    obs::ExportChromeTrace(recorder.Flush(), json);
     const std::string prom = metrics.ExportPrometheus();
     out.export_wall_s = NowSeconds() - t0;
-    out.export_bytes = json.size() + prom.size();
+    out.export_bytes = json.str().size() + prom.size();
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <utility>
 
 #include "baselines/fcfs_scheduler.h"
 #include "baselines/random_scheduler.h"
@@ -50,7 +51,9 @@ StatusOr<AdmissionMode> ParseAdmissionMode(const std::string& name) {
 }
 
 // Events kept per trace shard (one shard per instance) before the ring
-// overwrites the oldest: enough for every event of a committed config.
+// overwrites the oldest: enough for every event of a committed config. A
+// cell whose trace overflows a shard fails rather than write a truncated
+// trace.
 constexpr size_t kTraceShardCapacity = size_t{1} << 18;
 
 SloSpec CellSlo(const CellParams& params) {
@@ -256,14 +259,23 @@ Status WriteJsonFile(const std::string& path, const json::JsonValue& value) {
   });
 }
 
-/// --trace: trace.json, written only once the validator accepts it, and
-/// metrics.prom.
+/// --trace: trace.json, written only once the recorder kept every event
+/// and CheckTraceEvents accepts them, and metrics.prom.
 Status WriteCellTrace(obs::TraceRecorder* recorder, const CellRun& run,
                       const std::string& run_dir) {
-  const std::string json = obs::ExportChromeTrace(recorder->Flush());
-  APT_RETURN_NOT_OK(obs::ValidateChromeTrace(json).status());
-  APT_RETURN_NOT_OK(WriteFile(run_dir + "/trace.json",
-                              [&json](std::ostream* out) { *out << json; }));
+  if (const uint64_t dropped = recorder->TotalDropped(); dropped > 0) {
+    return Status::FailedPrecondition(
+        "trace ring overflow: " + std::to_string(dropped) + " of " +
+        std::to_string(recorder->TotalEmitted()) +
+        " events dropped (a shard keeps " +
+        std::to_string(kTraceShardCapacity) + ")");
+  }
+  std::vector<obs::TraceEvent> events = recorder->Flush();
+  APT_RETURN_NOT_OK(obs::CheckTraceEvents(events).status());
+  APT_RETURN_NOT_OK(
+      WriteFile(run_dir + "/trace.json", [&events](std::ostream* out) {
+        obs::ExportChromeTrace(std::move(events), *out);
+      }));
   return WriteFile(run_dir + "/metrics.prom", [&run](std::ostream* out) {
     *out << run.metrics_prom;
   });

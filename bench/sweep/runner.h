@@ -40,9 +40,10 @@ struct SweepOptions {
   /// Per-cell progress lines on stderr.
   bool verbose = true;
   /// Each cell also writes trace.json (the Chrome trace of its request
-  /// lifecycle; a trace the validator rejects fails the cell) and
-  /// metrics.prom (its metrics registry in Prometheus text). Rejected
-  /// together with `resume`: a skipped cell would have no trace.
+  /// lifecycle; a trace that dropped events or that CheckTraceEvents
+  /// rejects fails the cell) and metrics.prom (its metrics registry in
+  /// Prometheus text). Rejected together with `resume`: a skipped cell
+  /// would have no trace.
   bool trace = false;
 };
 

@@ -34,7 +34,7 @@ void Usage(const char* argv0) {
       "  --fail_fast        stop launching cells after the first failure\n"
       "  --quiet            suppress per-cell progress lines\n"
       "  --trace            each cell also writes trace.json (Chrome\n"
-      "                     trace, validated) and metrics.prom; not with\n"
+      "                     trace, checked) and metrics.prom; not with\n"
       "                     --resume\n",
       argv0);
 }

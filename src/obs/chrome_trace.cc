@@ -1,18 +1,17 @@
 #include "obs/chrome_trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <map>
-#include <utility>
+#include <set>
+#include <string>
 
-#include "common/json.h"
 #include "obs/trace_recorder.h"
 
 namespace aptserve::obs {
 
 namespace {
-
-// ---- Export ----------------------------------------------------------------
 
 // chrome://tracing wants small non-negative tids; instance tracks use their
 // ids directly and the reserved negative tracks map above any plausible
@@ -68,182 +67,60 @@ void AppendCommon(const TraceEvent& e, const char* ph, const char* cat,
 
 }  // namespace
 
-std::string ExportChromeTrace(std::vector<TraceEvent> events) {
-  // Stable per-track timestamp order: equal stamps keep emission order, and
-  // per-track monotonicity becomes a construction property (queue-wait
-  // spans legitimately *start* in the past relative to their emit point).
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     if (a.track != b.track) return a.track < b.track;
-                     return a.ts < b.ts;
-                   });
-
-  std::map<int32_t, bool> tracks;
-  for (const TraceEvent& e : events) tracks[e.track] = true;
-
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) out += ",\n";
-    first = false;
-  };
-
-  sep();
-  out +=
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-      "\"args\":{\"name\":\"aptserve\"}}";
-  for (const auto& [track, unused] : tracks) {
-    (void)unused;
-    sep();
-    out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-           std::to_string(TrackTid(track)) + ",\"args\":{\"name\":\"" +
-           TrackName(track) + "\"}}";
-  }
-
-  for (const TraceEvent& e : events) {
-    switch (e.kind) {
-      case EventKind::kSpan:
-        sep();
-        AppendCommon(e, "X", "lifecycle", &out);
-        out += ",\"dur\":" + JsonNumber(e.dur * 1e6) + ",";
-        AppendArgs(e, &out);
-        out += '}';
-        break;
-      case EventKind::kInstant:
-        sep();
-        AppendCommon(e, "i", "lifecycle", &out);
-        out += ",\"s\":\"t\",";
-        AppendArgs(e, &out);
-        out += '}';
-        break;
-      case EventKind::kFlowBegin:
-        // A visible instant plus the flow-start half of the arrow.
-        sep();
-        AppendCommon(e, "i", "lifecycle", &out);
-        out += ",\"s\":\"t\",";
-        AppendArgs(e, &out);
-        out += '}';
-        sep();
-        AppendCommon(e, "s", "flow", &out);
-        out += ",\"id\":" + std::to_string(e.flow) + '}';
-        break;
-      case EventKind::kFlowEnd:
-        sep();
-        AppendCommon(e, "i", "lifecycle", &out);
-        out += ",\"s\":\"t\",";
-        AppendArgs(e, &out);
-        out += '}';
-        sep();
-        AppendCommon(e, "f", "flow", &out);
-        out += ",\"bp\":\"e\",\"id\":" + std::to_string(e.flow) + '}';
-        break;
-    }
-  }
-  out += "],\"displayTimeUnit\":\"ms\"}\n";
-  return out;
-}
-
-// ---- Validation ------------------------------------------------------------
-
-StatusOr<ChromeTraceStats> ValidateChromeTrace(const std::string& text) {
-  auto root_or = json::ParseJson(text);
-  APT_RETURN_NOT_OK(root_or.status());
-  const json::JsonValue& root = *root_or;
-  if (!root.is_object()) {
-    return Status::InvalidArgument("trace root is not an object");
-  }
-  const json::JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return Status::InvalidArgument("missing traceEvents array");
-  }
-
+StatusOr<ChromeTraceStats> CheckTraceEvents(
+    const std::vector<TraceEvent>& events) {
   ChromeTraceStats stats;
-  std::map<std::pair<int64_t, int64_t>, double> last_ts;  // (pid,tid) -> ts
+  std::set<int32_t> tracks;
   struct FlowHalves {
     int64_t begins = 0;
     int64_t ends = 0;
     double begin_ts = 0.0;
     double end_ts = 0.0;
   };
-  std::map<int64_t, FlowHalves> flows;
+  std::map<uint64_t, FlowHalves> flows;
 
-  int64_t index = -1;
-  for (const json::JsonValue& e : events->items()) {
-    ++index;
-    const std::string at = "traceEvents[" + std::to_string(index) + "]";
-    if (!e.is_object()) {
-      return Status::InvalidArgument(at + " is not an object");
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    const auto error = [&](const std::string& what) {
+      return Status::InvalidArgument("trace event " + std::to_string(i) +
+                                     " (" + TraceOpName(e.op) + "): " + what);
+    };
+    for (const double v : {e.ts, e.dur, e.a0, e.a1, e.a2}) {
+      if (!std::isfinite(v)) return error("non-finite ts, dur or arg");
     }
-    const json::JsonValue* ph = e.Find("ph");
-    const json::JsonValue* name = e.Find("name");
-    const json::JsonValue* pid = e.Find("pid");
-    const json::JsonValue* tid = e.Find("tid");
-    if (ph == nullptr || !ph->is_string() || ph->string_value().empty()) {
-      return Status::InvalidArgument(at + ": missing ph");
-    }
-    if (name == nullptr || !name->is_string()) {
-      return Status::InvalidArgument(at + ": missing name");
-    }
-    if (pid == nullptr || !pid->is_number() || tid == nullptr ||
-        !tid->is_number()) {
-      return Status::InvalidArgument(at + ": missing pid/tid");
-    }
-    const std::string& phase = ph->string_value();
-    const std::string& event_name = name->string_value();
-    if (phase == "M") continue;  // metadata: no timestamp contract
-
-    const json::JsonValue* ts_value = e.Find("ts");
-    if (ts_value == nullptr || !ts_value->is_number()) {
-      return Status::InvalidArgument(at + ": missing ts");
-    }
-    const double ts = ts_value->number_value();
+    tracks.insert(e.track);
     ++stats.events;
-
-    const std::pair<int64_t, int64_t> track{
-        static_cast<int64_t>(pid->number_value()),
-        static_cast<int64_t>(tid->number_value())};
-    auto [it, inserted] = last_ts.emplace(track, ts);
-    if (inserted) ++stats.tracks;
-    if (!inserted) {
-      if (ts < it->second) {
-        return Status::InvalidArgument(
-            at + ": non-monotonic ts on track tid=" +
-            std::to_string(track.second) + " (" + std::to_string(ts) +
-            " after " + std::to_string(it->second) + ")");
-      }
-      it->second = ts;
-    }
-
-    if (phase == "X") {
-      const json::JsonValue* dur = e.Find("dur");
-      if (dur == nullptr || !dur->is_number() || dur->number_value() < 0) {
-        return Status::InvalidArgument(at + ": complete event without dur");
-      }
-      if (event_name == "queue_wait") ++stats.queue_wait_spans;
-    } else if (phase == "s" || phase == "f") {
-      const json::JsonValue* id = e.Find("id");
-      if (id == nullptr || !id->is_number()) {
-        return Status::InvalidArgument(at + ": flow event without id");
-      }
-      FlowHalves& half = flows[static_cast<int64_t>(id->number_value())];
-      if (phase == "s") {
+    switch (e.kind) {
+      case EventKind::kSpan:
+        if (e.dur < 0) return error("negative span duration");
+        if (e.op == TraceOp::kQueueWait) ++stats.queue_wait_spans;
+        continue;
+      case EventKind::kInstant:
+        break;
+      case EventKind::kFlowBegin: {
+        FlowHalves& half = flows[e.flow];
         ++half.begins;
-        half.begin_ts = ts;
+        half.begin_ts = e.ts;
         ++stats.flow_begins;
-      } else {
+        ++stats.events;  // the "s" half next to the instant
+        break;
+      }
+      case EventKind::kFlowEnd: {
+        FlowHalves& half = flows[e.flow];
         ++half.ends;
-        half.end_ts = ts;
+        half.end_ts = e.ts;
         ++stats.flow_ends;
+        ++stats.events;  // the "f" half next to the instant
+        break;
       }
-    } else if (phase == "i") {
-      if (event_name == "scale") ++stats.scale_events;
-      if (event_name == "queue_wait") {
-        return Status::InvalidArgument(
-            at + ": queue_wait must be a span (X), not an instant — the "
-                 "paired-instant encoding was retired");
-      }
+    }
+    // Every non-span kind renders an instant.
+    if (e.op == TraceOp::kScale) ++stats.scale_events;
+    if (e.op == TraceOp::kQueueWait) {
+      return error("queue_wait must be a span, not an instant");
     }
   }
+  stats.tracks = static_cast<int64_t>(tracks.size());
 
   for (const auto& [id, half] : flows) {
     if (half.begins != 1 || half.ends != 1) {
@@ -259,6 +136,87 @@ StatusOr<ChromeTraceStats> ValidateChromeTrace(const std::string& text) {
     ++stats.matched_flows;
   }
   return stats;
+}
+
+void ExportChromeTrace(std::vector<TraceEvent> events, std::ostream& out) {
+  // Stable per-track timestamp order: equal stamps keep emission order, and
+  // per-track monotonicity becomes a construction property (queue-wait
+  // spans legitimately *start* in the past relative to their emit point).
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.track != b.track) return a.track < b.track;
+                     return a.ts < b.ts;
+                   });
+
+  std::set<int32_t> tracks;
+  for (const TraceEvent& e : events) tracks.insert(e.track);
+
+  // Events render into `buf`, which drains to `out` in chunks, so the
+  // document is never held whole.
+  constexpr size_t kChunkBytes = size_t{1} << 16;
+  std::string buf = "{\"traceEvents\":[";
+  bool first = true;
+  auto sep = [&] {
+    if (buf.size() >= kChunkBytes) {
+      out << buf;
+      buf.clear();
+    }
+    if (!first) buf += ",\n";
+    first = false;
+  };
+
+  sep();
+  buf +=
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+      "\"args\":{\"name\":\"aptserve\"}}";
+  for (const int32_t track : tracks) {
+    sep();
+    buf += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
+           std::to_string(TrackTid(track)) + ",\"args\":{\"name\":\"" +
+           TrackName(track) + "\"}}";
+  }
+
+  for (const TraceEvent& e : events) {
+    switch (e.kind) {
+      case EventKind::kSpan:
+        sep();
+        AppendCommon(e, "X", "lifecycle", &buf);
+        buf += ",\"dur\":" + JsonNumber(e.dur * 1e6) + ",";
+        AppendArgs(e, &buf);
+        buf += '}';
+        break;
+      case EventKind::kInstant:
+        sep();
+        AppendCommon(e, "i", "lifecycle", &buf);
+        buf += ",\"s\":\"t\",";
+        AppendArgs(e, &buf);
+        buf += '}';
+        break;
+      case EventKind::kFlowBegin:
+        // A visible instant plus the flow-start half of the arrow.
+        sep();
+        AppendCommon(e, "i", "lifecycle", &buf);
+        buf += ",\"s\":\"t\",";
+        AppendArgs(e, &buf);
+        buf += '}';
+        sep();
+        AppendCommon(e, "s", "flow", &buf);
+        buf += ",\"id\":" + std::to_string(e.flow) + '}';
+        break;
+      case EventKind::kFlowEnd:
+        sep();
+        AppendCommon(e, "i", "lifecycle", &buf);
+        buf += ",\"s\":\"t\",";
+        AppendArgs(e, &buf);
+        buf += '}';
+        sep();
+        AppendCommon(e, "f", "flow", &buf);
+        buf += ",\"bp\":\"e\",\"id\":" + std::to_string(e.flow) + '}';
+        break;
+    }
+  }
+  buf += "],\"displayTimeUnit\":\"ms\"}\n";
+  out << buf;
 }
 
 }  // namespace aptserve::obs

@@ -338,7 +338,7 @@ TEST(AsyncServingTest, WallTraceRoutesEachRequestOnceInTheWallFrame) {
     EXPECT_EQ(cell_spans,
               num_cells > 1 ? static_cast<int64_t>(trace.size()) : 0);
 
-    auto stats = obs::ValidateChromeTrace(obs::ExportChromeTrace(events));
+    auto stats = obs::CheckTraceEvents(events);
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
     EXPECT_GT(stats->queue_wait_spans, 0);
   }

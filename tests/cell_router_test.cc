@@ -430,19 +430,16 @@ TEST(CellRouterTest, QueueWaitIsASpanOnRouterAndCellTracks) {
   EXPECT_EQ(cell_spans, static_cast<int64_t>(trace.size()));
   EXPECT_LE(cell_tracks.size(), 2u);
 
-  const std::string json = obs::ExportChromeTrace(events);
-  auto stats = obs::ValidateChromeTrace(json);
+  auto stats = obs::CheckTraceEvents(events);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_GT(stats->queue_wait_spans, 0);
 }
 
-TEST(CellRouterTest, ValidatorRejectsQueueWaitInstants) {
+TEST(CellRouterTest, TraceCheckRejectsQueueWaitInstants) {
   obs::TraceRecorder rec;
   obs::TraceSink sink = rec.MakeSink(obs::kRouterTrack);
   sink.Instant(obs::TraceOp::kQueueWait, 1.0, 1);
-  const std::string json = obs::ExportChromeTrace(rec.Flush());
-  auto stats = obs::ValidateChromeTrace(json);
-  EXPECT_FALSE(stats.ok());
+  EXPECT_FALSE(obs::CheckTraceEvents(rec.Flush()).ok());
 }
 
 // ---- Seeded properties -----------------------------------------------------

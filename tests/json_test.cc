@@ -98,6 +98,15 @@ TEST(JsonParse, ErrorNamesPosition) {
       << parsed.status().ToString();
 }
 
+TEST(JsonParse, DeepNestingIsAnErrorNotAStackOverflow) {
+  auto parsed = ParseJson(std::string(100000, '['));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_TRUE(parsed.status().IsInvalidArgument());
+  EXPECT_NE(parsed.status().message().find("nesting too deep"),
+            std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(JsonDump, DeterministicAndParseable) {
   JsonValue obj = JsonValue::Object();
   obj.Set("name", JsonValue::String("a \"quoted\"\nkey"));

@@ -1,8 +1,9 @@
 // Sweep harness (bench/sweep/): matrix expansion, the --resume contract
 // (skip on matching meta.json, rerun on any config change), run-directory
-// layout, runs.csv row conservation, report rendering, and the committed
-// fleet configs' gates (elastic savings, int8 migration bytes, a valid
-// trace of a scaling, migrating fleet).
+// layout, runs.csv row conservation, report rendering, a traced cell that
+// drops events failing, and the committed fleet configs' gates (elastic
+// savings, int8 migration bytes, a checked trace of a scaling, migrating
+// fleet).
 #include "bench/sweep/config.h"
 
 #include <gtest/gtest.h>
@@ -174,6 +175,31 @@ TEST_F(SweepTest, RunsProduceMetaAndResultPerCell) {
     ASSERT_NE(result->Find("ttft_cdf"), nullptr);
     EXPECT_FALSE(result->Find("ttft_cdf")->items().empty());
   }
+}
+
+// One instance serving 1,500 ShareGPT requests emits more than the sweep's
+// 2^18 events per trace shard. The cell fails, naming the dropped count,
+// instead of writing a truncated trace.json.
+TEST_F(SweepTest, TracedCellFailsWhenItsTraceDropsEvents) {
+  SweepConfig config = TinyConfig(out_root_);
+  config.base.num_requests = 1500;
+  config.base.n_instances = 1;
+  config.matrix.schedulers = {"vLLM"};
+  config.matrix.seeds = {55};
+  config.matrix.rates = {6.0};
+  SweepOptions traced = Quiet();
+  traced.trace = true;
+  auto run = RunSweep(config, traced);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->outcomes.size(), 1u);
+  EXPECT_EQ(run->failed, 1);
+  const CellOutcome& outcome = run->outcomes[0];
+  EXPECT_EQ(outcome.state, CellOutcome::State::kFailed);
+  EXPECT_NE(outcome.error.find("events dropped"), std::string::npos)
+      << outcome.error;
+  const std::string run_dir = run->exp_dir + "/runs/" + outcome.run_id;
+  EXPECT_FALSE(PathExists(run_dir + "/trace.json"));
+  EXPECT_FALSE(PathExists(run_dir + "/result.json"));
 }
 
 TEST_F(SweepTest, ResumeSkipsCellsWhoseMetaMatches) {
@@ -486,14 +512,14 @@ TEST(SweepFleetConfigTest, ElasticFleetSavesInstanceSecondsAtEqualAttainment) {
   EXPECT_GT(elastic.fleet_metrics.cold_starts, 0);
   EXPECT_GT(elastic.fleet_metrics.migrations, 0);
 
-  // Traced, the scaling, migrating fleet exports a trace the validator
+  // Traced, the scaling, migrating fleet records a trace the check
   // accepts, with a matched migration flow and a scale event, and the
   // tracer changes no result.
   obs::TraceRecorder recorder(/*shard_capacity=*/size_t{1} << 18);
   auto traced = ExecuteCell(runs.at("elastic").cell, &recorder);
   ASSERT_TRUE(traced.ok()) << traced.status().ToString();
-  auto stats =
-      obs::ValidateChromeTrace(obs::ExportChromeTrace(recorder.Flush()));
+  EXPECT_EQ(recorder.TotalDropped(), 0u);
+  auto stats = obs::CheckTraceEvents(recorder.Flush());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_GE(stats->matched_flows, 1);
   EXPECT_GE(stats->scale_events, 1);

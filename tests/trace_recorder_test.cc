@@ -1,18 +1,24 @@
 // TraceRecorder: concurrent emit/flush churn (the suite runs under TSan in
 // CI), virtual-timestamp determinism of instrumented fleet runs across
-// runtime thread counts, and the Chrome trace_event JSON round-trip
-// (export -> validate, flow arrows and scale events included).
+// runtime thread counts, the typed-event check (flow arrows, scale events,
+// the rejections), and the Chrome trace_event exporter as a faithful
+// serialisation (its output parsed back and matched event by event).
 #include "obs/trace_recorder.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "baselines/fcfs_scheduler.h"
+#include "common/json.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics_registry.h"
 #include "serve/fleet_controller.h"
@@ -213,11 +219,16 @@ TEST(TraceRecorderTest, VirtualTimestampsDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(TraceRecorderTest, FleetTraceExportsValidChromeJson) {
+std::string ExportToString(std::vector<TraceEvent> events) {
+  std::ostringstream out;
+  ExportChromeTrace(std::move(events), out);
+  return out.str();
+}
+
+TEST(TraceRecorderTest, FleetTraceChecksAndExportsDeterministically) {
   const std::vector<TraceEvent> events = RunInstrumentedFleet(1);
   ASSERT_FALSE(events.empty());
-  const std::string json = ExportChromeTrace(events);
-  auto stats = ValidateChromeTrace(json);
+  auto stats = CheckTraceEvents(events);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_GT(stats->events, 0);
   // Router + controller + at least the two initial instances.
@@ -226,12 +237,12 @@ TEST(TraceRecorderTest, FleetTraceExportsValidChromeJson) {
   EXPECT_EQ(stats->flow_begins, stats->flow_ends);
   EXPECT_EQ(stats->matched_flows, stats->flow_begins);
   // Export is a pure function of the event sequence.
-  EXPECT_EQ(json, ExportChromeTrace(events));
+  EXPECT_EQ(ExportToString(events), ExportToString(events));
 }
 
-// ---- Chrome exporter edge cases -------------------------------------------
+// ---- Chrome exporter and the typed check ----------------------------------
 
-TEST(TraceRecorderTest, ChromeTraceRoundTripHandBuilt) {
+std::vector<TraceEvent> HandBuiltTrace() {
   TraceRecorder rec;
   TraceSink router = rec.MakeSink(kRouterTrack);
   TraceSink a = rec.MakeSink(0);
@@ -242,10 +253,13 @@ TEST(TraceRecorderTest, ChromeTraceRoundTripHandBuilt) {
   const uint64_t flow = a.FlowBegin(TraceOp::kMigrationExport, 0.6, 1, 2.0);
   b.FlowEnd(TraceOp::kMigrationImport, 0.7, 1, flow, 1.0, 0.0);
   b.Span(TraceOp::kDecodeStep, 0.8, 0.0, 1, 1.0);
+  return rec.Flush();
+}
 
-  const std::string json = ExportChromeTrace(rec.Flush());
-  auto stats = ValidateChromeTrace(json);
+TEST(TraceRecorderTest, CheckCountsHandBuiltTraceAsExported) {
+  auto stats = CheckTraceEvents(HandBuiltTrace());
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->events, 8);  // each flow event renders twice
   EXPECT_EQ(stats->tracks, 3);
   EXPECT_EQ(stats->flow_begins, 1);
   EXPECT_EQ(stats->flow_ends, 1);
@@ -253,20 +267,92 @@ TEST(TraceRecorderTest, ChromeTraceRoundTripHandBuilt) {
   EXPECT_EQ(stats->scale_events, 0);
 }
 
-TEST(TraceRecorderTest, ValidatorRejectsMalformedJson) {
-  EXPECT_FALSE(ValidateChromeTrace("not json").ok());
-  EXPECT_FALSE(ValidateChromeTrace("{\"traceEvents\": 3}").ok());
-  EXPECT_FALSE(ValidateChromeTrace("{\"traceEvents\": [{}]}").ok());
-  // Deep nesting is an error, not a stack overflow.
-  EXPECT_FALSE(ValidateChromeTrace(std::string(100000, '[')).ok());
+// The exported text parses, and its non-metadata events are the typed
+// events in export order: per track by timestamp, a flow event as an
+// instant followed by its "s"/"f" half.
+TEST(TraceRecorderTest, ExportIsAFaithfulSerialisation) {
+  for (std::vector<TraceEvent> events :
+       {HandBuiltTrace(), RunInstrumentedFleet(1)}) {
+    ASSERT_TRUE(CheckTraceEvents(events).ok());
+    auto root = json::ParseJson(ExportToString(events));
+    ASSERT_TRUE(root.ok()) << root.status().ToString();
+    const json::JsonValue* rendered = root->Find("traceEvents");
+    ASSERT_NE(rendered, nullptr);
+
+    std::stable_sort(events.begin(), events.end(),
+                     [](const TraceEvent& a, const TraceEvent& b) {
+                       if (a.track != b.track) return a.track < b.track;
+                       return a.ts < b.ts;
+                     });
+    struct Expected {
+      std::string ph;
+      const TraceEvent* event;
+    };
+    std::vector<Expected> expected;
+    for (const TraceEvent& e : events) {
+      switch (e.kind) {
+        case EventKind::kSpan:
+          expected.push_back({"X", &e});
+          break;
+        case EventKind::kInstant:
+          expected.push_back({"i", &e});
+          break;
+        case EventKind::kFlowBegin:
+          expected.push_back({"i", &e});
+          expected.push_back({"s", &e});
+          break;
+        case EventKind::kFlowEnd:
+          expected.push_back({"i", &e});
+          expected.push_back({"f", &e});
+          break;
+      }
+    }
+
+    size_t next = 0;
+    std::map<int64_t, double> last_ts;  // tid -> ts
+    for (const json::JsonValue& r : rendered->items()) {
+      ASSERT_TRUE(r.is_object());
+      if (r.Find("ph")->string_value() == "M") continue;
+      ASSERT_LT(next, expected.size());
+      const Expected& want = expected[next++];
+      const TraceEvent& e = *want.event;
+      // The exporter's track -> tid map: instances keep their ids, the
+      // reserved negative tracks sit above 10000.
+      const int64_t tid = e.track >= 0 ? e.track : 10000 - int64_t{e.track};
+      const double ts = r.Find("ts")->number_value();
+      EXPECT_EQ(r.Find("ph")->string_value(), want.ph) << next;
+      EXPECT_EQ(r.Find("name")->string_value(), TraceOpName(e.op)) << next;
+      EXPECT_EQ(r.Find("tid")->number_value(), static_cast<double>(tid))
+          << next;
+      EXPECT_NEAR(ts, e.ts * 1e6, 1e-3) << next;
+      auto [it, inserted] = last_ts.emplace(tid, ts);
+      if (!inserted) {
+        EXPECT_GE(ts, it->second) << "tid " << tid;
+        it->second = ts;
+      }
+    }
+    EXPECT_EQ(next, expected.size());
+  }
 }
 
-TEST(TraceRecorderTest, ValidatorRejectsUnmatchedFlow) {
+TEST(TraceRecorderTest, CheckRejectsUnmatchedFlow) {
   TraceRecorder rec;
   TraceSink sink = rec.MakeSink(0);
   (void)sink.FlowBegin(TraceOp::kMigrationExport, 1.0, 1);
-  const std::string json = ExportChromeTrace(rec.Flush());
-  EXPECT_FALSE(ValidateChromeTrace(json).ok());
+  EXPECT_FALSE(CheckTraceEvents(rec.Flush()).ok());
+}
+
+TEST(TraceRecorderTest, CheckRejectsNanStamp) {
+  // "%.3f" would print nan, which is not JSON, and a NaN breaks the
+  // exporter's timestamp order.
+  TraceRecorder rec;
+  TraceSink sink = rec.MakeSink(0);
+  sink.Instant(TraceOp::kArrival, 1.0, 1);
+  sink.Instant(TraceOp::kArrival, std::nan(""), 2);
+  auto stats = CheckTraceEvents(rec.Flush());
+  ASSERT_FALSE(stats.ok());
+  EXPECT_NE(stats.status().message().find("trace event 1"), std::string::npos)
+      << stats.status().ToString();
 }
 
 }  // namespace
